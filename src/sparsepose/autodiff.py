@@ -1,10 +1,9 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 A Tensor wraps a float array plus an on-demand gradient; ops record closures
-that accumulate into their parents. Everything runs in float64 by default
-(float32 is accepted for throughput runs). Gradients of disjoint graph
-regions accumulate in a fixed topological order, so results are
-deterministic.
+that accumulate into their parents. Everything runs in float64. Gradients
+of disjoint graph regions accumulate in a fixed topological order, so results
+are deterministic.
 """
 
 from __future__ import annotations

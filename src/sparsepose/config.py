@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -97,6 +98,11 @@ class PipelineConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if f.type == "tuple" else (value,)
+            if f.type in ("float", "tuple") and not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.theta <= 0:
             raise ConfigError(f"theta must be positive, got {self.theta}")
         if self.coarse_factor < 2:
@@ -107,12 +113,16 @@ class PipelineConfig:
             raise ConfigError("suppress_kappa must lie in (0, 1)")
         if self.window_small >= self.window_medium:
             raise ConfigError("window_small must be smaller than window_medium")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.width % self.heads != 0:
             raise ConfigError("width must be divisible by heads")
         if not (0 <= self.warmup_fraction <= 1):
             raise ConfigError("warmup_fraction must lie in [0, 1]")
         if any(v <= 0 for v in (self.sigma_c, self.sigma_b, self.lr)):
             raise ConfigError("sigma_c, sigma_b and lr must be positive")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
 
     @property
     def loss_weights(self) -> tuple:

@@ -6,12 +6,20 @@ import os
 import tempfile
 
 
+def _default_mode() -> int:
+    # the mode a plain open() would give; mkstemp always creates 0600
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        os.chmod(tmp, _default_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -25,6 +33,7 @@ def atomic_write_bytes(path, blob: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)
+        os.chmod(tmp, _default_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,6 +9,7 @@ stack stays fully sparse.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 
@@ -18,6 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
 from .grid import SparseVoxelGrid, pack_index, partition_indices
+from .ioutil import atomic_write_bytes
 
 _STENCIL = np.array(
     [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
@@ -179,36 +181,45 @@ class DualBranchBlock(Module):
 
 
 class ConvPairs:
-    """Gather/scatter plan of a 3x3x3 stencil over a fixed sparse index set:
-    for each stencil offset, the (source row, destination row) pairs between
-    active voxels. Reusable across layers on the same index set."""
+    """Kernel map of a 3x3x3 stencil over a fixed sparse index set.
+
+    `nbr[i, o]` is the row of the active voxel at `indices[i] + _STENCIL[o]`,
+    or `n` when that neighbor is inactive; row `n` of a padded feature matrix
+    is all zeros, so one fancy-index gather reads every tap of every voxel.
+    Offset `o` and offset `26 - o` are mirror images, so `nbr[i, o] == j`
+    exactly when `nbr[j, 26 - o] == i`. Reusable across layers on the same
+    index set.
+    """
 
     def __init__(self, indices: np.ndarray):
         idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-        self.n = idx.shape[0]
+        n = idx.shape[0]
         keys = pack_index(idx)
         order = np.argsort(keys)
         keys_sorted = keys[order]
-        src_all, dst_all, counts = [], [], []
-        for o in range(27):
-            neighbor = idx + _STENCIL[o]
-            nk = pack_index(neighbor)
-            pos = np.searchsorted(keys_sorted, nk)
-            pos_clip = np.minimum(pos, max(0, self.n - 1))
-            hit = keys_sorted[pos_clip] == nk if self.n else np.zeros(0, bool)
-            dst = np.nonzero(hit)[0]
-            src = order[pos_clip[dst]]
-            src_all.append(src)
-            dst_all.append(dst)
-            counts.append(len(dst))
-        self.src = np.concatenate(src_all) if src_all else np.zeros(0, np.int64)
-        self.dst = np.concatenate(dst_all) if dst_all else np.zeros(0, np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        wanted = pack_index((idx[:, None, :] + _STENCIL[None, :, :]).reshape(-1, 3))
+        pos = np.minimum(np.searchsorted(keys_sorted, wanted), max(0, n - 1))
+        self.nbr = np.where(keys_sorted[pos] == wanted, order[pos], n).reshape(n, 27)
+
+
+def _pad_gather(values: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """(n, C) rows read through a kernel map into (n, 27 * C) columns; an
+    inactive neighbor (index n) reads a zero row."""
+    padded = np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
+    return padded[nbr].reshape(nbr.shape[0], nbr.shape[1] * values.shape[1])
 
 
 class SubmanifoldConv3(Module):
     """3x3x3 sparse convolution evaluated only at active voxels, reading only
-    active neighbors; the active set never dilates."""
+    active neighbors; the active set never dilates.
+
+    One graph node per call. Forward gathers the 27 neighbor rows of every
+    voxel through the kernel map into `cols` (n, 27 C_in) and applies the
+    kernel as a single GEMM with the (27 C_in, C_out) reshaped weights.
+    Backward: `dK = cols^T g`; `dx` is the same gather-GEMM applied to the
+    output gradient with the mirrored stencil, `stack_o K[26 - o]^T`, which
+    is exact because the submanifold neighbor relation is symmetric.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.kernel = ad.parameter(_init_uniform(rng, (27, in_dim, out_dim), 27 * in_dim))
@@ -217,18 +228,21 @@ class SubmanifoldConv3(Module):
         self.out_dim = out_dim
 
     def __call__(self, x: Tensor, pairs: ConvPairs) -> Tensor:
-        pieces = []
-        for o in range(27):
-            lo, hi = pairs.offsets[o], pairs.offsets[o + 1]
-            if hi == lo:
-                continue
-            w_o = ad.reshape(ad.narrow(self.kernel, 0, o, 1), (self.in_dim, self.out_dim))
-            pieces.append(ad.matmul(ad.gather_rows(x, pairs.src[lo:hi]), w_o))
-        if not pieces:
-            return ad.add(Tensor(np.zeros((pairs.n, self.out_dim))), self.bias)
-        contrib = ad.concat(pieces, axis=0)
-        out = ad.scatter_add_rows(contrib, pairs.dst, pairs.n)
-        return ad.add(out, self.bias)
+        kernel, bias, nbr = self.kernel, self.bias, pairs.nbr
+        cols = _pad_gather(x.data, nbr)
+        out = Tensor(cols @ kernel.data.reshape(-1, self.out_dim) + bias.data,
+                     parents=(x, kernel, bias))
+
+        def backward(g):
+            if kernel.requires_grad:
+                ad._accumulate(kernel, (cols.T @ g).reshape(kernel.data.shape))
+            ad._accumulate(bias, g.sum(axis=0))
+            if x.requires_grad:
+                mirrored = kernel.data[::-1].transpose(0, 2, 1).reshape(-1, self.in_dim)
+                ad._accumulate(x, _pad_gather(g, nbr) @ mirrored)
+
+        out._backward = backward if out.requires_grad else None
+        return out
 
 
 def identity_kernel(dim: int) -> np.ndarray:
@@ -439,41 +453,55 @@ CHECKPOINT_MAGIC = b"SPCKPT01"
 
 def save_checkpoint(path, params: "OrderedDict[str, Tensor]") -> None:
     """Named parameter table: versioned header, then per entry the name,
-    shape and float64 little-endian payload."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(params)))
-        for name, p in params.items():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", p.data.ndim))
-            for dim in p.data.shape:
-                f.write(struct.pack("<q", dim))
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    shape and float64 little-endian payload. Written atomically."""
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]
+    for name, p in params.items():
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<H", len(encoded)) + encoded)
+        chunks.append(struct.pack(f"<B{p.data.ndim}q", p.data.ndim, *p.data.shape))
+        chunks.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    atomic_write_bytes(path, b"".join(chunks))
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Read a checkpoint written by `save_checkpoint`; a missing, truncated
+    or otherwise malformed file raises DataError."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    pos = 12
+    pos = 8
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(blob):
+            raise DataError(f"{path}: checkpoint truncated at byte {len(blob)} (needs {pos + size})")
+        chunk = blob[pos : pos + size]
+        pos += size
+        return chunk
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (count,) = unpack("<I")
     out: OrderedDict[str, np.ndarray] = OrderedDict()
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}q", blob, pos) if ndim else ()
-        pos += 8 * ndim
-        n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(blob[pos : pos + 8 * n], dtype="<f8").reshape(shape).copy()
-        pos += 8 * n
-        out[name] = data
+        (name_len,) = unpack("<H")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: corrupt parameter name at byte {pos - name_len}") from exc
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}q")
+        if any(dim < 0 for dim in shape):
+            raise DataError(f"{path}: negative dimension in shape {shape} of '{name}'")
+        payload = take(8 * math.prod(shape))
+        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if pos != len(blob):
+        raise DataError(f"{path}: {len(blob) - pos} trailing bytes after the last parameter")
     return out
 
 

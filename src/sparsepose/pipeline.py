@@ -30,6 +30,7 @@ from .heatmap import (
     voxel_object_assignment,
     weighted_cross_entropy,
 )
+from .ioutil import atomic_write_text
 from .synthetic import SceneBundle
 from .tsdf import TsdfConfig, build_tsdf
 from .voting import (
@@ -121,18 +122,19 @@ def build_model(cfg: PipelineConfig, representation: str, seed: int | None = Non
 def save_model(path, model: PipelineModel) -> None:
     nn.save_checkpoint(path, model.parameters())
     meta = {"in_channels": model.in_channels, "representation": model.representation}
-    with open(str(path) + ".json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    atomic_write_text(str(path) + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path, cfg: PipelineConfig) -> PipelineModel:
     meta_path = str(path) + ".json"
     if not os.path.exists(meta_path):
         raise DataError(f"missing checkpoint metadata {meta_path}")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    model = build_model(cfg, meta["representation"])
+    try:
+        with open(meta_path) as f:
+            representation = json.load(f)["representation"]
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise DataError(f"malformed checkpoint metadata {meta_path}: {exc}") from exc
+    model = build_model(cfg, representation)
     nn.assign_parameters(model.parameters(), nn.load_checkpoint(path))
     return model
 
@@ -153,6 +155,7 @@ class StagedOutput:
     selected_grid: SparseVoxelGrid
     offsets: Tensor
     rot6d: Tensor
+    roi_target: np.ndarray | None = None  # coarse-grid RoI target when computed in training
 
 
 def _light_grid(reference: SparseVoxelGrid, indices: np.ndarray) -> SparseVoxelGrid:
@@ -180,8 +183,8 @@ def staged_forward(
     coarse, parent_row = coarsen(fine, cfg.coarse_factor)
     roi_scores, roi_trunk = model.roi(coarse)
     attention, kept = soft_suppress(roi_scores.data, hp)
-    if train and gt is not None and cfg.train_keep_union_gt:
-        target = roi_target(coarse, gt, hp)
+    target = roi_target(coarse, gt, hp) if train and gt is not None else None
+    if target is not None and cfg.train_keep_union_gt:
         kept = np.union1d(kept, np.nonzero(target > hp.kappa)[0])
     keep_mask = np.zeros(len(coarse), dtype=bool)
     keep_mask[kept] = True
@@ -220,6 +223,7 @@ def staged_forward(
         selected_grid=_light_grid(fine, selected_idx),
         offsets=offsets,
         rot6d=rot6d,
+        roi_target=target,
     )
 
 
@@ -274,9 +278,12 @@ def compute_losses(
     chamfer_points: int | None = None,
 ) -> tuple[Tensor, LossBreakdown, dict]:
     """All five task losses of one forward pass plus the Eq-style weighted
-    total as a graph node."""
-    hp = heatmap_params(cfg)
-    H = roi_target(out.coarse, gt, hp)
+    total as a graph node.
+
+    `out` must come from `staged_forward(..., gt=gt, train=True)`: the RoI
+    target is read from `out.roi_target`, computed there from the same `gt`.
+    """
+    H = out.roi_target
     l_roi = ad.from_loss_fn(out.roi_scores, lambda p: gaussian_focal_loss(p, H, cfg.focal_alpha, cfg.focal_gamma))
 
     y = objectness_target(out.lifted_grid, gt)

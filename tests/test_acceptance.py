@@ -219,10 +219,16 @@ def test_criterion_3_gradient_suite():
             [rng.normal(size=(len(indices), 4))],
         )
         checks += 1
-    # submanifold convolution (features and kernel)
-    for n_vox, spread in ((1, 1), (8, 4), (14, 5)):
+    # submanifold convolution (features and kernel); the last layout is a
+    # solid 3x3x3 block, so its center voxel reads all 27 taps
+    block = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    for layout in ((1, 1), (8, 4), (14, 5), "block"):
         conv = nn.SubmanifoldConv3(3, 2, rng)
-        indices = np.unique(rng.integers(0, spread, size=(n_vox, 3)), axis=0)
+        if layout == "block":
+            indices = block
+        else:
+            n_vox, spread = layout
+            indices = np.unique(rng.integers(0, spread, size=(n_vox, 3)), axis=0)
         pairs = nn.ConvPairs(indices)
         w = rng.normal(size=(len(indices), 2))
 

@@ -214,6 +214,19 @@ class TestTrainToyCli:
         doc = json.loads(poses.with_suffix(".json").read_text())
         assert "poses" in doc
 
+    def test_truncated_checkpoint_exit_code(self, scene_dir, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        assert run(["train-toy", scene_dir, "--steps", 0, "--out", ckpt,
+                    "--theta-mm", 6.0, "--seed", 1]) == 0
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[: len(blob) // 2])
+        capsys.readouterr()
+        assert run(["estimate", scene_dir, "--checkpoint", ckpt, "--out", tmp_path / "poses",
+                    "--theta-mm", 6.0]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "truncated" in err
+        assert "Traceback" not in err
+
 
 class TestDumpConfig:
     def test_roundtrip_through_cli(self, tmp_path):

@@ -36,6 +36,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(width=30, heads=4)
 
+    @pytest.mark.parametrize("overrides", [
+        {"heads": 0},
+        {"theta": float("nan")},
+        {"lr": float("nan")},
+        {"steps": -5},
+    ])
+    def test_out_of_range_values_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**overrides)
+
 
 class TestRoundTrip:
     def test_dump_load_dump_byte_identical(self):

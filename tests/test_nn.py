@@ -258,6 +258,60 @@ class TestSubmanifoldConv:
 
         finite_difference_check(fn, [rng.normal(size=(len(indices), 3)), conv.kernel.data.copy()])
 
+    def test_full_block_all_taps_match_dense_oracle(self):
+        # a solid 3x3x3 block: the center voxel reads all 27 taps
+        rng = np.random.default_rng(40)
+        conv = nn.SubmanifoldConv3(4, 6, rng)
+        conv.bias.data = rng.normal(size=6)
+        indices = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        indices = indices[rng.permutation(len(indices))]
+        pairs = nn.ConvPairs(indices)
+        center = int(np.nonzero((indices == 1).all(axis=1))[0][0])
+        assert np.all(pairs.nbr[center] < len(indices))
+        f = rng.normal(size=(len(indices), 4))
+        out = conv(Tensor(f), pairs)
+        expected = dense_conv3_oracle(indices, f, conv.kernel.data, conv.bias.data)
+        assert np.max(np.abs(out.data - expected)) < 1e-10
+
+    def test_gradients_unequal_channels(self):
+        rng = np.random.default_rng(41)
+        conv = nn.SubmanifoldConv3(2, 5, rng)
+        indices = np.unique(rng.integers(0, 3, size=(12, 3)), axis=0)
+        pairs = nn.ConvPairs(indices)
+        w = rng.normal(size=(len(indices), 5))
+
+        def fn(f, kernel, bias):
+            saved = conv.kernel, conv.bias
+            conv.kernel, conv.bias = kernel, bias
+            out = ad.tsum(ad.mul(conv(f, pairs), ad.constant(w)))
+            conv.kernel, conv.bias = saved
+            return out
+
+        finite_difference_check(
+            fn, [rng.normal(size=(len(indices), 2)), conv.kernel.data.copy(), rng.normal(size=5)]
+        )
+
+    def test_empty_index_set(self):
+        rng = np.random.default_rng(42)
+        conv = nn.SubmanifoldConv3(3, 4, rng)
+        pairs = nn.ConvPairs(np.zeros((0, 3), dtype=np.int64))
+        assert pairs.nbr.shape == (0, 27)
+        x = ad.parameter(np.zeros((0, 3)))
+        out = conv(x, pairs)
+        assert out.data.shape == (0, 4)
+        ad.tsum(out).backward()
+        assert x.grad.shape == (0, 3)
+        assert np.array_equal(conv.kernel.grad, np.zeros((27, 3, 4)))
+
+    def test_kernel_map_matches_dict_lookup(self):
+        rng = np.random.default_rng(43)
+        indices = np.unique(rng.integers(-3, 4, size=(80, 3)), axis=0)
+        indices = indices[rng.permutation(len(indices))]
+        n = len(indices)
+        idx_map = {tuple(v): i for i, v in enumerate(indices)}
+        expected = np.array([[idx_map.get(tuple(v + off), n) for off in nn._STENCIL] for v in indices])
+        assert np.array_equal(nn.ConvPairs(indices).nbr, expected)
+
 
 class TestToyNets:
     def make_grid(self, seed=19, n=60, channels=4):
@@ -388,3 +442,23 @@ class TestCheckpoint:
         path.write_bytes(b"garbage")
         with pytest.raises(DataError):
             nn.load_checkpoint(path)
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        nn.save_checkpoint(path, nn.ObjectnessNet(6, 8, 3, np.random.default_rng(27)).parameters())
+        blob = path.read_bytes()
+        for cut in (len(blob) // 2, 13, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="truncated"):
+                nn.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "lin.ckpt"
+        nn.save_checkpoint(path, nn.Linear(2, 3, np.random.default_rng(28)).parameters())
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="trailing"):
+            nn.load_checkpoint(path)
+
+    def test_missing_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            nn.load_checkpoint(tmp_path / "absent.ckpt")

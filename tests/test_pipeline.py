@@ -123,6 +123,26 @@ class TestLosses:
                     + lam[3] * breakdown.t + lam[4] * breakdown.rot)
         assert breakdown.total == pytest.approx(expected, rel=1e-12)
 
+    def test_roi_target_computed_once_per_step(self, small_bundle, monkeypatch):
+        from sparsepose import heatmap, pipeline
+
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return heatmap.roi_target(*args)
+
+        monkeypatch.setattr(pipeline, "roi_target", counting)
+        cfg = quick_config()
+        model = build_model(cfg, "cloud", seed=0)
+        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
+        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
+        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
+        compute_losses(out, small_bundle.gt, rotations, small_bundle.models, cfg)
+        assert len(calls) == 1
+        expected = heatmap.roi_target(out.coarse, small_bundle.gt, pipeline.heatmap_params(cfg))
+        assert np.array_equal(out.roi_target, expected)
+
     def test_backward_reaches_all_heads(self, small_bundle):
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
@@ -204,6 +224,42 @@ class TestModelIO:
         loaded = load_model(path, cfg)
         assert loaded.representation == "tsdf"
         assert loaded.in_channels == 5
+
+    def test_checkpoint_bytes_fixed_for_seed(self, tmp_path):
+        import hashlib
+
+        # SHA-256 of the seed-5 default model as written before checkpoint
+        # writes went through the atomic temp-file-and-rename path
+        model = build_model(PipelineConfig(), "cloud", seed=5)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "869b5014d0888e4b895f0b94775c324d6a24c1d68e8f2c8bdd207f24caa05052"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.json"]
+
+    def test_checkpoint_files_get_umask_mode(self, tmp_path):
+        # the atomic temp-file path must leave the mode a plain open() gives
+        import os
+
+        umask = os.umask(0o022)
+        try:
+            path = tmp_path / "m.ckpt"
+            save_model(path, build_model(quick_config(), "cloud", seed=3))
+        finally:
+            os.umask(umask)
+        assert (path.stat().st_mode & 0o777) == 0o644
+        assert ((tmp_path / "m.ckpt.json").stat().st_mode & 0o777) == 0o644
+
+    @pytest.mark.parametrize("sidecar", [b"{", b"\xff"])
+    def test_malformed_metadata_rejected(self, tmp_path, sidecar):
+        from sparsepose.errors import DataError
+
+        cfg = quick_config()
+        path = tmp_path / "m.ckpt"
+        save_model(path, build_model(cfg, "cloud", seed=3))
+        (tmp_path / "m.ckpt.json").write_bytes(sidecar)
+        with pytest.raises(DataError):
+            load_model(path, cfg)
 
     def test_missing_metadata_rejected(self, small_bundle, tmp_path):
         from sparsepose.errors import DataError
