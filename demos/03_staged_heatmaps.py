@@ -11,7 +11,7 @@ predictions to show their scales.
 import numpy as np
 
 from sparsepose.config import PipelineConfig
-from sparsepose.grid import coarsen, lift_and_filter
+from sparsepose.grid import SparseVoxelGrid, coarsen
 from sparsepose.heatmap import (
     adaptive_topk,
     focal_loss,
@@ -48,7 +48,13 @@ attention, kept = soft_suppress(H, hp)
 print(f"soft suppression at kappa={hp.kappa}: keeps {len(kept)}/{len(coarse)} coarse voxels")
 
 # -- lifting ------------------------------------------------------------------
-lifted = lift_and_filter(fine, coarse.indices[kept], coarse.features[kept], cfg.coarse_factor)
+# the rows staged_forward lifts: fine voxels whose coarse parent survived,
+# widened with the parent's features
+keep_mask = np.zeros(len(coarse), dtype=bool)
+keep_mask[kept] = True
+rows = np.nonzero(keep_mask[parent])[0]
+lifted = SparseVoxelGrid(fine.resolution, fine.origin, fine.indices[rows],
+                         np.hstack([fine.features[rows], coarse.features[parent[rows]]]))
 print(f"lifted fine voxels: {len(lifted)} ({lifted.channels} channels after enrichment)\n")
 
 # -- stage two: objectness + adaptive topK ------------------------------------

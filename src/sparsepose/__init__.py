@@ -4,13 +4,13 @@ voxel grids.
 The pipeline fuses multi-view depth into a point cloud or a hash-blocked
 sparse TSDF, selects foreground through two staged heatmaps, runs a
 dual-branch sparse window-attention network and recovers poses by per-voxel
-voting with DBSCAN clustering and batched ICP refinement.
+voting with DBSCAN clustering and per-cluster ICP refinement.
 """
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage, backproject, project
 from .config import PipelineConfig, load_config
 from .fusion import FusedPointCloud, Workspace, fuse_views
-from .grid import SparseVoxelGrid, coarsen, lift_and_filter, partition_windows, voxelize
+from .grid import SparseVoxelGrid, coarsen, voxelize
 from .heatmap import HeatmapParams, SceneGroundTruth
 from .synthetic import make_primitives, sample_scene
 from .tsdf import SparseTsdf, TsdfConfig
@@ -36,10 +36,8 @@ __all__ = [
     "coarsen",
     "dbscan",
     "fuse_views",
-    "lift_and_filter",
     "load_config",
     "make_primitives",
-    "partition_windows",
     "project",
     "rot6d_to_matrix",
     "sample_scene",

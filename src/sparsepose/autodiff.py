@@ -36,9 +36,6 @@ class Tensor:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, grad={'set' if self.grad is not None else 'none'})"
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -65,39 +62,9 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
 
 def constant(x) -> Tensor:
-    return _as_tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def parameter(data, name=None) -> Tensor:
@@ -182,49 +149,6 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    val = np.exp(a.data)
-    out = Tensor(val, parents=(a,))
-
-    def backward(g):
-        _accumulate(a, g * val)
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), parents=(a,))
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
-def sqrt(a: Tensor) -> Tensor:
-    val = np.sqrt(a.data)
-    out = Tensor(val, parents=(a,))
-
-    def backward(g):
-        _accumulate(a, g * 0.5 / val)
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    val = np.tanh(a.data)
-    out = Tensor(val, parents=(a,))
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - val**2))
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
     val = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(val, parents=(a,))
@@ -242,18 +166,6 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g * mask)
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    val = np.clip(a.data, lo, hi)
-    interior = (a.data > lo) & (a.data < hi)
-    out = Tensor(val, parents=(a,))
-
-    def backward(g):
-        _accumulate(a, g * interior)
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -309,7 +221,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
+    return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n))
 
 
 def reduce_min(a: Tensor, axis: int, keepdims=False) -> Tensor:
@@ -372,7 +284,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = [constant(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]

@@ -19,8 +19,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, DataError, NumericalError
 from .ioutil import atomic_write_text

@@ -22,10 +22,6 @@ class PipelineConfig:
     theta: float = 0.002            # pipeline voxel size, meters
     coarse_factor: int = 10
 
-    # [workspace]
-    workspace_min: tuple = (-0.2, -0.2, -0.02)
-    workspace_max: tuple = (0.2, 0.2, 0.18)
-
     # [camera]
     near: float = 0.05
     far: float = 5.0
@@ -100,8 +96,7 @@ class PipelineConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            values = value if f.type == "tuple" else (value,)
-            if f.type in ("float", "tuple") and not all(math.isfinite(v) for v in values):
+            if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.theta <= 0:
             raise ConfigError(f"theta must be positive, got {self.theta}")
@@ -139,7 +134,6 @@ class PipelineConfig:
 
 _SECTIONS = {
     "grid": ("theta", "coarse_factor"),
-    "workspace": ("workspace_min", "workspace_max"),
     "camera": ("near", "far"),
     "tsdf": ("tsdf_voxels_per_side", "tsdf_truncation_mult", "tsdf_weight_cap"),
     "heatmap": ("sigma_c", "sigma_b", "focal_alpha", "focal_gamma",
@@ -162,8 +156,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
-        return " ".join(repr(float(v)) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -181,11 +173,6 @@ def _parse_value(name: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "tuple":
-            parts = raw.split()
-            if len(parts) != 3:
-                raise ValueError("expected three numbers")
-            return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"config key '{name}': {exc}") from exc
     raise ConfigError(f"unhandled config field type {kind} for '{name}'")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .camera import DEFAULT_FAR, DEFAULT_NEAR, CameraExtrinsics, CameraIntrinsics, DepthImage, backproject
 from .errors import DataError
+from .ioutil import atomic_write_bytes
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,13 @@ def write_ply_points(path, points: np.ndarray, scalar: np.ndarray | None = None,
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(pts)}"]
     header += ["property float x", "property float y", "property float z"]
     if scalar is not None:
+        s = np.asarray(scalar, dtype="<f4").reshape(-1, 1)
+        if len(s) != len(pts):
+            raise DataError("scalar length must match point count")
         header.append(f"property float {scalar_name}")
+        pts = np.hstack([pts, s])
     header += ["end_header"]
-    with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        if scalar is None:
-            f.write(pts.tobytes())
-        else:
-            s = np.asarray(scalar, dtype="<f4").reshape(-1, 1)
-            if len(s) != len(pts):
-                raise DataError("scalar length must match point count")
-            f.write(np.hstack([pts, s]).tobytes())
+    atomic_write_bytes(path, ("\n".join(header) + "\n").encode("ascii") + pts.tobytes())
 
 
 def write_ply_mesh(path, vertices: np.ndarray, faces: np.ndarray) -> None:
@@ -127,11 +124,10 @@ def write_ply_mesh(path, vertices: np.ndarray, faces: np.ndarray) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        f.write(verts.tobytes())
-        for tri in tris:
-            f.write(struct.pack("<B3i", 3, int(tri[0]), int(tri[1]), int(tri[2])))
+    face_rows = np.zeros(len(tris), dtype=[("n", "u1"), ("v", "<i4", (3,))])
+    face_rows["n"] = 3
+    face_rows["v"] = tris
+    atomic_write_bytes(path, ("\n".join(header) + "\n").encode("ascii") + verts.tobytes() + face_rows.tobytes())
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:

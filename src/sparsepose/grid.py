@@ -1,5 +1,5 @@
-"""Attributed sparse voxel sets: voxelization, coarsening, feature lifting,
-window partitioning and occupancy statistics.
+"""Attributed sparse voxel sets: voxelization, coarsening, window
+partitioning and occupancy statistics.
 
 Voxel indices are int64 triples with floor quantization (lower-inclusive),
 kept unique and lexicographically sorted so that every downstream selection
@@ -185,71 +185,24 @@ def coarsen(grid: SparseVoxelGrid, factor: int = 10) -> tuple[SparseVoxelGrid, n
     return coarse, parent_row
 
 
-def lift_and_filter(
-    fine: SparseVoxelGrid,
-    kept_coarse: np.ndarray,
-    coarse_features: np.ndarray,
-    factor: int = 10,
-) -> SparseVoxelGrid:
-    """Keep the fine voxels whose coarse parent survived a filter and widen
-    their features with the parent's (voxel grid search + enrichment).
-
-    kept_coarse: (M, 3) int64 coarse indices; coarse_features: (M, C') rows
-    aligned with kept_coarse. Output channels = fine C + C'.
-    """
-    kept = np.asarray(kept_coarse, dtype=np.int64).reshape(-1, 3)
-    cf = np.atleast_2d(np.asarray(coarse_features, dtype=np.float64))
-    if kept.shape[0] != cf.shape[0]:
-        if kept.shape[0] == 0 and cf.size == 0:
-            cf = cf.reshape(0, max(1, cf.shape[-1]))
-        else:
-            raise DataError("kept_coarse / coarse_features row count mismatch")
-    c_out = fine.channels + cf.shape[1]
-    if kept.shape[0] == 0 or len(fine) == 0:
-        return SparseVoxelGrid(fine.resolution, fine.origin, np.zeros((0, 3), dtype=np.int64), np.zeros((0, c_out)))
-    parent_idx = np.floor_divide(fine.indices, int(factor))
-    kept_keys = pack_index(kept)
-    order = np.argsort(kept_keys, kind="stable")
-    kept_keys_s = kept_keys[order]
-    pk = pack_index(parent_idx)
-    pos = np.searchsorted(kept_keys_s, pk)
-    pos_clip = np.minimum(pos, len(kept_keys_s) - 1)
-    hit = kept_keys_s[pos_clip] == pk
-    rows = np.nonzero(hit)[0]
-    match = order[pos_clip[rows]]
-    features = np.hstack([fine.features[rows], cf[match]])
-    return SparseVoxelGrid(fine.resolution, fine.origin, fine.indices[rows], features)
-
-
-def partition_windows(grid: SparseVoxelGrid, window: int) -> list[tuple[tuple[int, int, int], np.ndarray]]:
-    """Partition voxels into non-overlapping cubic windows of `window` voxels.
+def partition_indices(indices: np.ndarray, window: int) -> list[tuple[tuple[int, int, int], np.ndarray]]:
+    """Partition voxel indices into non-overlapping cubic windows of `window`
+    voxels.
 
     Window id = floor(v / window). Returns (window id, member rows) pairs in
     lexicographic window order; member rows stay index-sorted. Every voxel
     lands in exactly one window and window populations are dynamic.
     """
-    return partition_indices(grid.indices, window)
-
-
-def partition_indices(indices: np.ndarray, window: int) -> list[tuple[tuple[int, int, int], np.ndarray]]:
-    """partition_windows on a bare index array."""
     if int(window) != window or window < 1:
         raise DataError(f"window size must be an integer >= 1, got {window}")
     indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
     if indices.shape[0] == 0:
         return []
-    wid = np.floor_divide(indices, int(window))
-    keys = pack_index(wid)
-    order = np.argsort(keys, kind="stable")
-    keys_s = keys[order]
-    starts, uniq_keys = _group_sorted(keys_s)
-    counts = np.diff(np.append(starts, keys_s.size))
-    ids = unpack_index(uniq_keys)
-    out = []
-    for i in range(len(starts)):
-        rows = order[starts[i] : starts[i] + counts[i]]
-        out.append(((int(ids[i, 0]), int(ids[i, 1]), int(ids[i, 2])), np.sort(rows)))
-    return out
+    keys = pack_index(np.floor_divide(indices, int(window)))
+    order = np.argsort(keys, kind="stable")  # rows stay ascending within a window
+    starts, uniq_keys = _group_sorted(keys[order])
+    ids = [tuple(int(v) for v in row) for row in unpack_index(uniq_keys)]
+    return list(zip(ids, np.split(order, starts[1:])))
 
 
 def occupancy_stats(points: np.ndarray, workspace_extent, resolutions) -> list[dict]:

@@ -268,13 +268,3 @@ def weighted_cross_entropy(logits: np.ndarray, labels: np.ndarray, weights: np.n
     grad = softmax * w[:, None]
     grad[np.arange(n), y] -= w
     return loss, grad / n_eff
-
-
-def conditioning_bias(heat_features: np.ndarray, projection: np.ndarray) -> np.ndarray:
-    """Linear projection of heatmap features, applied as an additive bias to
-    the classifier's hidden activation."""
-    f = np.asarray(heat_features, dtype=np.float64)
-    p = np.asarray(projection, dtype=np.float64)
-    if f.ndim != 2 or p.ndim != 2 or f.shape[1] != p.shape[0]:
-        raise DataError(f"cannot project features {f.shape} with matrix {p.shape}")
-    return f @ p

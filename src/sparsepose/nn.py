@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import SparseVoxelGrid, pack_index, partition_indices
+from .grid import SparseVoxelGrid, pack_index, partition_indices, unpack_index
 from .ioutil import atomic_write_bytes
 
 _STENCIL = np.array(
@@ -245,13 +245,6 @@ class SubmanifoldConv3(Module):
         return out
 
 
-def identity_kernel(dim: int) -> np.ndarray:
-    """Kernel whose center tap is the identity (27, dim, dim)."""
-    k = np.zeros((27, dim, dim))
-    k[13] = np.eye(dim)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Pooling helpers for the toy U-Net (mean pool down, copy up)
 # ---------------------------------------------------------------------------
@@ -264,8 +257,6 @@ def pool_structure(indices: np.ndarray, factor: int = 2):
     parent = np.floor_divide(idx, factor)
     keys = pack_index(parent)
     uniq, inverse = np.unique(keys, return_inverse=True)
-    from .grid import unpack_index
-
     return unpack_index(uniq), inverse
 
 

@@ -42,6 +42,7 @@ from .voting import (
     icp_refine,
     matrix_to_rot6d,
     pose_targets,
+    rot6d_frames,
     smooth_l1,
 )
 
@@ -409,7 +410,14 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     the scene points that fall into its own cluster's voxels, so adjacent
     objects and bin walls cannot capture correspondences. Clusters too small
     to carve a stable target fall back to the full cloud.
+
+    Votes that cannot make a pose are dropped before clustering: a class
+    with no model in `models`, or a rotation rot6d_to_matrix rejects.
     """
+    usable = np.isin(votes.class_ids, list(models)) & rot6d_frames(votes.rot6d)[1]
+    if not usable.all():
+        votes = VoteSet(votes.voxel_centers[usable], votes.offsets[usable], votes.rot6d[usable],
+                        votes.confidence[usable], votes.class_ids[usable])
     if len(votes) == 0:
         return []
     labels = dbscan(votes.predicted_centers(), cfg.dbscan_eps, cfg.dbscan_min_pts)

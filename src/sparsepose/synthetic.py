@@ -685,57 +685,61 @@ def load_scene_bundle(path) -> SceneBundle:
             scene_doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"{scene_path}: cannot read scene bundle ({exc})") from exc
-    depth_scale = float(scene_doc["depth_scale"])
-    models: dict[int, ObjectModel] = {}
-    for cid_str, meta in scene_doc.get("models", {}).items():
-        verts, faces, _ = read_ply(os.path.join(path, meta["ply"]))
-        mesh = Mesh(verts[:, :3], faces)
-        cloud = sample_surface(mesh, int(meta["cloud_points"]), seed=int(meta["cloud_seed"]))
-        models[int(cid_str)] = ObjectModel(
-            class_id=int(cid_str),
-            name=meta["name"],
-            mesh=mesh,
-            cloud=cloud,
-            symmetries=[np.asarray(s, dtype=np.float64).reshape(3, 3) for s in meta["symmetries"]],
-        )
-    depths, cameras = [], []
-    for i in range(int(scene_doc["n_views"])):
-        intr, extr, cam_scale = load_camera_json(os.path.join(path, f"cam_{i:02d}.json"))
-        depths.append(load_depth_png(os.path.join(path, f"depth_{i:02d}.png"), cam_scale))
-        cameras.append((intr, extr))
-    gt_path = os.path.join(path, "gt.json")
     try:
-        with open(gt_path) as f:
-            gt_doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{gt_path}: cannot read ground truth ({exc})") from exc
-    centroids, clouds, class_ids, instances = [], [], [], []
-    for obj in gt_doc["objects"]:
-        cid = int(obj["class_id"])
-        R = np.asarray(obj["rotation"], dtype=np.float64).reshape(3, 3)
-        t = np.asarray(obj["translation"], dtype=np.float64)
-        if cid not in models:
-            raise DataError(f"{gt_path}: object references unknown class {cid}")
-        centroids.append(np.asarray(obj["centroid"], dtype=np.float64))
-        clouds.append(models[cid].cloud @ R.T + t)
-        class_ids.append(cid)
-        instances.append(Instance(cid, models[cid].name, R, t))
-    gt = SceneGroundTruth(
-        centroids=np.asarray(centroids).reshape(-1, 3) if centroids else np.zeros((0, 3)),
-        object_clouds=clouds,
-        class_ids=np.asarray(class_ids, dtype=np.int64),
-    )
-    workspace = Workspace(
-        np.asarray(scene_doc["workspace_min"], dtype=np.float64),
-        np.asarray(scene_doc["workspace_max"], dtype=np.float64),
-    )
-    return SceneBundle(
-        depths=depths,
-        cameras=cameras,
-        workspace=workspace,
-        gt=gt,
-        models=models,
-        seed=int(scene_doc["seed"]),
-        depth_scale=depth_scale,
-        instances=instances,
-    )
+        depth_scale = float(scene_doc["depth_scale"])
+        models: dict[int, ObjectModel] = {}
+        for cid_str, meta in scene_doc.get("models", {}).items():
+            verts, faces, _ = read_ply(os.path.join(path, meta["ply"]))
+            mesh = Mesh(verts[:, :3], faces)
+            cloud = sample_surface(mesh, int(meta["cloud_points"]), seed=int(meta["cloud_seed"]))
+            models[int(cid_str)] = ObjectModel(
+                class_id=int(cid_str),
+                name=meta["name"],
+                mesh=mesh,
+                cloud=cloud,
+                symmetries=[np.asarray(s, dtype=np.float64).reshape(3, 3) for s in meta["symmetries"]],
+            )
+        depths, cameras = [], []
+        for i in range(int(scene_doc["n_views"])):
+            intr, extr, cam_scale = load_camera_json(os.path.join(path, f"cam_{i:02d}.json"))
+            depths.append(load_depth_png(os.path.join(path, f"depth_{i:02d}.png"), cam_scale))
+            cameras.append((intr, extr))
+        gt_path = os.path.join(path, "gt.json")
+        try:
+            with open(gt_path) as f:
+                gt_doc = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DataError(f"{gt_path}: cannot read ground truth ({exc})") from exc
+        centroids, clouds, class_ids, instances = [], [], [], []
+        for obj in gt_doc["objects"]:
+            cid = int(obj["class_id"])
+            R = np.asarray(obj["rotation"], dtype=np.float64).reshape(3, 3)
+            t = np.asarray(obj["translation"], dtype=np.float64)
+            if cid not in models:
+                raise DataError(f"{gt_path}: object references unknown class {cid}")
+            centroids.append(np.asarray(obj["centroid"], dtype=np.float64))
+            clouds.append(models[cid].cloud @ R.T + t)
+            class_ids.append(cid)
+            instances.append(Instance(cid, models[cid].name, R, t))
+        gt = SceneGroundTruth(
+            centroids=np.asarray(centroids).reshape(-1, 3) if centroids else np.zeros((0, 3)),
+            object_clouds=clouds,
+            class_ids=np.asarray(class_ids, dtype=np.int64),
+        )
+        workspace = Workspace(
+            np.asarray(scene_doc["workspace_min"], dtype=np.float64),
+            np.asarray(scene_doc["workspace_max"], dtype=np.float64),
+        )
+        return SceneBundle(
+            depths=depths,
+            cameras=cameras,
+            workspace=workspace,
+            gt=gt,
+            models=models,
+            seed=int(scene_doc["seed"]),
+            depth_scale=depth_scale,
+            instances=instances,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a missing or mistyped field in scene.json or gt.json
+        raise DataError(f"{path}: malformed scene bundle ({type(exc).__name__}: {exc})") from exc

@@ -17,6 +17,16 @@ from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
 from .fusion import FusedPointCloud
 from .grid import pack_index, unpack_index
+from .ioutil import atomic_write_bytes
+
+# magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
+# origin[3], block_count; the dump layout is described in SparseTsdf
+_HEADER = struct.Struct("<8sdIddddddq")
+
+
+def _block_dtype(L: int) -> np.dtype:
+    return np.dtype([("index", "<i8", (3,)), ("pairs", "<f4", (L * L * L, 2))])
+
 
 _NEIGHBOR_OFFSETS = np.array(
     [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
@@ -181,51 +191,43 @@ class SparseTsdf:
     #   int64 block_count
     #   per block: int64 index[3], then L^3 pairs of float32 (sdf, weight)
     #   in local lexicographic voxel order.
+    # A file whose length differs from header + block_count * (24 + 8 L^3)
+    # is rejected.
 
     MAGIC = b"SPTSDF01"
 
     def dump(self, path) -> None:
         L = self.cfg.voxels_per_side
-        with open(path, "wb") as f:
-            f.write(self.MAGIC)
-            f.write(struct.pack("<dIdddddd", self.cfg.block_size, L, self.cfg.voxel_size,
-                                self.cfg.truncation, self.cfg.weight_cap, *self.origin))
-            f.write(struct.pack("<q", self.n_blocks))
-            for i in range(self.n_blocks):
-                f.write(struct.pack("<3q", *self.block_indices[i]))
-                pairs = np.empty((L * L * L, 2), dtype="<f4")
-                pairs[:, 0] = self.sdf[i].reshape(-1)
-                pairs[:, 1] = self.weight[i].reshape(-1)
-                f.write(pairs.tobytes())
+        blob = np.zeros(_HEADER.size + self.n_blocks * _block_dtype(L).itemsize, dtype=np.uint8)
+        _HEADER.pack_into(blob, 0, self.MAGIC, self.cfg.block_size, L, self.cfg.voxel_size,
+                          self.cfg.truncation, self.cfg.weight_cap, *self.origin, self.n_blocks)
+        blocks = blob[_HEADER.size:].view(_block_dtype(L))
+        blocks["index"] = self.block_indices
+        blocks["pairs"][..., 0] = self.sdf.reshape(self.n_blocks, -1)
+        blocks["pairs"][..., 1] = self.weight.reshape(self.n_blocks, -1)
+        atomic_write_bytes(path, blob)
 
     @classmethod
     def load(cls, path) -> "SparseTsdf":
-        with open(path, "rb") as f:
-            blob = f.read()
-        if blob[:8] != cls.MAGIC:
+        try:
+            with open(path, "rb") as f:
+                blob = f.read()
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read sparse TSDF dump ({exc})") from exc
+        if len(blob) < _HEADER.size or blob[:8] != cls.MAGIC:
             raise DataError(f"{path}: not a sparse TSDF dump")
-        header = struct.Struct("<dIdddddd")
-        block_size, L, voxel_size, trunc, cap, ox, oy, oz = header.unpack_from(blob, 8)
-        pos = 8 + header.size
-        (n_blocks,) = struct.unpack_from("<q", blob, pos)
-        pos += 8
+        _, block_size, L, voxel_size, trunc, cap, ox, oy, oz, n_blocks = _HEADER.unpack_from(blob)
         cfg = TsdfConfig(voxel_size=voxel_size, voxels_per_side=L, truncation=trunc, weight_cap=cap)
         if abs(cfg.block_size - block_size) > 1e-12:
             raise DataError(f"{path}: inconsistent block size in header")
-        indices = np.zeros((n_blocks, 3), dtype=np.int64)
-        payload_len = L * L * L * 8
-        payloads = []
-        for i in range(n_blocks):
-            indices[i] = struct.unpack_from("<3q", blob, pos)
-            pos += 24
-            pairs = np.frombuffer(blob[pos : pos + payload_len], dtype="<f4").reshape(-1, 2)
-            pos += payload_len
-            payloads.append(pairs)
-        out = cls(cfg, indices, (ox, oy, oz))
-        for i, pairs in enumerate(payloads):
-            slot = out.block_slot(indices[i])
-            out.sdf[slot] = pairs[:, 0].astype(np.float64).reshape(L, L, L)
-            out.weight[slot] = pairs[:, 1].astype(np.float64).reshape(L, L, L)
+        if n_blocks < 0 or len(blob) != _HEADER.size + n_blocks * (24 + 8 * L**3):
+            raise DataError(f"{path}: {len(blob)} bytes do not hold the {n_blocks} blocks "
+                            f"of {L}^3 voxels the header declares (truncated or padded)")
+        blocks = np.frombuffer(blob, dtype=_block_dtype(L), count=n_blocks, offset=_HEADER.size)
+        out = cls(cfg, blocks["index"], (ox, oy, oz))
+        slots = np.searchsorted(pack_index(out.block_indices), pack_index(blocks["index"]))
+        out.sdf[slots] = blocks["pairs"][..., 0].reshape(-1, L, L, L)
+        out.weight[slots] = blocks["pairs"][..., 1].reshape(-1, L, L, L)
         return out
 
 

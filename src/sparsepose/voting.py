@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from . import autodiff as ad
@@ -77,9 +78,6 @@ class Pose:
         self.translation = t
 
 
-PoseSet = list
-
-
 def pose_targets(grid: SparseVoxelGrid, gt: SceneGroundTruth):
     """Per-voxel supervision: offset to the owning object's centroid, the
     object rotation, and a validity mask (background voxels are masked out
@@ -127,6 +125,20 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, mask: np.ndarray, delta: flo
 # ---------------------------------------------------------------------------
 
 
+def rot6d_frames(r6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt map of (K, 6) encodings to (K, 3, 3) rotations, plus the
+    (K,) mask of rows where it is defined: |a1| >= 1e-9 and |u2| >= 1e-9,
+    u2 = a2 - (b1.a2) b1 (non-finite rows fail). Other rows are meaningless."""
+    a1, a2 = r6[:, :3], r6[:, 3:]
+    n1 = np.linalg.norm(a1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1 = a1 / n1[:, None]
+        u2 = a2 - np.sum(b1 * a2, axis=1, keepdims=True) * b1
+        n2 = np.linalg.norm(u2, axis=1)
+        b2 = u2 / n2[:, None]
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=2), (n1 >= 1e-9) & (n2 >= 1e-9)
+
+
 def rot6d_to_matrix(r6: np.ndarray) -> np.ndarray:
     """Gram-Schmidt map from the 6D encoding to SO(3).
 
@@ -138,19 +150,9 @@ def rot6d_to_matrix(r6: np.ndarray) -> np.ndarray:
     r = np.atleast_2d(r)
     if r.shape[1] != 6:
         raise DataError(f"6D rotation encoding must have 6 components, got {r.shape}")
-    a1, a2 = r[:, :3], r[:, 3:]
-    n1 = np.linalg.norm(a1, axis=1)
-    if np.any(n1 < 1e-9):
-        raise NumericalError("degenerate 6D rotation: first triple has near-zero norm")
-    b1 = a1 / n1[:, None]
-    proj = np.sum(b1 * a2, axis=1, keepdims=True)
-    u2 = a2 - proj * b1
-    n2 = np.linalg.norm(u2, axis=1)
-    if np.any(n2 < 1e-9):
-        raise NumericalError("degenerate 6D rotation: triples are (near-)parallel")
-    b2 = u2 / n2[:, None]
-    b3 = np.cross(b1, b2)
-    R = np.stack([b1, b2, b3], axis=2)
+    R, ok = rot6d_frames(r)
+    if not ok.all():
+        raise NumericalError("degenerate 6D rotation: near-zero first triple or (near-)parallel triples")
     return R[0] if single else R
 
 
@@ -241,38 +243,11 @@ def chamfer_rot_loss(r6: np.ndarray, R_gt: np.ndarray, model_points: np.ndarray,
     return float(out.data), grad
 
 
-def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain symmetric squared chamfer between two point sets (KD-tree)."""
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab = tb.query(a)[0]
-    d_ba = ta.query(b)[0]
-    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
-
-
 # ---------------------------------------------------------------------------
 # DBSCAN
 # ---------------------------------------------------------------------------
 
 NOISE = -1
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:  # path compression
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -284,85 +259,56 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     smallest core row; border points join the lowest-numbered cluster with a
     core point in range. Deterministic given the canonical point ordering.
 
-    Internally clusters are built cell-wise (cell edge = eps) so heaps of
-    near-duplicate points (vote blobs) stay cheap.
+    Core-core edges are collected cell-wise (cell edge = eps): a pair of
+    neighbouring cells whose joint span is within eps is linked by a star
+    instead of all its pairs, so heaps of near-duplicate points (vote blobs)
+    stay cheap.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if eps <= 0 or min_pts < 1:
         raise DataError("dbscan needs eps > 0 and min_pts >= 1")
-    n = len(pts)
-    labels = np.full(n, NOISE, dtype=np.int64)
-    if n == 0:
-        return labels
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(pts, eps, return_length=True)
+    labels = np.full(len(pts), NOISE, dtype=np.int64)
+    counts = cKDTree(pts).query_ball_point(pts, eps, return_length=True)
     core = counts >= min_pts
     core_rows = np.nonzero(core)[0]
     if core_rows.size == 0:
         return labels
 
     cpts = pts[core_rows]
-    cells = np.floor(cpts / eps).astype(np.int64)
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-    cells_s = cells[order]
-    starts = np.nonzero(np.r_[True, np.any(cells_s[1:] != cells_s[:-1], axis=1)])[0]
-    ends = np.r_[starts[1:], len(cells_s)]
-    cell_of = {tuple(cells_s[s]): k for k, s in enumerate(starts)}
-    members = [order[s:e] for s, e in zip(starts, ends)]
-
-    uf = _UnionFind(len(cpts))
-    eps_sq = eps * eps
-
-    def link_groups(a: np.ndarray, b: np.ndarray, same: bool):
-        pa, pb = cpts[a], cpts[b]
-        lo = np.maximum(pa.min(axis=0), pb.min(axis=0)) - np.minimum(pa.max(axis=0), pb.max(axis=0))
-        gap = np.maximum(lo, 0.0)
-        if np.dot(gap, gap) > eps_sq:
-            return
-        span = np.maximum(pa.max(axis=0), pb.max(axis=0)) - np.minimum(pa.min(axis=0), pb.min(axis=0))
-        if np.dot(span, span) <= eps_sq:
-            # every cross (and intra) pair is within eps
-            anchor = int(min(a[0], b[0]))
-            for row in a:
-                uf.union(anchor, int(row))
-            for row in b:
-                uf.union(anchor, int(row))
-            return
-        d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-        ii, jj = np.nonzero(d2 <= eps_sq)
-        if same:
-            keep = ii < jj
-            ii, jj = ii[keep], jj[keep]
-        for i, j in zip(ii, jj):
-            uf.union(int(a[i]), int(b[j]))
-
-    offsets = [np.array(o) for o in np.ndindex(3, 3, 3)]
-    for k, s in enumerate(starts):
-        base = cells_s[s]
-        rows = members[k]
-        for off in offsets:
-            key = tuple(base + off - 1)
-            other = cell_of.get(key)
-            if other is None or other < k:
+    cells, cell_of_pt = np.unique(np.floor(cpts / eps).astype(np.int64), axis=0, return_inverse=True)
+    order = np.argsort(cell_of_pt, axis=None, kind="stable")  # rows ascending within a cell
+    starts = np.searchsorted(cell_of_pt.reshape(-1)[order], np.arange(len(cells)))
+    members = np.split(order, starts[1:])
+    lo_of = np.minimum.reduceat(cpts[order], starts, axis=0)  # per-cell bounding boxes
+    hi_of = np.maximum.reduceat(cpts[order], starts, axis=0)
+    cell_of = {tuple(c): k for k, c in enumerate(cells)}
+    src, dst = [], []
+    for k, cell in enumerate(cells):
+        for off in np.ndindex(3, 3, 3):
+            o = cell_of.get(tuple(cell + off - 1))
+            if o is None or o < k:
                 continue
-            if other == k:
-                if len(rows) > 1:
-                    link_groups(rows, rows, same=True)
-            else:
-                link_groups(rows, members[other], same=False)
-
-    roots = np.array([uf.find(i) for i in range(len(cpts))])
-    # number clusters by their smallest core row index
-    uniq_roots = np.unique(roots)
-    min_row = np.full(len(uniq_roots), np.iinfo(np.int64).max)
-    root_slot = {int(r): k for k, r in enumerate(uniq_roots)}
-    for i, r in enumerate(roots):
-        slot = root_slot[int(r)]
-        min_row[slot] = min(min_row[slot], core_rows[i])
-    cluster_order = np.argsort(min_row)
-    cluster_id = np.empty(len(uniq_roots), dtype=np.int64)
-    cluster_id[cluster_order] = np.arange(len(uniq_roots))
-    labels[core_rows] = cluster_id[np.array([root_slot[int(r)] for r in roots])]
+            gap = np.maximum(np.maximum(lo_of[k], lo_of[o]) - np.minimum(hi_of[k], hi_of[o]), 0.0)
+            if np.dot(gap, gap) > eps * eps:
+                continue
+            a, b = members[k], members[o]
+            span = np.maximum(hi_of[k], hi_of[o]) - np.minimum(lo_of[k], lo_of[o])
+            if np.dot(span, span) <= eps * eps:  # every pair within eps: a star suffices
+                src.append(np.full(a.size + b.size, a[0]))
+                dst.append(np.concatenate([a, b]))
+                continue
+            ii, jj = np.nonzero(np.sum((cpts[a][:, None] - cpts[b][None]) ** 2, axis=2) <= eps * eps)
+            src.append(a[ii])
+            dst.append(b[jj])
+    m = len(cpts)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    from scipy.sparse.csgraph import connected_components  # deferred: keeps package import light
+    graph = coo_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
+    n_comp, comp = connected_components(graph, directed=False)
+    # number clusters by their smallest core row (core_rows is ascending)
+    first = np.full(n_comp, m)
+    np.minimum.at(first, comp, np.arange(m))
+    labels[core_rows] = np.argsort(np.argsort(first))[comp]
 
     border_rows = np.nonzero(~core & (counts > 1))[0]
     if border_rows.size:
@@ -394,7 +340,7 @@ def chordal_mean(rotations: np.ndarray) -> np.ndarray:
     return U @ np.diag([1.0, 1.0, d]) @ Vt
 
 
-def aggregate_votes(votes: VoteSet, labels: np.ndarray, top_fraction: float = 0.5) -> PoseSet:
+def aggregate_votes(votes: VoteSet, labels: np.ndarray, top_fraction: float = 0.5) -> list[Pose]:
     """Collapse each cluster into one pose from its most confident votes.
 
     Per cluster: keep the top `top_fraction` votes by confidence (at least
@@ -407,7 +353,7 @@ def aggregate_votes(votes: VoteSet, labels: np.ndarray, top_fraction: float = 0.
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labels.shape[0] != len(votes):
         raise DataError("labels must align with votes")
-    poses: PoseSet = []
+    poses: list[Pose] = []
     centers = votes.predicted_centers()
     for cluster in np.unique(labels[labels >= 0]):
         rows = np.nonzero(labels == cluster)[0]
@@ -435,7 +381,7 @@ def aggregate_votes(votes: VoteSet, labels: np.ndarray, top_fraction: float = 0.
 
 
 # ---------------------------------------------------------------------------
-# Batched ICP refinement
+# ICP refinement
 # ---------------------------------------------------------------------------
 
 
@@ -514,33 +460,6 @@ def icp_refine(
     )
 
 
-def batched_icp(
-    poses: PoseSet,
-    models: dict,
-    scene_points: np.ndarray,
-    iters: int = 30,
-    corr_dist: float = 0.01,
-    tol: float = 1e-5,
-    trim: float = 1.0,
-    reciprocal: bool = True,
-) -> PoseSet:
-    """Refine every pose against the same scene cloud, each with independent
-    correspondences. `models` maps class id -> canonical model points."""
-    scene = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
-    if len(scene) == 0:
-        return [Pose(p.rotation, p.translation, p.class_id, p.confidence, p.support, False) for p in poses]
-    tree = cKDTree(scene)
-    out: PoseSet = []
-    for pose in poses:
-        if pose.class_id not in models:
-            raise DataError(f"no canonical model for class {pose.class_id}")
-        refined, _ = icp_refine(pose, models[pose.class_id], tree,
-                                iters=iters, corr_dist=corr_dist, tol=tol,
-                                trim=trim, reciprocal=reciprocal)
-        out.append(refined)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Pose table I/O
 # ---------------------------------------------------------------------------
@@ -551,7 +470,7 @@ POSE_CSV_COLUMNS = (
 )
 
 
-def write_pose_csv(path, poses: PoseSet, seed: int | None = None) -> None:
+def write_pose_csv(path, poses: list[Pose], seed: int | None = None) -> None:
     buf = io.StringIO()
     if seed is not None:
         buf.write(f"# seed={seed}\n")
@@ -566,7 +485,7 @@ def write_pose_csv(path, poses: PoseSet, seed: int | None = None) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def write_pose_json(path, poses: PoseSet, seed: int | None = None) -> None:
+def write_pose_json(path, poses: list[Pose], seed: int | None = None) -> None:
     doc = {
         "seed": seed,
         "poses": [
@@ -585,7 +504,7 @@ def write_pose_json(path, poses: PoseSet, seed: int | None = None) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_pose_json(path) -> PoseSet:
+def read_pose_json(path) -> list[Pose]:
     try:
         with open(path) as f:
             doc = json.load(f)

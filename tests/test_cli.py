@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -226,6 +227,55 @@ class TestTrainToyCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "truncated" in err
         assert "Traceback" not in err
+
+
+    def test_untrained_net_on_scene_missing_its_classes(self, tmp_path):
+        # the nets score all part classes; this bundle has models for 3 and 4 only,
+        # so votes for the other classes cost those votes, not the scene
+        from sparsepose.config import PipelineConfig
+        from sparsepose.pipeline import build_input_grid, load_model, predicted_votes, staged_forward
+        from sparsepose.synthetic import (default_camera_ring, default_intrinsics, export_scene_bundle,
+                                          load_scene_bundle, make_primitives, sample_scene)
+
+        lib = {k: v for k, v in make_primitives().items() if v.class_id in (3, 4)}
+        bin_min, bin_max = (-0.07, -0.07, 0.0), (0.07, 0.07, 0.05)
+        cams = default_camera_ring(bin_min, bin_max, n_views=3, distance=0.38,
+                                   intr=default_intrinsics(width=200, height=150, focal=190.0))
+        scene = tmp_path / "scene34"
+        export_scene_bundle(sample_scene(lib, bin_min, bin_max, n_objects=2, seed=4, cameras=cams),
+                            lib, scene)
+        ckpt = tmp_path / "toy.ckpt"
+        assert run(["train-toy", scene, "--steps", 0, "--out", ckpt, "--theta-mm", 4.0]) == 0
+
+        cfg = PipelineConfig(theta=0.004)
+        bundle = load_scene_bundle(scene)
+        fine, _, _ = build_input_grid(bundle, cfg, "cloud")
+        votes = predicted_votes(staged_forward(load_model(ckpt, cfg), fine, cfg))
+        assert not set(votes.class_ids.tolist()) <= set(bundle.models)
+
+        poses = tmp_path / "poses"
+        assert run(["estimate", scene, "--checkpoint", ckpt, "--out", poses, "--theta-mm", 4.0]) == 0
+        doc = json.loads(poses.with_suffix(".json").read_text())
+        assert {p["class_id"] for p in doc["poses"]} <= {3, 4}
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("gt.json", {}),
+    ("gt.json", {"objects": [{}]}),
+    ("scene.json", None),  # scene.json without n_views
+])
+def test_malformed_bundle_exit_code(scene_dir, tmp_path, capsys, name, doc):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(scene_dir, bundle)
+    if doc is None:
+        doc = json.loads((bundle / name).read_text())
+        del doc["n_views"]
+    (bundle / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["estimate", bundle, "--oracle", "--out", tmp_path / "poses", "--theta-mm", 4.0]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "malformed scene bundle" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 class TestDumpConfig:

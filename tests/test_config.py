@@ -64,10 +64,9 @@ class TestRoundTrip:
         assert (tmp_path / "again.cfg").read_bytes() == path.read_bytes()
 
     def test_values_survive(self):
-        cfg = PipelineConfig(workspace_min=(-0.3, -0.25, 0.0), scaled_attention=False,
-                             train_keep_union_gt=False)
+        cfg = PipelineConfig(sigma_c=5.25, scaled_attention=False, train_keep_union_gt=False)
         loaded = parse_config(dump_config(cfg))
-        assert loaded.workspace_min == (-0.3, -0.25, 0.0)
+        assert loaded.sigma_c == 5.25
         assert loaded.scaled_attention is False
         assert loaded.train_keep_union_gt is False
 
@@ -80,6 +79,12 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[grid]\ntheta = 0.002\nbogus = 3\n")
+
+    def test_workspace_section_gone(self):
+        # the crop always comes from the scene bundle, so the config has no [workspace]
+        assert "[workspace]" not in dump_config(PipelineConfig())
+        with pytest.raises(ConfigError):
+            parse_config("[workspace]\nworkspace_min = -0.2 -0.2 -0.02\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,22 @@ class TestPly:
         write_ply_points(p1, pts)
         write_ply_points(p2, pts)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rejected_scalar_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_ply_points(path, np.zeros((2, 3)))
+        before = path.read_bytes()
+        with pytest.raises(DataError):
+            write_ply_points(path, np.ones((3, 3)), scalar=np.ones(2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ply"]
+
+    def test_mesh_face_bytes(self, tmp_path):
+        # per face: u8 count 3, then three little-endian int32 vertex indices
+        path = tmp_path / "m.ply"
+        write_ply_mesh(path, np.zeros((3, 3)), np.array([[0, 1, 2], [2, 1, 0]]))
+        body = path.read_bytes().split(b"end_header\n", 1)[1]
+        assert body[36:] == b"".join(struct.pack("<B3i", 3, *f) for f in ([0, 1, 2], [2, 1, 0]))
 
     def test_not_ply_rejected(self, tmp_path):
         path = tmp_path / "x.ply"

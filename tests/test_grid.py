@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from sparsepose import pipeline
+from sparsepose.config import PipelineConfig
 from sparsepose.errors import DataError
 from sparsepose.grid import (
     SparseVoxelGrid,
     coarsen,
-    lift_and_filter,
     loglog_slope,
     occupancy_csv,
     occupancy_stats,
     pack_index,
-    partition_windows,
+    partition_indices,
     unpack_index,
     voxelize,
 )
@@ -138,53 +139,84 @@ class TestCoarsen:
 
 
 class TestLiftAndFilter:
+    """The lifting inside staged_forward: the fine voxels whose coarse parent
+    survived suppression, widened with the parent's RoI trunk features."""
+
+    cfg = PipelineConfig(theta=0.002, width=8, roi_width=4, heads=2, topk_min=8, topk_max=64)
+
     def make_fine(self, n=200, seed=6):
         rng = np.random.default_rng(seed)
         idx = np.unique(rng.integers(-25, 25, size=(n, 3)), axis=0)
         feats = rng.normal(size=(len(idx), 4))
         return SparseVoxelGrid(0.002, np.zeros(3), idx, feats)
 
-    def test_keep_all_preserves_index_set(self):
+    def lift(self, monkeypatch, fine, kept):
+        """staged_forward with suppression keeping the coarse rows `kept`;
+        returns the output and the features fed to the objectness net."""
+        monkeypatch.setattr(pipeline, "soft_suppress",
+                            lambda scores, hp: (np.zeros(len(scores)), np.asarray(kept, dtype=np.int64)))
+        model = pipeline.build_model(self.cfg, "cloud", seed=0)
+        seen = {}
+        roi, obj = model.roi, model.obj
+
+        def roi_spy(coarse):
+            scores, trunk = roi(coarse)
+            seen["trunk"] = trunk.data
+            return scores, trunk
+
+        def obj_spy(indices, feats):
+            seen["feats"] = feats.data
+            return obj(indices, feats)
+
+        model.roi, model.obj = roi_spy, obj_spy
+        out = pipeline.staged_forward(model, fine, self.cfg)
+        return out, seen
+
+    def test_keep_all_preserves_index_set(self, monkeypatch):
         fine = self.make_fine()
         coarse, _ = coarsen(fine, 10)
-        lifted = lift_and_filter(fine, coarse.indices, coarse.features, factor=10)
-        assert np.array_equal(lifted.indices, fine.indices)
-        assert lifted.channels == fine.channels + coarse.channels
+        out, _ = self.lift(monkeypatch, fine, np.arange(len(coarse)))
+        assert np.array_equal(out.lifted_fine_rows, np.arange(len(fine)))
+        assert np.array_equal(out.lifted_grid.indices, fine.indices)
 
-    def test_keep_none_empty(self):
+    def test_keep_none_falls_back_to_all_rows(self, monkeypatch):
         fine = self.make_fine()
-        lifted = lift_and_filter(fine, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 4)), factor=10)
-        assert len(lifted) == 0
+        out, _ = self.lift(monkeypatch, fine, [])
+        assert len(out.kept_coarse_rows) == 0
+        assert np.array_equal(out.lifted_fine_rows, np.arange(len(fine)))
 
-    def test_random_keep_matches_brute_force(self):
+    def test_random_keep_matches_brute_force(self, monkeypatch):
         fine = self.make_fine()
         coarse, _ = coarsen(fine, 10)
         rng = np.random.default_rng(7)
-        keep = rng.random(len(coarse)) < 0.5
-        kept_idx = coarse.indices[keep]
-        lifted = lift_and_filter(fine, kept_idx, coarse.features[keep], factor=10)
-        kept_set = {tuple(v) for v in kept_idx}
+        kept = np.nonzero(rng.random(len(coarse)) < 0.5)[0]
+        out, _ = self.lift(monkeypatch, fine, kept)
+        kept_set = {tuple(v) for v in out.coarse.indices[out.kept_coarse_rows]}
         expected_rows = [i for i, v in enumerate(fine.indices) if tuple(v // 10) in kept_set]
-        assert np.array_equal(lifted.indices, fine.indices[expected_rows])
+        assert 0 < len(expected_rows) < len(fine)
+        assert np.array_equal(out.lifted_fine_rows, expected_rows)
+        assert np.array_equal(out.lifted_grid.indices, fine.indices[expected_rows])
 
-    def test_enrichment_features_match_parent(self):
+    def test_enrichment_features_match_parent(self, monkeypatch):
         fine = self.make_fine()
         coarse, parent = coarsen(fine, 10)
-        lifted = lift_and_filter(fine, coarse.indices, coarse.features, factor=10)
-        assert np.allclose(lifted.features[:, :4], fine.features)
-        assert np.allclose(lifted.features[:, 4:], coarse.features[parent])
+        kept = np.arange(0, len(coarse), 2)
+        out, seen = self.lift(monkeypatch, fine, kept)
+        rows = out.lifted_fine_rows
+        assert np.array_equal(seen["feats"][:, :4], fine.features[rows])
+        assert np.array_equal(seen["feats"][:, 4:], seen["trunk"][parent[rows]])
 
 
 class TestPartitionWindows:
     def test_window_one_isolates_voxels(self):
         g = SparseVoxelGrid(0.002, np.zeros(3), np.array([[0, 0, 0], [1, 0, 0]]), np.ones((2, 1)))
-        parts = partition_windows(g, 1)
+        parts = partition_indices(g.indices, 1)
         assert len(parts) == 2
         assert all(len(rows) == 1 for _, rows in parts)
 
     def test_same_window(self):
         g = SparseVoxelGrid(0.002, np.zeros(3), np.array([[0, 0, 0], [3, 3, 3]]), np.ones((2, 1)))
-        parts = partition_windows(g, 4)
+        parts = partition_indices(g.indices, 4)
         assert len(parts) == 1
         assert np.array_equal(parts[0][1], [0, 1])
 
@@ -192,7 +224,7 @@ class TestPartitionWindows:
         rng = np.random.default_rng(8)
         idx = np.unique(rng.integers(-20, 20, size=(300, 3)), axis=0)
         g = SparseVoxelGrid(0.002, np.zeros(3), idx, np.ones((len(idx), 1)))
-        parts = partition_windows(g, 4)
+        parts = partition_indices(g.indices, 4)
         all_rows = np.concatenate([rows for _, rows in parts])
         assert len(all_rows) == len(g)
         assert len(np.unique(all_rows)) == len(g)
@@ -201,7 +233,7 @@ class TestPartitionWindows:
         rng = np.random.default_rng(9)
         idx = np.unique(rng.integers(-20, 20, size=(200, 3)), axis=0)
         g = SparseVoxelGrid(0.002, np.zeros(3), idx, np.ones((len(idx), 1)))
-        for wid, rows in partition_windows(g, 5):
+        for wid, rows in partition_indices(g.indices, 5):
             for r in rows:
                 assert tuple(np.floor_divide(g.indices[r], 5)) == wid
 

@@ -8,7 +8,6 @@ from sparsepose.heatmap import (
     SceneGroundTruth,
     adaptive_topk,
     class_weights,
-    conditioning_bias,
     focal_loss,
     gaussian_focal_loss,
     objectness_target,
@@ -287,30 +286,6 @@ class TestClassWeightsAndWce:
         num = fd_gradient(lambda z: weighted_cross_entropy(z, labels, w)[0], logits.copy())
         denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(num)))
         assert np.max(np.abs(grad - num) / denom) < 1e-6
-
-
-class TestConditioningBias:
-    def test_zero_projection(self):
-        f = np.random.default_rng(8).normal(size=(5, 4))
-        assert np.array_equal(conditioning_bias(f, np.zeros((4, 6))), np.zeros((5, 6)))
-
-    def test_identity_projection(self):
-        f = np.random.default_rng(9).normal(size=(5, 4))
-        assert np.allclose(conditioning_bias(f, np.eye(4)), f)
-
-    def test_matches_naive_matmul(self):
-        rng = np.random.default_rng(10)
-        f = rng.normal(size=(7, 5))
-        P = rng.normal(size=(5, 3))
-        naive = np.zeros((7, 3))
-        for i in range(7):
-            for j in range(3):
-                naive[i, j] = sum(f[i, k] * P[k, j] for k in range(5))
-        assert np.allclose(conditioning_bias(f, P), naive, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            conditioning_bias(np.zeros((3, 4)), np.zeros((5, 2)))
 
 
 class TestVoxelObjectAssignment:

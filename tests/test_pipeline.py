@@ -5,6 +5,7 @@ from sparsepose.config import PipelineConfig
 from sparsepose.grid import coarsen
 from sparsepose.heatmap import objectness_target
 from sparsepose.metrics import add_s
+from sparsepose.voting import VoteSet
 from sparsepose.pipeline import (
     build_input_grid,
     build_model,
@@ -186,6 +187,31 @@ class TestOraclePath:
             assert err < 0.002
             matched.add(gi)
         assert len(matched) == small_bundle.gt.n_objects
+
+    @pytest.mark.parametrize("bad_rot6d, bad_class", [(np.zeros(6), None), (None, 9)])
+    def test_unusable_vote_dropped(self, small_bundle, bad_rot6d, bad_class):
+        # one extra, highly confident vote with a degenerate rotation or a class
+        # without a model must neither abort the scene nor change the poses
+        cfg = quick_config(theta=0.002)
+        fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
+        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
+        votes = oracle_votes(fine, small_bundle.gt, rotations)
+        extra = VoteSet(
+            np.vstack([votes.voxel_centers, votes.voxel_centers[:1]]),
+            np.vstack([votes.offsets, votes.offsets[:1]]),
+            np.vstack([votes.rot6d, votes.rot6d[:1] if bad_rot6d is None else bad_rot6d]),
+            np.r_[votes.confidence, 2.0],
+            np.r_[votes.class_ids, votes.class_ids[0] if bad_class is None else bad_class],
+        )
+        origin = small_bundle.workspace.min_corner
+        base = votes_to_poses(votes, cloud.points, small_bundle.models, cfg, origin=origin)
+        out = votes_to_poses(extra, cloud.points, small_bundle.models, cfg, origin=origin)
+        assert len(out) == len(base) == small_bundle.gt.n_objects
+        for p, q in zip(out, base):
+            assert np.array_equal(p.rotation, q.rotation)
+            assert np.array_equal(p.translation, q.translation)
+            assert (p.class_id, p.confidence, p.support, p.refined) == \
+                (q.class_id, q.confidence, q.support, q.refined)
 
 
 class TestTrainToy:

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
+from sparsepose.errors import DataError
 from sparsepose.fusion import FusedPointCloud, Workspace, fuse_views
 from sparsepose.grid import loglog_slope, pack_index
 from sparsepose.tsdf import SparseTsdf, TsdfConfig, activate_blocks, build_tsdf, dense_tsdf_reference
@@ -221,6 +224,46 @@ class TestDumpFormat:
         tsdf.dump(p1)
         tsdf.dump(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def small_dump(self, tmp_path):
+        rng = np.random.default_rng(3)
+        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=4)
+        tsdf = SparseTsdf(cfg, np.array([[1, 0, 0], [0, 0, 0], [0, -2, 5]]), np.array([0.1, -0.2, 0.3]))
+        tsdf.sdf[:] = rng.uniform(-1, 1, size=tsdf.sdf.shape)
+        tsdf.weight[:] = rng.integers(0, 64, size=tsdf.weight.shape)
+        path = tmp_path / "x.tsdf"
+        tsdf.dump(path)
+        return tsdf, path
+
+    def test_bytes_match_documented_layout(self, tmp_path):
+        tsdf, path = self.small_dump(tmp_path)
+        cfg = tsdf.cfg
+        expected = b"SPTSDF01" + struct.pack("<dIdddddd", cfg.block_size, 4, cfg.voxel_size,
+                                             cfg.truncation, cfg.weight_cap, 0.1, -0.2, 0.3)
+        expected += struct.pack("<q", 3)
+        for i in range(3):
+            expected += struct.pack("<3q", *tsdf.block_indices[i])
+            pairs = np.stack([tsdf.sdf[i].reshape(-1), tsdf.weight[i].reshape(-1)], axis=1)
+            expected += pairs.astype("<f4").tobytes()
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("keep", [0, 7, 20, 75, 76, 100, 76 + 24 + 8 * 64 - 1, -1])
+    def test_truncated_dump_rejected(self, tmp_path, keep):
+        _, path = self.small_dump(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep])
+        with pytest.raises(DataError):
+            SparseTsdf.load(path)
+
+    def test_padded_dump_rejected(self, tmp_path):
+        _, path = self.small_dump(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataError):
+            SparseTsdf.load(path)
+
+    def test_missing_dump_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            SparseTsdf.load(tmp_path / "absent.tsdf")
 
 
 class TestScaling:

@@ -11,7 +11,6 @@ from sparsepose.voting import (
     VoteSet,
     aggregate_votes,
     attach_rotations,
-    batched_icp,
     chamfer_rot_loss,
     chordal_mean,
     dbscan,
@@ -527,7 +526,8 @@ class TestIcp:
             Pose(np.eye(3), np.array([0.002, 0, 0]), class_id=1),
             Pose(np.eye(3), shift + np.array([0, 0.002, 0]), class_id=1),
         ]
-        out = batched_icp(poses, {1: cloud}, scene, corr_dist=0.02)
+        tree = cKDTree(scene)  # one shared scene tree, independent correspondences per pose
+        out = [icp_refine(pose, cloud, tree, corr_dist=0.02)[0] for pose in poses]
         assert np.linalg.norm(out[0].translation) < 5e-4
         assert np.linalg.norm(out[1].translation - shift) < 5e-4
 
