@@ -102,6 +102,10 @@ class PipelineConfig:
             raise ConfigError(f"theta must be positive, got {self.theta}")
         if self.coarse_factor < 2:
             raise ConfigError("coarse_factor must be >= 2")
+        if self.tsdf_voxels_per_side < 1:
+            raise ConfigError(f"tsdf_voxels_per_side must be >= 1, got {self.tsdf_voxels_per_side}")
+        if self.tsdf_truncation_mult <= 0 or self.tsdf_weight_cap <= 0:
+            raise ConfigError("tsdf_truncation_mult and tsdf_weight_cap must be positive")
         if not (0 < self.topk_ratio <= 1):
             raise ConfigError("topk_ratio must lie in (0, 1]")
         if not (0 < self.suppress_kappa < 1):

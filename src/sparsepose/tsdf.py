@@ -28,6 +28,10 @@ def _block_dtype(L: int) -> np.dtype:
     return np.dtype([("index", "<i8", (3,)), ("pairs", "<f4", (L * L * L, 2))])
 
 
+# Voxels per integration / extraction step: whole blocks, about 2^15
+# voxels (8 blocks at L = 16), so a step's temporaries stay in cache.
+_CHUNK_VOXELS = 1 << 15
+
 _NEIGHBOR_OFFSETS = np.array(
     [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
     dtype=np.int64,
@@ -102,7 +106,7 @@ class SparseTsdf:
         n = len(self.block_indices)
         self.sdf = np.zeros((n, L, L, L), dtype=np.float64)
         self.weight = np.zeros((n, L, L, L), dtype=np.float64)
-        # Per-voxel world centers, flattened once; integration reuses them.
+        # Local voxel coordinates (L^3, 3) in local lex order.
         ll = np.arange(L)
         lx, ly, lz = np.meshgrid(ll, ll, ll, indexing="ij")
         self._local = np.stack([lx, ly, lz], axis=-1).reshape(-1, 3)  # (L^3, 3)
@@ -115,12 +119,20 @@ class SparseTsdf:
         key = int(pack_index(np.asarray(block_index).reshape(1, 3))[0])
         return self._block_map.get(key)
 
-    def voxel_centers(self) -> np.ndarray:
-        """(n_blocks * L^3, 3) world centers, block-major then local lex order."""
-        L = self.cfg.voxels_per_side
+    def _chunks(self):
+        """(first, stop) block ranges of about _CHUNK_VOXELS voxels each, at
+        least one block per range, covering every block in slot order."""
+        step = max(1, _CHUNK_VOXELS // self.cfg.voxels_per_side**3)
+        for b0 in range(0, self.n_blocks, step):
+            yield b0, min(b0 + step, self.n_blocks)
+
+    def _center_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """World center of voxel (b, l) is (origin + base[b]) + local[l], with
+        base (n_blocks, 3) the block corner offsets and local (L^3, 3) the
+        in-block center offsets in local lex order."""
         base = self.block_indices.astype(np.float64) * self.cfg.block_size
         local = (self._local.astype(np.float64) + 0.5) * self.cfg.voxel_size
-        return (self.origin + base[:, None, :] + local[None, :, :]).reshape(-1, 3)
+        return base, local
 
     def integrate_view(
         self,
@@ -136,46 +148,58 @@ class SparseTsdf:
         pixel, form s = d - z and the normalized value clamp(s / tau, -1, 1).
         Updates are skipped for invalid pixels, points behind the camera and
         s < -tau (deep behind the surface, standard space carving guard).
-        """
-        if self.n_blocks == 0:
-            return
-        centers = self.voxel_centers()
-        cam_pts = (centers - extr.translation) @ extr.rotation
-        z = cam_pts[:, 2]
-        ok = z > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.round(intr.fx * cam_pts[:, 0] / z + intr.cx).astype(np.int64)
-            v = np.round(intr.fy * cam_pts[:, 1] / z + intr.cy).astype(np.int64)
-        ok &= (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-        d = np.zeros_like(z)
-        d[ok] = depth.values[v[ok], u[ok]]
-        ok &= (d > 0) & (d >= near) & (d <= far)
-        s = d - z
-        ok &= s >= -self.cfg.truncation
-        phi = np.clip(s / self.cfg.truncation, -1.0, 1.0)
 
+        The blocks are walked in chunks of about _CHUNK_VOXELS voxels, so the
+        temporaries of one call are bounded by the chunk, not by the grid.
+        Every voxel sees the same float64 expressions as a full-grid pass, so
+        sdf and weight match that formula bit for bit.
+        """
+        L3 = self.cfg.voxels_per_side**3
+        tau = self.cfg.truncation
+        base, local = self._center_parts()
+        image = depth.values
         flat_sdf = self.sdf.reshape(-1)
         flat_w = self.weight.reshape(-1)
-        w_old = flat_w[ok]
-        flat_sdf[ok] = (w_old * flat_sdf[ok] + phi[ok]) / (w_old + 1.0)
-        flat_w[ok] = np.minimum(w_old + 1.0, self.cfg.weight_cap)
+        for b0, b1 in self._chunks():
+            centers = (self.origin + base[b0:b1, None, :] + local[None, :, :]).reshape(-1, 3)
+            cam_pts = (centers - extr.translation) @ extr.rotation
+            z = cam_pts[:, 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = np.round(intr.fx * cam_pts[:, 0] / z + intr.cx).astype(np.int64)
+                v = np.round(intr.fy * cam_pts[:, 1] / z + intr.cy).astype(np.int64)
+            rows = np.flatnonzero((z > 0) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height))
+            d = image[v[rows], u[rows]]
+            s = d - z[rows]
+            ok = (d > 0) & (d >= near) & (d <= far) & (s >= -tau)
+            rows = rows[ok] + b0 * L3
+            phi = np.clip(s[ok] / tau, -1.0, 1.0)
+            w_old = flat_w[rows]
+            flat_sdf[rows] = (w_old * flat_sdf[rows] + phi) / (w_old + 1.0)
+            flat_w[rows] = np.minimum(w_old + 1.0, self.cfg.weight_cap)
 
     def extract_pbar(self) -> np.ndarray:
         """Enriched representation: rows (x, y, z, sdf) for every observed
         voxel strictly inside the truncation band (w > 0 and |sdf| < 1).
 
         Row order is deterministic: block lex order, then local voxel lex
-        order within the block.
+        order within the block. The band test walks the same block chunks as
+        integrate_view and centers are built for the kept voxels only, so
+        memory is bounded by the chunk plus the band; the rows match the
+        full-grid center formula bit for bit.
         """
-        if self.n_blocks == 0:
-            return np.zeros((0, 4))
-        flat_sdf = self.sdf.reshape(self.n_blocks, -1)
-        flat_w = self.weight.reshape(self.n_blocks, -1)
-        keep = (flat_w > 0) & (np.abs(flat_sdf) < 1.0)
-        if not keep.any():
-            return np.zeros((0, 4))
-        centers = self.voxel_centers().reshape(self.n_blocks, -1, 3)
-        return np.hstack([centers[keep], flat_sdf[keep][:, None]])
+        L3 = self.cfg.voxels_per_side**3
+        flat_sdf = self.sdf.reshape(-1)
+        flat_w = self.weight.reshape(-1)
+        kept = []
+        for b0, b1 in self._chunks():
+            sdf = flat_sdf[b0 * L3:b1 * L3]
+            w = flat_w[b0 * L3:b1 * L3]
+            kept.append(np.flatnonzero((w > 0) & (np.abs(sdf) < 1.0)) + b0 * L3)
+        rows = np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
+        base, local = self._center_parts()
+        b, l = np.divmod(rows, L3)
+        centers = (self.origin + base[b]) + local[l]
+        return np.hstack([centers, flat_sdf[rows][:, None]])
 
     def global_voxel_indices(self) -> np.ndarray:
         """(n_blocks * L^3, 3) global voxel indices at resolution voxel_size."""

@@ -72,6 +72,8 @@ class Pose:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise DataError("pose rotation and translation must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise DataError("pose rotation must be orthonormal with det +1")
         self.rotation = R
@@ -510,9 +512,8 @@ def read_pose_json(path) -> list[Pose]:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: cannot read pose JSON ({exc})") from exc
-    poses = []
-    for entry in doc.get("poses", []):
-        poses.append(
+    try:
+        return [
             Pose(
                 rotation=np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3),
                 translation=np.asarray(entry["translation"], dtype=np.float64),
@@ -521,5 +522,7 @@ def read_pose_json(path) -> list[Pose]:
                 support=int(entry.get("support", 1)),
                 refined=bool(entry.get("refined", False)),
             )
-        )
-    return poses
+            for entry in doc.get("poses", [])
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed pose JSON ({type(exc).__name__}: {exc})") from exc

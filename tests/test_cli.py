@@ -1,10 +1,14 @@
 import json
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparsepose
 from sparsepose.cli import main
 
 
@@ -161,6 +165,30 @@ class TestEstimateAndEval:
             assert entry["add"] == 0.0
 
 
+GOOD_POSE = {"object_id": 0, "class_id": 1, "confidence": 1.0, "rotation": np.eye(3).ravel().tolist(),
+             "translation": [0.0, 0.0, 0.02], "support": 1, "refined": False}
+
+
+@pytest.mark.parametrize("doc", [
+    {"poses": [dict(GOOD_POSE, rotation=[float("nan")] * 9)]},
+    {"poses": [dict(GOOD_POSE, translation=[0.0, float("nan"), 0.0])]},
+    {"poses": [{k: v for k, v in GOOD_POSE.items() if k != "rotation"}]},
+    {"poses": [dict(GOOD_POSE, rotation=[1.0] * 8)]},
+    {"poses": [dict(GOOD_POSE, rotation="identity")]},
+    {"poses": [[1, 2, 3]]},
+    {"poses": 5},
+    [GOOD_POSE],
+])
+def test_malformed_pose_json_exit_code(scene_dir, tmp_path, capsys, doc):
+    poses = tmp_path / "poses.json"
+    poses.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", scene_dir, poses, "--out", tmp_path / "metrics"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestStats:
     def test_occupancy_csv(self, scene_dir, tmp_path):
         out = tmp_path / "occ.csv"
@@ -292,3 +320,24 @@ class TestDumpConfig:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[grid]\nmystery = 1\n")
         assert run(["dump-config", "--config", bad]) == 2
+
+    @pytest.mark.parametrize("line", ["tsdf_voxels_per_side = 0", "tsdf_truncation_mult = -1.0",
+                                      "tsdf_weight_cap = 0.0"])
+    def test_bad_tsdf_key_exit_code(self, scene_dir, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[tsdf]\n{line}\n")
+        capsys.readouterr()
+        assert run(["fuse", scene_dir, "--repr", "tsdf", "--config", bad,
+                    "--out", tmp_path / "x.tsdf"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert run(["dump-config", "--config", bad]) == 2
+        assert not (tmp_path / "x.tsdf").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = pathlib.Path(sparsepose.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "sparsepose", "dump-config"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "[tsdf]" in proc.stdout

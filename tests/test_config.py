@@ -41,6 +41,10 @@ class TestValidation:
         {"theta": float("nan")},
         {"lr": float("nan")},
         {"steps": -5},
+        {"tsdf_voxels_per_side": 0},
+        {"tsdf_truncation_mult": 0.0},
+        {"tsdf_truncation_mult": -1.0},
+        {"tsdf_weight_cap": 0.0},
     ])
     def test_out_of_range_values_rejected(self, overrides):
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from sparsepose.errors import DataError
 from sparsepose.fusion import FusedPointCloud, Workspace, fuse_views
 from sparsepose.grid import loglog_slope, pack_index
+from sparsepose import tsdf as tsdf_module
 from sparsepose.tsdf import SparseTsdf, TsdfConfig, activate_blocks, build_tsdf, dense_tsdf_reference
 
 
@@ -164,33 +167,58 @@ def box_scene_views(n_views=3):
     return depths, cams
 
 
+BOX_WS = Workspace((-0.064, -0.064, 0.0), (0.064, 0.064, 0.064))
+
+
+def box_scene_tsdf(cfg):
+    depths, cams = box_scene_views()
+    cloud = fuse_views(depths, cams, BOX_WS, near=0.05, far=2.0)
+    assert len(cloud) > 0
+    return build_tsdf(cloud, depths, cams, cfg, BOX_WS.min_corner, near=0.05, far=2.0)
+
+
+def assert_matches_dense(tsdf):
+    cfg = tsdf.cfg
+    depths, cams = box_scene_views()
+    dims = np.ceil(BOX_WS.extent / cfg.voxel_size).astype(int)
+    dense_sdf, dense_w = dense_tsdf_reference(depths, cams, cfg, BOX_WS.min_corner, dims,
+                                              near=0.05, far=2.0)
+
+    # every active sparse voxel agrees with the dense reference
+    idx = tsdf.global_voxel_indices()
+    sparse_sdf = tsdf.sdf.reshape(-1)
+    sparse_w = tsdf.weight.reshape(-1)
+    inside = np.all((idx >= 0) & (idx < dims), axis=1)
+    gi = idx[inside]
+    assert np.max(np.abs(sparse_sdf[inside] - dense_sdf[gi[:, 0], gi[:, 1], gi[:, 2]])) < 1e-6
+    assert np.max(np.abs(sparse_w[inside] - dense_w[gi[:, 0], gi[:, 1], gi[:, 2]])) < 1e-6
+
+    # no in-band voxel exists outside the active blocks
+    band = (dense_w > 0) & (np.abs(dense_sdf) < 1.0)
+    band_idx = np.argwhere(band)
+    blocks = np.floor_divide(band_idx, cfg.voxels_per_side)
+    active = {tuple(b) for b in tsdf.block_indices}
+    missing = [tuple(b) for b in np.unique(blocks, axis=0) if tuple(b) not in active]
+    assert missing == []
+
+
+def full_grid_pbar(tsdf):
+    """extract_pbar by the full-grid formula: every voxel center at once."""
+    L = tsdf.cfg.voxels_per_side
+    base = tsdf.block_indices.astype(np.float64) * tsdf.cfg.block_size
+    ll = np.arange(L)
+    local = np.stack(np.meshgrid(ll, ll, ll, indexing="ij"), axis=-1).reshape(-1, 3)
+    local = (local.astype(np.float64) + 0.5) * tsdf.cfg.voxel_size
+    centers = (tsdf.origin + base[:, None, :] + local[None, :, :]).reshape(-1, 3)
+    sdf = tsdf.sdf.reshape(-1)
+    keep = (tsdf.weight.reshape(-1) > 0) & (np.abs(sdf) < 1.0)
+    return np.hstack([centers[keep], sdf[keep][:, None]])
+
+
 class TestDenseOracle:
     def test_sparse_matches_dense_and_band_covered(self):
-        ws = Workspace((-0.064, -0.064, 0.0), (0.064, 0.064, 0.064))
-        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8)
-        depths, cams = box_scene_views()
-        cloud = fuse_views(depths, cams, ws, near=0.05, far=2.0)
-        assert len(cloud) > 0
-        tsdf = build_tsdf(cloud, depths, cams, cfg, ws.min_corner, near=0.05, far=2.0)
-        dims = np.ceil(ws.extent / cfg.voxel_size).astype(int)
-        dense_sdf, dense_w = dense_tsdf_reference(depths, cams, cfg, ws.min_corner, dims, near=0.05, far=2.0)
-
-        # every active sparse voxel agrees with the dense reference
-        idx = tsdf.global_voxel_indices()
-        sparse_sdf = tsdf.sdf.reshape(-1)
-        sparse_w = tsdf.weight.reshape(-1)
-        inside = np.all((idx >= 0) & (idx < dims), axis=1)
-        gi = idx[inside]
-        assert np.max(np.abs(sparse_sdf[inside] - dense_sdf[gi[:, 0], gi[:, 1], gi[:, 2]])) < 1e-6
-        assert np.max(np.abs(sparse_w[inside] - dense_w[gi[:, 0], gi[:, 1], gi[:, 2]])) < 1e-6
-
-        # no in-band voxel exists outside the active blocks
-        band = (dense_w > 0) & (np.abs(dense_sdf) < 1.0)
-        band_idx = np.argwhere(band)
-        blocks = np.floor_divide(band_idx, cfg.voxels_per_side)
-        active = {tuple(b) for b in tsdf.block_indices}
-        missing = [tuple(b) for b in np.unique(blocks, axis=0) if tuple(b) not in active]
-        assert missing == []
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=8))
+        assert_matches_dense(tsdf)
 
     def test_view_order_invariance(self):
         ws = Workspace((-0.064, -0.064, 0.0), (0.064, 0.064, 0.064))
@@ -264,6 +292,78 @@ class TestDumpFormat:
     def test_missing_dump_rejected(self, tmp_path):
         with pytest.raises(DataError):
             SparseTsdf.load(tmp_path / "absent.tsdf")
+
+
+class TestChunkedWalk:
+    def test_many_chunks_match_dense(self):
+        # 180 blocks of 8^3 voxels: more than one chunk, not a multiple of it
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.002, voxels_per_side=8))
+        per_chunk = tsdf_module._CHUNK_VOXELS // 8**3
+        assert tsdf.n_blocks > per_chunk and tsdf.n_blocks % per_chunk != 0
+        assert_matches_dense(tsdf)
+        assert np.array_equal(tsdf.extract_pbar(), full_grid_pbar(tsdf))
+
+    def test_block_larger_than_chunk(self, monkeypatch):
+        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8)
+        whole = box_scene_tsdf(cfg)
+        monkeypatch.setattr(tsdf_module, "_CHUNK_VOXELS", 100)  # L^3 = 512 >= chunk
+        one_block = box_scene_tsdf(cfg)
+        assert [stop - b0 for b0, stop in one_block._chunks()] == [1] * one_block.n_blocks
+        assert_matches_dense(one_block)
+        assert np.array_equal(one_block.sdf, whole.sdf)
+        assert np.array_equal(one_block.weight, whole.weight)
+        assert np.array_equal(one_block.extract_pbar(), whole.extract_pbar())
+        assert np.array_equal(one_block.extract_pbar(), full_grid_pbar(one_block))
+
+    @pytest.mark.parametrize("origin", [
+        [-0.016, -0.016, -1.0],  # behind the camera
+        [5.0, 0.0, 0.5],         # in front, outside the image
+    ])
+    def test_view_that_hits_no_voxel(self, origin):
+        depth, intr, extr = flat_depth_camera(d=0.5)
+        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8, truncation=0.04)
+        tsdf = SparseTsdf(cfg, np.array([[0, 0, 0], [0, 0, 1]]), np.array(origin))
+        tsdf.integrate_view(depth, intr, extr)
+        assert not tsdf.weight.any() and not tsdf.sdf.any()
+        assert tsdf.extract_pbar().shape == (0, 4)
+
+    def test_no_blocks(self):
+        depth, intr, extr = flat_depth_camera(d=0.5)
+        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8)
+        tsdf = SparseTsdf(cfg, np.zeros((0, 3), dtype=np.int64), np.zeros(3))
+        tsdf.integrate_view(depth, intr, extr)
+        assert tsdf.n_blocks == 0 and list(tsdf._chunks()) == []
+        assert tsdf.extract_pbar().shape == (0, 4)
+
+    def test_integration_memory_bounded_by_chunk(self):
+        # 256 blocks of 16^3 voxels in front of a flat wall: 1 M voxels, whose
+        # full-grid center array alone takes 25 MB
+        depth, intr, extr = flat_depth_camera(d=0.5)
+        cfg = TsdfConfig(voxel_size=0.002, voxels_per_side=16)
+        bx, by = np.meshgrid(np.arange(-8, 8), np.arange(-8, 8), indexing="ij")
+        blocks = np.column_stack([bx.ravel(), by.ravel(), np.zeros(bx.size, dtype=np.int64)])
+        tsdf = SparseTsdf(cfg, blocks, np.array([0.0, 0.0, 0.49]))
+        centers_bytes = tsdf.sdf.size * 3 * 8
+        tracemalloc.start()
+        try:
+            tsdf.integrate_view(depth, intr, extr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tsdf.weight.any()
+        assert peak < centers_bytes / 4
+
+
+class TestPinnedDump:
+    def test_dump_sha256_of_fixed_scene(self, tmp_path):
+        # 180 blocks of 8^3 voxels from the three-view box scene; the digest
+        # pins sdf, weight and block order of the whole integration path
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.002, voxels_per_side=8))
+        assert tsdf.n_blocks == 180
+        path = tmp_path / "box.tsdf"
+        tsdf.dump(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "eeb5e6227a37f12701c792dca50076434e605ff28d7543984d02d5501878cc32"
 
 
 class TestScaling:

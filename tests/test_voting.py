@@ -546,6 +546,14 @@ class TestPoseIO:
         assert np.allclose(loaded[0].translation, poses[0].translation)
         assert loaded[0].class_id == 2 and loaded[0].refined
 
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.full((3, 3), np.nan), np.zeros(3)),
+        (np.eye(3), np.array([0.0, np.inf, 0.0])),
+    ])
+    def test_non_finite_pose_rejected(self, rotation, translation):
+        with pytest.raises(DataError):
+            Pose(rotation, translation, class_id=1)
+
     def test_csv_contains_seed_and_schema(self, tmp_path):
         poses = [Pose(np.eye(3), np.zeros(3), class_id=1)]
         path = tmp_path / "poses.csv"
