@@ -82,11 +82,12 @@ def cmd_fuse(args) -> int:
         write_ply_points(out, cloud.points)
         print(f"fused {len(cloud)} points -> {out} (seed={cfg.seed})")
     else:
-        _, _, tsdf = build_input_grid(bundle, cfg, "tsdf")
+        # the fine grid holds one voxel per band voxel: both share the voxel
+        # size and the origin
+        fine, _, tsdf = build_input_grid(bundle, cfg, "tsdf")
         out = args.out or os.path.join(args.scene, "fused.tsdf")
         tsdf.dump(out)
-        pbar = tsdf.extract_pbar()
-        print(f"sparse tsdf: {tsdf.n_blocks} blocks, {len(pbar)} band voxels -> {out} (seed={cfg.seed})")
+        print(f"sparse tsdf: {tsdf.n_blocks} blocks, {len(fine)} band voxels -> {out} (seed={cfg.seed})")
     return 0
 
 

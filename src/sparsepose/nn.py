@@ -3,8 +3,12 @@ multi-head self-attention with the dual small/medium branch fusion,
 submanifold sparse convolution, the three toy task networks, SGD and
 checkpoint I/O.
 
-Windows are processed as a jagged collection (never padded) so the whole
-stack stays fully sparse.
+Two layers are hand-written graph nodes. Submanifold convolution walks its
+kernel map in blocks of _CHUNK_ROWS voxels, so its memory does not grow
+with 27 times the input. Window attention projects q/k/v once over all rows,
+then one node attends inside every window of a jagged partition (never
+padded), batching windows of equal population, so the whole stack stays
+fully sparse.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import SparseVoxelGrid, pack_index, partition_indices, unpack_index
+from .grid import SparseVoxelGrid, coarsen, pack_index, partition_indices
 from .ioutil import atomic_write_bytes
 
 _STENCIL = np.array(
@@ -94,8 +98,9 @@ class LayerNorm(Module):
 
 
 class WindowAttention(Module):
-    """Self-attention inside one window: q/k/v projections, per-head scaled
-    dot product, head concat, output projection C -> C.
+    """Multi-head self-attention inside each window of a jagged partition:
+    q/k/v projections, per-head scaled dot product, head concat, output
+    projection C -> C.
 
     `scaled` divides the logits by sqrt(head dim); switching it off restores
     the plain dot product.
@@ -113,49 +118,79 @@ class WindowAttention(Module):
         self.proj_v = Linear(channels, channels, rng)
         self.proj_out = Linear(channels, channels, rng, bias=False)
 
-    def attend_batch(self, f: Tensor, groups: int, kw: int) -> Tensor:
-        """Attention over `groups` windows of identical population kw,
-        stacked as (groups * kw, C) rows."""
-        h, d = self.heads, self.head_dim
-        q = ad.transpose(ad.reshape(self.proj_q(f), (groups, kw, h, d)), (0, 2, 1, 3))
-        k = ad.transpose(ad.reshape(self.proj_k(f), (groups, kw, h, d)), (0, 2, 1, 3))
-        v = ad.transpose(ad.reshape(self.proj_v(f), (groups, kw, h, d)), (0, 2, 1, 3))
-        logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    def attend_window(self, f: Tensor) -> Tensor:
+        """Reference attention over one window, built from generic autodiff
+        ops: f (K_w, C) -> (K_w, C); K_w is dynamic and may be 1."""
+        kw, h, d = f.data.shape[0], self.heads, self.head_dim
+        q = ad.transpose(ad.reshape(self.proj_q(f), (kw, h, d)), (1, 0, 2))
+        k = ad.transpose(ad.reshape(self.proj_k(f), (kw, h, d)), (1, 0, 2))
+        v = ad.transpose(ad.reshape(self.proj_v(f), (kw, h, d)), (1, 0, 2))
+        logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
         if self.scaled:
             logits = ad.mul(logits, ad.constant(1.0 / np.sqrt(d)))
-        attn = ad.softmax_lastaxis(logits)
-        z = ad.matmul(attn, v)  # (groups, h, kw, d)
-        z = ad.reshape(ad.transpose(z, (0, 2, 1, 3)), (groups * kw, h * d))
-        return self.proj_out(z)
-
-    def attend_window(self, f: Tensor) -> Tensor:
-        """f: (K_w, C) -> (K_w, C); K_w is dynamic and may be 1."""
-        return self.attend_batch(f, 1, f.data.shape[0])
+        z = ad.matmul(ad.softmax_lastaxis(logits), v)  # (h, kw, d)
+        return self.proj_out(ad.reshape(ad.transpose(z, (1, 0, 2)), (kw, h * d)))
 
     def __call__(self, features: Tensor, windows) -> Tensor:
-        """Apply per-window attention over a jagged window partition and
-        restore the original row order.
+        """Apply per-window attention over a jagged window partition (every
+        row in exactly one window); rows keep their order.
 
-        Windows are never padded; equal-population windows are batched into
-        one attention call so small windows stay cheap.
+        The q/k/v projections run once over all rows. One graph node then
+        attends inside every window: windows of equal population are stacked
+        and handled as one batch in plain numpy, never padded, and the
+        backward pass applies the softmax-attention gradient per batch.
         """
         if not windows:
             return features
         by_size: dict[int, list] = {}
         for _, rows in windows:
             by_size.setdefault(len(rows), []).append(rows)
-        outs = []
-        perm = []
-        for kw in sorted(by_size):
-            group = by_size[kw]
-            rows_cat = np.concatenate(group)
-            perm.append(rows_cat)
-            f = ad.gather_rows(features, rows_cat)
-            outs.append(self.attend_batch(f, len(group), kw))
-        perm = np.concatenate(perm)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(perm.size)
-        return ad.gather_rows(ad.concat(outs, axis=0), inverse)
+        groups = [np.stack(by_size[kw]) for kw in sorted(by_size)]
+        z = _window_attention(self.proj_q(features), self.proj_k(features), self.proj_v(features),
+                              groups, self.heads, 1.0 / np.sqrt(self.head_dim) if self.scaled else 1.0)
+        return self.proj_out(z)
+
+
+def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale: float) -> Tensor:
+    """Softmax attention of projected rows (n, C) inside windows, as one
+    graph node. `groups` holds (G, K_w) row tables of equal-population
+    windows that together cover every row once; `scale` multiplies the
+    logits."""
+    n, c = q.data.shape
+    d = c // heads
+
+    def split(values, rows):  # (G, K_w) rows -> (G, heads, K_w, d)
+        return values[rows].reshape(*rows.shape, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(values, rows, into):  # inverse of split, written into `into`
+        into[rows.reshape(-1)] = values.transpose(0, 2, 1, 3).reshape(-1, c)
+
+    saved = []
+    z = np.zeros((n, c))
+    for rows in groups:
+        qg, kg, vg = split(q.data, rows), split(k.data, rows), split(v.data, rows)
+        logits = (qg @ kg.transpose(0, 1, 3, 2)) * scale
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        merge(attn @ vg, rows, z)
+        saved.append((rows, qg, kg, vg, attn))
+    out = Tensor(z, parents=(q, k, v))
+
+    def backward(g):
+        dq, dk, dv = np.zeros((n, c)), np.zeros((n, c)), np.zeros((n, c))
+        for rows, qg, kg, vg, attn in saved:
+            gz = split(g, rows)
+            merge(attn.transpose(0, 1, 3, 2) @ gz, rows, dv)
+            ga = gz @ vg.transpose(0, 1, 3, 2)
+            gl = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * scale
+            merge(gl @ kg, rows, dq)
+            merge(gl.transpose(0, 1, 3, 2) @ qg, rows, dk)
+        ad._accumulate(q, dq)
+        ad._accumulate(k, dk)
+        ad._accumulate(v, dv)
+
+    out._backward = backward if out.requires_grad else None
+    return out
 
 
 class DualBranchBlock(Module):
@@ -202,23 +237,36 @@ class ConvPairs:
         self.nbr = np.where(keys_sorted[pos] == wanted, order[pos], n).reshape(n, 27)
 
 
-def _pad_gather(values: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """(n, C) rows read through a kernel map into (n, 27 * C) columns; an
-    inactive neighbor (index n) reads a zero row."""
-    padded = np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
-    return padded[nbr].reshape(nbr.shape[0], nbr.shape[1] * values.shape[1])
+# Rows of the kernel map gathered per block: the (_CHUNK_ROWS, 27 C) column
+# block stays small (about 1.7 MB at C = 32) whatever the voxel count.
+_CHUNK_ROWS = 256
+
+
+def _pad(values: np.ndarray) -> np.ndarray:
+    """(n, C) rows plus the all-zero row n that inactive neighbors read."""
+    return np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
+
+
+def _gather_cols(padded: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Rows of a padded matrix read through kernel-map rows `nbr` (m, 27)
+    into (m, 27 C) columns."""
+    return padded[nbr].reshape(nbr.shape[0], -1)
 
 
 class SubmanifoldConv3(Module):
     """3x3x3 sparse convolution evaluated only at active voxels, reading only
     active neighbors; the active set never dilates.
 
-    One graph node per call. Forward gathers the 27 neighbor rows of every
-    voxel through the kernel map into `cols` (n, 27 C_in) and applies the
-    kernel as a single GEMM with the (27 C_in, C_out) reshaped weights.
-    Backward: `dK = cols^T g`; `dx` is the same gather-GEMM applied to the
-    output gradient with the mirrored stencil, `stack_o K[26 - o]^T`, which
-    is exact because the submanifold neighbor relation is symmetric.
+    One graph node per call, walking the kernel map in blocks of _CHUNK_ROWS
+    voxels, so the full (n, 27 C) column matrix is never built or kept.
+    Forward gathers each block's 27 neighbor rows into `cols`
+    (block, 27 C_in) and multiplies them by the (27 C_in, C_out) reshaped
+    kernel. Backward gathers the output gradient the same way into `gcols`
+    (block, 27 C_out). The submanifold neighbor relation is symmetric
+    (`nbr[i, o] == j` exactly when `nbr[j, 26 - o] == i`), so
+    `dx[block] = gcols stack_o K[26 - o]^T` and `x[block]^T gcols`
+    accumulates the kernel gradient with its taps mirrored: one gather per
+    block serves both gradients.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -229,17 +277,29 @@ class SubmanifoldConv3(Module):
 
     def __call__(self, x: Tensor, pairs: ConvPairs) -> Tensor:
         kernel, bias, nbr = self.kernel, self.bias, pairs.nbr
-        cols = _pad_gather(x.data, nbr)
-        out = Tensor(cols @ kernel.data.reshape(-1, self.out_dim) + bias.data,
-                     parents=(x, kernel, bias))
+        n, c_in, c_out = nbr.shape[0], self.in_dim, self.out_dim
+        padded = _pad(x.data)
+        weights = kernel.data.reshape(-1, c_out)
+        value = np.empty((n, c_out))
+        for s in range(0, n, _CHUNK_ROWS):
+            value[s : s + _CHUNK_ROWS] = _gather_cols(padded, nbr[s : s + _CHUNK_ROWS]) @ weights
+        value += bias.data
+        out = Tensor(value, parents=(x, kernel, bias))
 
         def backward(g):
-            if kernel.requires_grad:
-                ad._accumulate(kernel, (cols.T @ g).reshape(kernel.data.shape))
+            padded = _pad(g)
+            mirrored = kernel.data[::-1].transpose(0, 2, 1).reshape(-1, c_in)
+            dx = np.empty((n, c_in))
+            dk = np.zeros((c_in, 27 * c_out))
+            for s in range(0, n, _CHUNK_ROWS):
+                gcols = _gather_cols(padded, nbr[s : s + _CHUNK_ROWS])
+                dx[s : s + _CHUNK_ROWS] = gcols @ mirrored
+                dk += x.data[s : s + _CHUNK_ROWS].T @ gcols
+                del gcols  # free the block before the next gather
+            # column block o of dk is x^T g[nbr[:, o]], the gradient of tap 26 - o
+            ad._accumulate(kernel, dk.reshape(c_in, 27, c_out)[:, ::-1].transpose(1, 0, 2))
             ad._accumulate(bias, g.sum(axis=0))
-            if x.requires_grad:
-                mirrored = kernel.data[::-1].transpose(0, 2, 1).reshape(-1, self.in_dim)
-                ad._accumulate(x, _pad_gather(g, nbr) @ mirrored)
+            ad._accumulate(x, dx)
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -248,16 +308,6 @@ class SubmanifoldConv3(Module):
 # ---------------------------------------------------------------------------
 # Pooling helpers for the toy U-Net (mean pool down, copy up)
 # ---------------------------------------------------------------------------
-
-
-def pool_structure(indices: np.ndarray, factor: int = 2):
-    """Parent indices (unique, lex-sorted) and the fine-row -> parent-row map
-    for an integer coarsening of a sparse index set."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-    parent = np.floor_divide(idx, factor)
-    keys = pack_index(parent)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return unpack_index(uniq), inverse
 
 
 def mean_pool(x: Tensor, parent_row: np.ndarray, n_parents: int) -> Tensor:
@@ -296,9 +346,9 @@ class RoiUNet(Module):
         x = self.in_proj(Tensor(grid.features))
         x = ad.relu(self.conv1(x, pairs))
         x = ad.add(x, ad.relu(self.conv2(x, pairs)))
-        parent_idx, parent_row = pool_structure(grid.indices, 2)
-        down = mean_pool(x, parent_row, len(parent_idx))
-        down_pairs = ConvPairs(parent_idx)
+        parent, parent_row = coarsen(grid, 2)
+        down = mean_pool(x, parent_row, len(parent))
+        down_pairs = ConvPairs(parent.indices)
         down = ad.relu(self.down_conv(down, down_pairs))
         up = unpool(down, parent_row)
         x = ad.add(x, self.up_fuse(ad.concat([x, up], axis=1)))

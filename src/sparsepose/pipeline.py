@@ -385,16 +385,20 @@ def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth, instance_rotations
 
 def predicted_votes(out: StagedOutput) -> VoteSet:
     """Votes from a trained forward pass; class = argmax over foreground
-    class logits, confidence = objectness score."""
+    class logits, confidence = objectness score. A vote whose offset,
+    rotation or confidence is not finite is dropped, so one degenerate
+    output row costs that vote, not the scene."""
     logits = out.cls_logits.data[out.selected_rows]
-    fg = logits[:, 1:]
-    class_ids = 1 + np.argmax(fg, axis=1)
+    class_ids = 1 + np.argmax(logits[:, 1:], axis=1)
+    offsets, rot6d = out.offsets.data, out.rot6d.data
+    confidence = out.obj_scores.data[out.selected_rows]
+    finite = np.isfinite(offsets).all(axis=1) & np.isfinite(rot6d).all(axis=1) & np.isfinite(confidence)
     return VoteSet(
-        voxel_centers=out.selected_grid.centers(),
-        offsets=out.offsets.data,
-        rot6d=out.rot6d.data,
-        confidence=out.obj_scores.data[out.selected_rows],
-        class_ids=class_ids,
+        voxel_centers=out.selected_grid.centers()[finite],
+        offsets=offsets[finite],
+        rot6d=rot6d[finite],
+        confidence=confidence[finite],
+        class_ids=class_ids[finite],
     )
 
 

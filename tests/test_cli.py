@@ -57,6 +57,22 @@ class TestFuse:
         assert tsdf.n_blocks > 0
         assert len(tsdf.extract_pbar()) > 0
 
+    def test_tsdf_band_extracted_once(self, scene_dir, tmp_path, capsys, monkeypatch):
+        from sparsepose.config import PipelineConfig
+        from sparsepose.tsdf import SparseTsdf
+
+        calls = []
+        extract = SparseTsdf.extract_pbar
+        monkeypatch.setattr(SparseTsdf, "extract_pbar", lambda self: calls.append(1) or extract(self))
+        out = tmp_path / "fused.tsdf"
+        assert run(["fuse", scene_dir, "--repr", "tsdf", "--out", out, "--theta-mm", 4.0]) == 0
+        assert len(calls) == 1
+        tsdf = SparseTsdf.load(out)
+        band = len(extract(tsdf))
+        seed = PipelineConfig().seed
+        assert capsys.readouterr().out == \
+            f"sparse tsdf: {tsdf.n_blocks} blocks, {band} band voxels -> {out} (seed={seed})\n"
+
     def test_deterministic_bytes(self, scene_dir, tmp_path):
         a, b = tmp_path / "a.ply", tmp_path / "b.ply"
         run(["fuse", scene_dir, "--out", a, "--theta-mm", 4.0])

@@ -125,6 +125,19 @@ class TestCoarsen:
         # parent map consistency
         assert np.array_equal(coarse.indices[parent], np.floor_divide(g.indices, 10))
 
+    def test_factor_two_pooling_matches_floor_division(self):
+        # the U-Net pooling: parents lex-sorted and unique, parent_row exact
+        rng = np.random.default_rng(44)
+        idx = np.unique(rng.integers(-9, 9, size=(300, 3)), axis=0)
+        idx = idx[rng.permutation(len(idx))]
+        g = SparseVoxelGrid(0.008, np.zeros(3), idx, np.ones((len(idx), 1)))
+        coarse, parent = coarsen(g, 2)
+        floor = [tuple(int(c) // 2 for c in v) for v in idx]
+        expected = sorted(set(floor))
+        assert [tuple(v) for v in coarse.indices] == expected
+        row_of = {v: i for i, v in enumerate(expected)}
+        assert parent.tolist() == [row_of[v] for v in floor]
+
     def test_mean_feature(self):
         idx = np.array([[0, 0, 0], [1, 0, 0]])
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -126,6 +126,52 @@ class TestWindowAttention:
         assert np.allclose(out[[1, 3]], b, atol=1e-12)
 
 
+class TestWindowedApply:
+    """The one-node window attention of `WindowAttention.__call__` against
+    the generic-op reference `attend_window`."""
+
+    # cubic windows of side 4 holding 1, 2, 2 and 5 voxels
+    INDICES = np.array([[0, 0, 0], [4, 0, 0], [5, 0, 0], [0, 4, 0], [0, 5, 1],
+                        [8, 0, 0], [9, 0, 0], [10, 0, 0], [11, 0, 0], [8, 1, 0]])
+
+    def windows(self, rng):
+        perm = rng.permutation(len(self.INDICES))
+        windows = partition_indices(self.INDICES[perm], 4)
+        assert sorted(len(rows) for _, rows in windows) == [1, 2, 2, 5]
+        return windows
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_matches_per_window_reference(self, scaled):
+        rng = np.random.default_rng(45)
+        attn = nn.WindowAttention(8, 2, rng, scaled=scaled)
+        windows = self.windows(rng)
+        f = rng.normal(size=(len(self.INDICES), 8))
+        out = attn(Tensor(f), windows).data
+        for _, rows in windows:
+            expected = attn.attend_window(Tensor(f[rows])).data
+            assert np.max(np.abs(out[rows] - expected)) < 1e-12
+
+    def test_gradients_through_attention_node(self):
+        rng = np.random.default_rng(46)
+        attn = nn.WindowAttention(4, 2, rng)
+        windows = self.windows(rng)
+        n = len(self.INDICES)
+        w = rng.normal(size=(n, 4))
+        lins = (attn.proj_q, attn.proj_k, attn.proj_v, attn.proj_out)
+
+        def fn(f, *weights):
+            saved = [lin.weight for lin in lins]
+            for lin, weight in zip(lins, weights):
+                lin.weight = weight
+            out = ad.tsum(ad.mul(attn(f, windows), ad.constant(w)))
+            for lin, weight in zip(lins, saved):
+                lin.weight = weight
+            return out
+
+        finite_difference_check(
+            fn, [rng.normal(size=(n, 4))] + [lin.weight.data.copy() for lin in lins])
+
+
 class TestDualBranchBlock:
     def test_zero_weights_reduce_to_layernorm(self):
         rng = np.random.default_rng(10)
@@ -291,6 +337,60 @@ class TestSubmanifoldConv:
         finite_difference_check(
             fn, [rng.normal(size=(len(indices), 2)), conv.kernel.data.copy(), rng.normal(size=5)]
         )
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_blocked_walk_matches_dense_oracle(self, monkeypatch, chunk):
+        # blocks of 1 and 7 kernel-map rows; 7 does not divide the row count
+        monkeypatch.setattr(nn, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(47)
+        conv = nn.SubmanifoldConv3(3, 4, rng)
+        conv.bias.data = rng.normal(size=4)
+        indices = np.unique(rng.integers(0, 5, size=(60, 3)), axis=0)
+        assert len(indices) % 7 != 0
+        f = rng.normal(size=(len(indices), 3))
+        out = conv(Tensor(f), nn.ConvPairs(indices))
+        expected = dense_conv3_oracle(indices, f, conv.kernel.data, conv.bias.data)
+        assert np.max(np.abs(out.data - expected)) < 1e-10
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_blocked_walk_gradients(self, monkeypatch, chunk):
+        monkeypatch.setattr(nn, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(48)
+        conv = nn.SubmanifoldConv3(2, 3, rng)
+        indices = np.unique(rng.integers(0, 3, size=(16, 3)), axis=0)
+        pairs = nn.ConvPairs(indices)
+        w = rng.normal(size=(len(indices), 3))
+
+        def fn(f, kernel, bias):
+            saved = conv.kernel, conv.bias
+            conv.kernel, conv.bias = kernel, bias
+            out = ad.tsum(ad.mul(conv(f, pairs), ad.constant(w)))
+            conv.kernel, conv.bias = saved
+            return out
+
+        finite_difference_check(
+            fn, [rng.normal(size=(len(indices), 2)), conv.kernel.data.copy(), rng.normal(size=3)]
+        )
+
+    def test_forward_backward_peak_memory(self):
+        # n = 4096 voxels at C = 32: one (n, 27 C) float64 matrix is 28 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(49)
+        n, c = 4096, 32
+        conv = nn.SubmanifoldConv3(c, c, rng)
+        indices = np.stack(np.meshgrid(*[np.arange(16)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        pairs = nn.ConvPairs(indices)
+        x = ad.parameter(rng.normal(size=(n, c)))
+        full_cols = n * 27 * c * 8
+        tracemalloc.start()
+        try:
+            ad.tsum(conv(x, pairs)).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == (n, c) and conv.kernel.grad.shape == (27, c, c)
+        assert peak < full_cols / 4
 
     def test_empty_index_set(self):
         rng = np.random.default_rng(42)

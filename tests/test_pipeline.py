@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
-from sparsepose.grid import coarsen
-from sparsepose.heatmap import objectness_target
+from sparsepose.grid import SparseVoxelGrid, coarsen
+from sparsepose.heatmap import objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
 from sparsepose.voting import VoteSet
 from sparsepose.pipeline import (
+    N_CLASSES,
+    StagedOutput,
     build_input_grid,
     build_model,
     compute_losses,
     estimate_poses,
     load_model,
     oracle_votes,
+    predicted_votes,
     save_model,
     staged_forward,
     train_toy,
@@ -208,6 +212,47 @@ class TestOraclePath:
         out = votes_to_poses(extra, cloud.points, small_bundle.models, cfg, origin=origin)
         assert len(out) == len(base) == small_bundle.gt.n_objects
         for p, q in zip(out, base):
+            assert np.array_equal(p.rotation, q.rotation)
+            assert np.array_equal(p.translation, q.translation)
+            assert (p.class_id, p.confidence, p.support, p.refined) == \
+                (q.class_id, q.confidence, q.support, q.refined)
+
+
+def _voting_output(fine, gt, votes, keep):
+    """A forward-pass output whose selected voxels vote the oracle votes
+    `keep` (fields the voting head does not read are left empty)."""
+    rows = np.nonzero(voxel_object_assignment(fine, gt) >= 0)[0][keep]
+    logits = np.zeros((len(rows), N_CLASSES + 1))
+    logits[np.arange(len(rows)), votes.class_ids[keep]] = 5.0
+    selected = SparseVoxelGrid(fine.resolution, fine.origin, fine.indices[rows], np.zeros((len(rows), 1)))
+    return StagedOutput(
+        coarse=None, roi_scores=None, attention=None, kept_coarse_rows=None, lifted_grid=None,
+        lifted_fine_rows=None, obj_scores=Tensor(votes.confidence[keep]), cls_logits=Tensor(logits),
+        selected_rows=np.arange(len(rows)), selected_grid=selected,
+        offsets=Tensor(votes.offsets[keep]), rot6d=Tensor(votes.rot6d[keep]),
+    )
+
+
+class TestPredictedVotes:
+    @pytest.mark.parametrize("field", ["offsets", "rot6d", "obj_scores"])
+    def test_non_finite_row_costs_one_vote(self, small_bundle, field):
+        # one NaN output row must give the poses of the same output without it
+        cfg = quick_config()
+        fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
+        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
+        votes = oracle_votes(fine, small_bundle.gt, rotations)
+        bad_row = len(votes) // 2
+        out = _voting_output(fine, small_bundle.gt, votes, np.arange(len(votes)))
+        getattr(out, field).data[bad_row] = np.nan
+        clean = _voting_output(fine, small_bundle.gt, votes, np.delete(np.arange(len(votes)), bad_row))
+        kept = predicted_votes(out)
+        assert len(kept) == len(votes) - 1
+        origin = small_bundle.workspace.min_corner
+        got = votes_to_poses(kept, cloud.points, small_bundle.models, cfg, origin=origin)
+        base = votes_to_poses(predicted_votes(clean), cloud.points, small_bundle.models, cfg, origin=origin)
+        assert len(base) > 0
+        assert len(got) == len(base)
+        for p, q in zip(got, base):
             assert np.array_equal(p.rotation, q.rotation)
             assert np.array_equal(p.translation, q.translation)
             assert (p.class_id, p.confidence, p.support, p.refined) == \
