@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .ioutil import atomic_write_bytes, atomic_write_text
 
 # Default depth validity range in meters.
 DEFAULT_NEAR = 0.05
@@ -224,8 +225,7 @@ def save_depth_png(path, depth: DepthImage, scale: float) -> None:
         + _png_chunk(b"IDAT", zlib.compress(rows, 9))
         + _png_chunk(b"IEND", b"")
     )
-    with open(path, "wb") as f:
-        f.write(data)
+    atomic_write_bytes(path, data)
 
 
 def _unfilter_scanlines(raw: bytes, width: int, height: int, bpp: int) -> bytearray:
@@ -324,9 +324,7 @@ def save_camera_json(path, intr: CameraIntrinsics, extr: CameraExtrinsics, depth
         "cam_to_world": [float(x) for x in extr.matrix().reshape(-1)],
         "depth_scale": depth_scale,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics, float]:

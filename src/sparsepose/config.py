@@ -122,6 +122,17 @@ class PipelineConfig:
             raise ConfigError("sigma_c, sigma_b and lr must be positive")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        for name in ("icp_trim", "vote_top_fraction"):
+            if not (0 < getattr(self, name) <= 1):
+                raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if self.dbscan_min_pts < 1:
+            raise ConfigError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")
+        for name in ("dbscan_eps_mult", "icp_corr_mult"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("icp_iters", "icp_tol"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def loss_weights(self) -> tuple:

@@ -158,13 +158,11 @@ def voxel_object_assignment(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.n
     owner = np.full(len(grid), -1, dtype=np.int64)
     if gt.n_objects == 0 or len(grid) == 0:
         return owner
-    counts = np.zeros((len(grid), gt.n_objects), dtype=np.int64)
-    for j, cloud in enumerate(gt.object_clouds):
-        idx = np.floor((cloud - grid.origin) / grid.resolution).astype(np.int64)
-        rows = grid.row_lookup(idx)
-        rows = rows[rows >= 0]
-        if rows.size:
-            counts[:, j] += np.bincount(rows, minlength=len(grid))
+    n, m = len(grid), gt.n_objects
+    objects = np.repeat(np.arange(m), [len(cloud) for cloud in gt.object_clouds])
+    rows = grid.row_lookup(np.floor((gt.all_points() - grid.origin) / grid.resolution).astype(np.int64))
+    inside = rows >= 0
+    counts = np.bincount(rows[inside] * m + objects[inside], minlength=n * m).reshape(n, m)
     occupied = counts.sum(axis=1) > 0
     if not occupied.any():
         return owner

@@ -65,31 +65,36 @@ def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> FusedPointCloud:
     return fuse_views(bundle.depths, bundle.cameras, bundle.workspace, near=cfg.near, far=cfg.far)
 
 
+def _input_points(bundle: SceneBundle, cfg: PipelineConfig, representation: str):
+    """Fuse the views and pick the points to voxelize: the raw cloud, or the
+    TSDF band points with their signed-distance channel.
+
+    Returns (fused cloud, points, tsdf or None).
+    """
+    cloud = fuse_bundle(bundle, cfg)
+    if representation == "cloud":
+        return cloud, cloud.points, None
+    if representation != "tsdf":
+        raise DataError(f"unknown representation '{representation}' (use cloud or tsdf)")
+    tsdf_cfg = TsdfConfig(
+        voxel_size=cfg.theta,
+        voxels_per_side=cfg.tsdf_voxels_per_side,
+        truncation=cfg.tsdf_truncation_mult * cfg.theta,
+        weight_cap=cfg.tsdf_weight_cap,
+    )
+    tsdf = build_tsdf(cloud, bundle.depths, bundle.cameras, tsdf_cfg, bundle.workspace.min_corner,
+                      near=cfg.near, far=cfg.far)
+    return cloud, tsdf.extract_pbar(), tsdf
+
+
 def build_input_grid(bundle: SceneBundle, cfg: PipelineConfig, representation: str = "cloud"):
     """Fuse the views and voxelize either the raw cloud or the TSDF band
     points (with their signed-distance channel) at the pipeline resolution.
 
     Returns (fine grid, fused cloud, tsdf or None).
     """
-    cloud = fuse_bundle(bundle, cfg)
-    origin = bundle.workspace.min_corner
-    if representation == "cloud":
-        pts = cloud.points
-        tsdf = None
-    elif representation == "tsdf":
-        tsdf_cfg = TsdfConfig(
-            voxel_size=cfg.theta,
-            voxels_per_side=cfg.tsdf_voxels_per_side,
-            truncation=cfg.tsdf_truncation_mult * cfg.theta,
-            weight_cap=cfg.tsdf_weight_cap,
-        )
-        tsdf = build_tsdf(cloud, bundle.depths, bundle.cameras, tsdf_cfg, origin,
-                          near=cfg.near, far=cfg.far)
-        pts = tsdf.extract_pbar()
-    else:
-        raise DataError(f"unknown representation '{representation}' (use cloud or tsdf)")
-    fine = voxelize(pts, cfg.theta, origin)
-    return fine, cloud, tsdf
+    cloud, pts, tsdf = _input_points(bundle, cfg, representation)
+    return voxelize(pts, cfg.theta, bundle.workspace.min_corner), cloud, tsdf
 
 
 @dataclass
@@ -415,6 +420,11 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     objects and bin walls cannot capture correspondences. Clusters too small
     to carve a stable target fall back to the full cloud.
 
+    The targets are carved from one stable sort of the scene's voxel keys:
+    each cluster's voxel keys are binary-searched into it and the rows of
+    the matching runs, sorted, are the scene points inside those voxels in
+    scene order. A voxel shared by two clusters goes to both.
+
     Votes that cannot make a pose are dropped before clustering: a class
     with no model in `models`, or a rotation rot6d_to_matrix rejects.
     """
@@ -435,14 +445,19 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
         return poses
     base = np.zeros(3) if origin is None else np.asarray(origin, dtype=np.float64)
     scene_keys = pack_index(np.floor((scene - base) / cfg.theta).astype(np.int64))
+    order = np.argsort(scene_keys, kind="stable")
+    sorted_keys = scene_keys[order]
     vote_keys = pack_index(np.floor((votes.voxel_centers - base) / cfg.theta).astype(np.int64))
     cluster_ids = np.unique(labels[labels >= 0])
     refined: list = []
     full_tree = None
     for pose, cid in zip(poses, cluster_ids):
         member_keys = np.unique(vote_keys[labels == cid])
-        mask = np.isin(scene_keys, member_keys)
-        target = scene[mask]
+        lo = np.searchsorted(sorted_keys, member_keys, side="left")
+        run = np.searchsorted(sorted_keys, member_keys, side="right") - lo
+        # rows of every run lo[k] .. lo[k] + run[k], back in scene order
+        first = np.cumsum(run) - run
+        target = scene[np.sort(order[np.arange(run.sum()) + np.repeat(lo - first, run)])]
         if len(target) >= 50:
             tree = cKDTree(target)
         else:
@@ -466,7 +481,8 @@ def estimate_poses(
 ):
     """Full inference: fuse, stage the heatmaps (or take oracle votes),
     cluster and refine. Returns (pose list, vote count)."""
-    fine, cloud, tsdf = build_input_grid(bundle, cfg, representation)
+    cloud, pts, tsdf = _input_points(bundle, cfg, representation)
+    fine = voxelize(pts, cfg.theta, bundle.workspace.min_corner)
     if len(fine) == 0:
         return [], 0
     if oracle:
@@ -480,8 +496,7 @@ def estimate_poses(
     scene_points = cloud.points
     if cfg.icp_use_pbar and tsdf is not None:
         # near-zero-crossing band voxels stand in for the observed surface
-        pbar = tsdf.extract_pbar()
-        near = pbar[np.abs(pbar[:, 3]) < 0.25]
+        near = pts[np.abs(pts[:, 3]) < 0.25]
         if len(near) >= 100:
             scene_points = near[:, :3]
     poses = votes_to_poses(votes, scene_points, bundle.models, cfg,

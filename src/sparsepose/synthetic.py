@@ -23,6 +23,7 @@ from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage, load_camera_
 from .errors import DataError
 from .fusion import Workspace, read_ply, write_ply_mesh
 from .heatmap import SceneGroundTruth
+from .ioutil import atomic_write_text
 
 CLOUD_POINTS = 2048
 _CLOUD_SEED_BASE = 1000
@@ -640,9 +641,7 @@ def export_scene_bundle(spec: SceneSpec, library: dict[str, ObjectModel], out_di
             for inst in spec.instances
         ],
     }
-    with open(os.path.join(out_dir, "scene.json"), "w") as f:
-        json.dump(scene_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    atomic_write_text(os.path.join(out_dir, "scene.json"), json.dumps(scene_doc, indent=2, sort_keys=True) + "\n")
     gt = scene_ground_truth(spec, library)
     gt_doc = {
         "objects": [
@@ -655,9 +654,7 @@ def export_scene_bundle(spec: SceneSpec, library: dict[str, ObjectModel], out_di
             for cid, centroid, inst in zip(gt.class_ids, gt.centroids, spec.instances)
         ]
     }
-    with open(os.path.join(out_dir, "gt.json"), "w") as f:
-        json.dump(gt_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    atomic_write_text(os.path.join(out_dir, "gt.json"), json.dumps(gt_doc, indent=2, sort_keys=True) + "\n")
     for i, (intr, extr) in enumerate(spec.cameras):
         save_camera_json(os.path.join(out_dir, f"cam_{i:02d}.json"), intr, extr, spec.depth_scale)
         depth = render_depth(spec, library, i)

@@ -421,12 +421,19 @@ def icp_refine(
     matches otherwise drag an already-correct pose sideways. An optional
     `trim` additionally keeps only the closest fraction.
 
+    The reciprocal check uses one KD-tree over the model subsample, built
+    once per call in the model frame: the moved model is a rigid image of
+    it, so the scene point s is mapped back as (s - t) @ R and its nearest
+    model row is the one a tree over the moved points would return (the
+    distances agree up to rounding).
+
     Fewer than 3 correspondences leaves the pose unrefined (refined=False).
     Returns the pose and the per-iteration RMSE trace over the kept set.
     """
     if not (0.0 < trim <= 1.0):
         raise DataError("icp trim fraction must lie in (0, 1]")
     pts = subsample_rows(model_points, n_model)
+    model_tree = cKDTree(pts) if reciprocal else None
     R, t = pose.rotation.copy(), pose.translation.copy()
     trace: list[float] = []
     refined = False
@@ -435,7 +442,7 @@ def icp_refine(
         dist, idx = scene_tree.query(moved, distance_upper_bound=corr_dist)
         ok = np.nonzero(np.isfinite(dist))[0]
         if reciprocal and ok.size:
-            back = cKDTree(moved).query(scene_tree.data[idx[ok]])[1]
+            back = model_tree.query((scene_tree.data[idx[ok]] - t) @ R)[1]
             ok = ok[back == ok]
         if trim < 1.0 and ok.size:
             keep = max(3, int(np.ceil(trim * ok.size)))

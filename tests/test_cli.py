@@ -350,6 +350,24 @@ class TestDumpConfig:
         assert not (tmp_path / "x.tsdf").exists()
 
 
+@pytest.mark.parametrize("section, line", [
+    ("icp", "icp_trim = 0.0"), ("icp", "icp_trim = 1.5"), ("voting", "vote_top_fraction = 0.0"),
+    ("voting", "dbscan_min_pts = 0"), ("voting", "dbscan_eps_mult = -1.0"),
+    ("icp", "icp_corr_mult = 0.0"), ("icp", "icp_iters = -3"), ("icp", "icp_tol = -1.0"),
+])
+def test_bad_voting_or_icp_key_fails_before_any_work(scene_dir, tmp_path, capsys, section, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{line}\n")
+    capsys.readouterr()
+    out = tmp_path / "poses"
+    assert run(["estimate", scene_dir, "--oracle", "--config", bad, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + line.split()[0])
+    assert len(err.strip().splitlines()) == 1
+    assert not out.with_suffix(".json").exists()
+    assert run(["dump-config", "--config", bad]) == 2
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = pathlib.Path(sparsepose.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

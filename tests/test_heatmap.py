@@ -305,3 +305,42 @@ class TestVoxelObjectAssignment:
         gt = SceneGroundTruth(pt[None, :], [pt[None, :]], np.array([1]))
         owner = voxel_object_assignment(grid, gt)
         assert owner[1] == -1
+
+    @staticmethod
+    def per_object_reference(grid, gt):
+        """One row lookup per object cloud, counts summed column by column."""
+        counts = np.zeros((len(grid), gt.n_objects), dtype=np.int64)
+        for j, cloud in enumerate(gt.object_clouds):
+            rows = grid.row_lookup(np.floor((cloud - grid.origin) / grid.resolution).astype(np.int64))
+            rows = rows[rows >= 0]
+            counts[:, j] += np.bincount(rows, minlength=len(grid))
+        owner = np.full(len(grid), -1, dtype=np.int64)
+        for r in np.nonzero(counts.sum(axis=1) > 0)[0]:
+            tied = np.nonzero(counts[r] == counts[r].max())[0]
+            d = np.linalg.norm(gt.centroids[tied] - grid.centers()[r], axis=1)
+            owner[r] = tied[np.argmin(d)]
+        return owner
+
+    def test_matches_per_object_reference(self):
+        rng = np.random.default_rng(41)
+        theta = 0.01
+        for trial in range(25):
+            # a 6^3 block with holes; clouds spill past it, so some points miss
+            cells = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+            cells = cells[rng.random(len(cells)) < 0.6]
+            grid = grid_from_indices(cells, theta=theta, origin=(0.1, -0.2, 0.05))
+            m = int(rng.integers(1, 6))
+            clouds = []
+            for _ in range(m):
+                lo = rng.uniform(-0.01, 0.04, size=3)
+                clouds.append(grid.origin + lo + rng.uniform(0, 0.04, size=(int(rng.integers(1, 60)), 3)))
+            # equal-count ties: two objects with the same points in one voxel
+            if m >= 2:
+                tie = grid.centers()[0] + rng.uniform(-0.004, 0.004, size=(3, 3))
+                clouds[0] = np.vstack([clouds[0], tie])
+                clouds[1] = np.vstack([clouds[1], tie])
+            centroids = np.stack([c.mean(axis=0) for c in clouds])
+            gt = SceneGroundTruth(centroids, clouds, rng.integers(1, 5, size=m))
+            owner = voxel_object_assignment(grid, gt)
+            assert np.array_equal(owner, self.per_object_reference(grid, gt)), f"trial {trial}"
+            assert (owner >= 0).any() and (owner < 0).any()

@@ -3,10 +3,11 @@ import pytest
 
 from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
-from sparsepose.grid import SparseVoxelGrid, coarsen
+from sparsepose.grid import SparseVoxelGrid, coarsen, pack_index
 from sparsepose.heatmap import objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
-from sparsepose.voting import VoteSet
+from sparsepose import pipeline
+from sparsepose.voting import VoteSet, dbscan, matrix_to_rot6d
 from sparsepose.pipeline import (
     N_CLASSES,
     StagedOutput,
@@ -216,6 +217,50 @@ class TestOraclePath:
             assert np.array_equal(p.translation, q.translation)
             assert (p.class_id, p.confidence, p.support, p.refined) == \
                 (q.class_id, q.confidence, q.support, q.refined)
+
+    def test_cluster_targets_match_isin_carve(self, small_bundle, monkeypatch):
+        # three vote clusters: 0 and 1 share one voxel, 2 holds under 50 scene
+        # points and so takes the full-cloud tree; a stripe of scene points
+        # lies outside every cluster's voxels
+        cfg = quick_config(theta=0.002)
+        class_id = min(small_bundle.models)
+        voxels = [[(i, 0, 0) for i in range(20)],
+                  [(19, 0, 0)] + [(i, 5, 0) for i in range(19)],
+                  [(i, 10, 0) for i in range(6)]]
+        centers = np.array([[0.3, 0.0, 0.0], [0.4, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        idx = np.array([v for group in voxels for v in group])
+        owner = np.repeat(np.arange(3), [len(g) for g in voxels])
+        vox_centers = (idx + 0.5) * cfg.theta
+        votes = VoteSet(vox_centers, centers[owner] - vox_centers,
+                        np.tile(matrix_to_rot6d(np.eye(3)[None]), (len(idx), 1)),
+                        np.ones(len(idx)), np.full(len(idx), class_id))
+        rng = np.random.default_rng(8)
+        per_voxel = np.r_[rng.integers(3, 9, size=40), np.ones(6, dtype=np.int64)]
+        outside = [(i, 20, 0) for i in range(10)]
+        cells = np.repeat(np.vstack([idx, outside]), np.r_[per_voxel, np.full(10, 4)], axis=0)
+        scene = (cells + rng.uniform(0.1, 0.9, size=cells.shape)) * cfg.theta
+        scene = scene[rng.permutation(len(scene))]
+
+        trees = []
+        monkeypatch.setattr(pipeline, "icp_refine",
+                            lambda pose, cloud, tree, **kw: (trees.append(tree), (pose, []))[1])
+        poses = votes_to_poses(votes, scene, small_bundle.models, cfg, origin=np.zeros(3))
+        assert len(poses) == len(trees) == 3
+
+        labels = dbscan(votes.predicted_centers(), cfg.dbscan_eps, cfg.dbscan_min_pts)
+        scene_keys = pack_index(np.floor(scene / cfg.theta).astype(np.int64))
+        vote_keys = pack_index(np.floor(vox_centers / cfg.theta).astype(np.int64))
+        carved = [scene[np.isin(scene_keys, np.unique(vote_keys[labels == c]))] for c in range(3)]
+        assert [len(c) >= 50 for c in carved] == [True, True, False]
+        assert not np.isin(scene_keys, vote_keys).all()
+        assert np.array_equal(trees[0].data, carved[0])
+        assert np.array_equal(trees[1].data, carved[1])
+        assert np.array_equal(trees[2].data, scene)
+        shared_key = pack_index(np.array([[19, 0, 0]]))[0]
+        n_shared = int((scene_keys == shared_key).sum())
+        for tree in trees[:2]:
+            keys = pack_index(np.floor(tree.data / cfg.theta).astype(np.int64))
+            assert (keys == shared_key).sum() == n_shared > 0
 
 
 def _voting_output(fine, gt, votes, keep):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -387,12 +389,58 @@ class TestSceneBundle:
                 twin = again / p.relative_to(bundle_dir)
                 assert twin.read_bytes() == p.read_bytes(), p.name
 
-    def test_depth_png_quantization_roundtrip(self, bundle_dir):
+    def test_bundle_bytes_pinned(self, bundle_dir):
+        expected = {
+            "cam_00.json": "bc8225ea994f4c7efad1125a02d3e00e4861e8eba32585707705818bbb5124af",
+            "cam_01.json": "e6834806b8f1d12cbdcf39df27f0537a8f05103b7b7f4826f3f66aedcb7723a3",
+            "cam_02.json": "efdb0a9dc5dbf170269950bb7017e39ab8410ec8da74a98a833ceaa6f150a886",
+            "depth_00.png": "35b23e057b09fc74f2e99ce7b27ac8bd522046d5c64c3f85bd7500514ddcd7bf",
+            "depth_01.png": "16ce90b9355252ae388cfe8811b3c8d1bcd0e9c84d1c94abdba1b6f9565f0da0",
+            "depth_02.png": "75c48b970b4b2b0d1e574acb5f54952358e72fd556e26f66be5eacd16e99e56e",
+            "gt.json": "3862fc55668d89e80f3a1ccd710eeff46f122dbc67eeabb785fd0f5fcd7136fc",
+            "models/l_bracket.ply": "b4927b82ad4036b24c315b9a0cebfe36ed57334fffa13fa394cb4d5dcf2b23eb",
+            "models/notched_cylinder.ply":
+                "c5630d569fb29be5a0eedaf4f0b5e739f94d4e31e91b269352e2d40c20047bd0",
+            "scene.json": "48b5056e237ff30ed4c8050c8ddab88d327fee57d94e75ba00fcb434915b5dce",
+        }
+        written = {p.relative_to(bundle_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in bundle_dir.rglob("*") if p.is_file()}
+        assert written == expected
+        umask = os.umask(0)
+        os.umask(umask)
+        for name in expected:
+            assert (bundle_dir / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+    def test_failed_export_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        lib = make_primitives()
+        intr = default_intrinsics(width=40, height=30, focal=40.0)
+        cams = default_camera_ring((-0.08, -0.08, 0.0), (0.08, 0.08, 0.05),
+                                   n_views=1, distance=0.4, intr=intr)
+        spec = sample_scene(lib, (-0.08, -0.08, 0.0), (0.08, 0.08, 0.05), n_objects=1, seed=12,
+                            cameras=cams)
+        replace = os.replace
+        for name in ("scene.json", "gt.json", "cam_00.json", "depth_00.png"):
+            out = tmp_path / name.replace(".", "_")
+
+            def failing_replace(src, dst, name=name):
+                if os.path.basename(dst) == name:
+                    raise OSError("disk full")
+                return replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+            with pytest.raises(OSError, match="disk full"):
+                export_scene_bundle(spec, lib, out)
+            monkeypatch.setattr(os, "replace", replace)
+            left = [p.name for p in out.rglob("*")]
+            assert name not in left
+            assert not [n for n in left if n.startswith(".tmp_")], left
+
+    def test_depth_png_quantization_roundtrip(self, bundle_dir, tmp_path):
         from sparsepose.camera import load_depth_png, save_depth_png
 
         bundle = load_scene_bundle(bundle_dir)
         path = bundle_dir / "depth_00.png"
-        resaved = bundle_dir / "resaved.png"
+        resaved = tmp_path / "resaved.png"
         save_depth_png(resaved, bundle.depths[0], bundle.depth_scale)
         assert resaved.read_bytes() == path.read_bytes()
 

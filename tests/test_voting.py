@@ -9,6 +9,7 @@ from sparsepose.voting import (
     NOISE,
     Pose,
     VoteSet,
+    _kabsch,
     aggregate_votes,
     attach_rotations,
     chamfer_rot_loss,
@@ -20,6 +21,7 @@ from sparsepose.voting import (
     read_pose_json,
     rot6d_to_matrix,
     smooth_l1,
+    subsample_rows,
     write_pose_csv,
     write_pose_json,
 )
@@ -466,6 +468,39 @@ class TestAggregateVotes:
         assert np.allclose(out.rotation, T_R @ base.rotation, atol=1e-9)
 
 
+def moving_tree_icp(pose, model_points, scene_tree, iters, corr_dist, tol, trim, reciprocal,
+                    n_model=512):
+    """icp_refine as it was before the fixed model tree: the reciprocal check
+    builds a KD-tree over the moved model subsample every iteration."""
+    pts = subsample_rows(model_points, n_model)
+    R, t = pose.rotation.copy(), pose.translation.copy()
+    trace, refined = [], False
+    for _ in range(iters):
+        moved = pts @ R.T + t
+        dist, idx = scene_tree.query(moved, distance_upper_bound=corr_dist)
+        ok = np.nonzero(np.isfinite(dist))[0]
+        if reciprocal and ok.size:
+            back = cKDTree(moved).query(scene_tree.data[idx[ok]])[1]
+            ok = ok[back == ok]
+        if trim < 1.0 and ok.size:
+            keep = max(3, int(np.ceil(trim * ok.size)))
+            order = np.argsort(dist[ok], kind="stable")
+            ok = ok[np.sort(order[:keep])]
+        if ok.size < 3:
+            break
+        src, dst = moved[ok], scene_tree.data[idx[ok]]
+        rmse = float(np.sqrt(np.mean(np.sum((src - dst) ** 2, axis=1))))
+        if trace and abs(trace[-1] - rmse) <= tol * max(trace[-1], 1e-12):
+            trace.append(rmse)
+            refined = True
+            break
+        trace.append(rmse)
+        dR, dt = _kabsch(src, dst)
+        R, t = dR @ R, dR @ t + dt
+        refined = True
+    return R, t, refined, trace
+
+
 class TestIcp:
     def make_cloud(self, seed=14, n=800):
         rng = np.random.default_rng(seed)
@@ -530,6 +565,31 @@ class TestIcp:
         out = [icp_refine(pose, cloud, tree, corr_dist=0.02)[0] for pose in poses]
         assert np.linalg.norm(out[0].translation) < 5e-4
         assert np.linalg.norm(out[1].translation - shift) < 5e-4
+
+    @pytest.mark.parametrize("reciprocal", [True, False])
+    @pytest.mark.parametrize("trim", [1.0, 0.6])
+    def test_fixed_model_tree_matches_moving_tree(self, reciprocal, trim):
+        rng = np.random.default_rng(23)
+        cloud = self.make_cloud(seed=24)
+        # a partial, noisy view plus clutter, so the reciprocal check rejects matches
+        front = cloud[cloud[:, 2] > -0.01]
+        seen = front + rng.normal(scale=3e-4, size=front.shape)
+        scene = np.vstack([seen, rng.uniform(-0.05, 0.05, size=(200, 3))])
+        tree = cKDTree(scene)
+        for trial in range(30):
+            R0 = rotation_about(rng.normal(size=3), np.deg2rad(rng.uniform(0.0, 10.0)))
+            t0 = rng.normal(size=3)
+            t0 *= rng.uniform(0.0, 0.008) / np.linalg.norm(t0)
+            pose = Pose(R0, t0, class_id=1)
+            out, trace = icp_refine(pose, cloud, tree, iters=30, corr_dist=0.01, tol=1e-6,
+                                    trim=trim, reciprocal=reciprocal)
+            R, t, refined, ref_trace = moving_tree_icp(pose, cloud, tree, 30, 0.01, 1e-6, trim,
+                                                       reciprocal)
+            assert np.array_equal(out.rotation, R), f"trial {trial}"
+            assert np.array_equal(out.translation, t), f"trial {trial}"
+            assert out.refined == refined
+            assert trace == ref_trace, f"trial {trial}"
+            assert len(trace) > 1
 
 
 class TestPoseIO:
