@@ -20,7 +20,7 @@ from sparsepose.heatmap import (
     roi_target,
     soft_suppress,
 )
-from sparsepose.pipeline import build_input_grid, heatmap_params
+from sparsepose.pipeline import build_input_grid
 from sparsepose.synthetic import export_scene_bundle, load_scene_bundle, make_primitives, sample_scene
 import tempfile
 
@@ -31,21 +31,21 @@ export_scene_bundle(spec, library, bundle_dir)
 bundle = load_scene_bundle(bundle_dir)
 
 cfg = PipelineConfig(theta=0.002)
-hp = heatmap_params(cfg)
 fine, _, _ = build_input_grid(bundle, cfg, "cloud")
 coarse, parent = coarsen(fine, cfg.coarse_factor)
 print(f"fine grid:   {len(fine)} voxels at {cfg.theta*1000:.0f} mm, {fine.channels} channels")
 print(f"coarse grid: {len(coarse)} voxels at {cfg.theta*cfg.coarse_factor*1000:.0f} mm\n")
 
 # -- stage one: RoI target, Gaussian focal loss, soft suppression -------------
-H = roi_target(coarse, bundle.gt, hp)
+H = roi_target(coarse, bundle.gt, cfg.sigma_c, cfg.sigma_b)
 print(f"RoI target: H in [{H.min():.3f}, {H.max():.3f}], mean {H.mean():.3f}")
 pred = np.clip(H + 0.15 * np.random.default_rng(0).normal(size=H.shape), 0.02, 0.98)
-loss, grad = gaussian_focal_loss(pred, H, alpha=hp.alpha, gamma=hp.gamma)
+loss, grad = gaussian_focal_loss(pred, H, alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
 print(f"Gaussian focal loss of a noisy prediction: {loss:.4f} (|grad| max {np.abs(grad).max():.4f})")
 
-attention, kept = soft_suppress(H, hp)
-print(f"soft suppression at kappa={hp.kappa}: keeps {len(kept)}/{len(coarse)} coarse voxels")
+attention, kept = soft_suppress(H, cfg.suppress_beta, cfg.suppress_epsilon,
+                                cfg.suppress_kappa)
+print(f"soft suppression at kappa={cfg.suppress_kappa}: keeps {len(kept)}/{len(coarse)} coarse voxels")
 
 # -- lifting ------------------------------------------------------------------
 # the rows staged_forward lifts: fine voxels whose coarse parent survived,

@@ -11,7 +11,7 @@ from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage, backproject,
 from .config import PipelineConfig, load_config
 from .fusion import FusedPointCloud, Workspace, fuse_views
 from .grid import SparseVoxelGrid, coarsen, voxelize
-from .heatmap import HeatmapParams, SceneGroundTruth
+from .heatmap import SceneGroundTruth
 from .synthetic import make_primitives, sample_scene
 from .tsdf import SparseTsdf, TsdfConfig
 from .voting import Pose, VoteSet, dbscan, rot6d_to_matrix
@@ -23,7 +23,6 @@ __all__ = [
     "CameraIntrinsics",
     "DepthImage",
     "FusedPointCloud",
-    "HeatmapParams",
     "PipelineConfig",
     "Pose",
     "SceneGroundTruth",

@@ -30,7 +30,6 @@ from .pipeline import (
     build_input_grid,
     estimate_poses,
     fuse_bundle,
-    heatmap_params,
     load_model,
     save_model,
     train_toy,
@@ -52,6 +51,8 @@ def _config_from(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if getattr(args, "theta_mm", None) is not None:
         overrides["theta"] = args.theta_mm / 1000.0
+    if getattr(args, "steps", None) is not None:
+        overrides["steps"] = args.steps
     return load_config(args.config, overrides)
 
 
@@ -93,12 +94,11 @@ def cmd_fuse(args) -> int:
 
 def cmd_targets(args) -> int:
     cfg = _config_from(args)
-    hp = heatmap_params(cfg)
     bundle = load_scene_bundle(args.scene)
     fine, _, _ = build_input_grid(bundle, cfg, "cloud")
     coarse, _ = coarsen(fine, cfg.coarse_factor)
-    H = roi_target(coarse, bundle.gt, hp)
-    attention, _ = soft_suppress(H, hp)
+    H = roi_target(coarse, bundle.gt, cfg.sigma_c, cfg.sigma_b)
+    attention, _ = soft_suppress(H, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
     y = objectness_target(fine, bundle.gt)
     out_dir = args.out or args.scene
     os.makedirs(out_dir, exist_ok=True)
@@ -117,14 +117,12 @@ def cmd_targets(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg = _config_from(args)
     bundle = load_scene_bundle(args.scene)
-    steps = cfg.steps if args.steps is None else args.steps
-    model, trace = train_toy(bundle, cfg, steps=steps, representation=args.repr,
-                             log_every=args.log_every)
+    model, trace = train_toy(bundle, cfg, representation=args.repr, log_every=args.log_every)
     out = args.out or os.path.join(args.scene, "toy.ckpt")
     save_model(out, model)
     atomic_write_text(os.path.splitext(out)[0] + "_trace.csv", trace_csv(trace, cfg.seed))
     if trace:
-        print(f"trained {steps} steps: total loss {trace[0].total:.4f} -> {trace[-1].total:.4f} (seed={cfg.seed})")
+        print(f"trained {cfg.steps} steps: total loss {trace[0].total:.4f} -> {trace[-1].total:.4f} (seed={cfg.seed})")
     else:
         print(f"initialization checkpoint written (0 steps, seed={cfg.seed})")
     print(f"checkpoint -> {out}")

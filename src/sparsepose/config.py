@@ -1,6 +1,6 @@
 """Pipeline configuration: every tunable default in one place, loadable from
-a plain-text key-value file with sections. Unknown keys are rejected and a
-dump -> load -> dump round trip is byte-identical.
+a plain-text key-value file with sections. Unknown keys and out-of-range
+values are rejected and a dump -> load -> dump round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .ioutil import atomic_write_text
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -98,41 +97,20 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.theta <= 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if self.coarse_factor < 2:
-            raise ConfigError("coarse_factor must be >= 2")
-        if self.tsdf_voxels_per_side < 1:
-            raise ConfigError(f"tsdf_voxels_per_side must be >= 1, got {self.tsdf_voxels_per_side}")
-        if self.tsdf_truncation_mult <= 0 or self.tsdf_weight_cap <= 0:
-            raise ConfigError("tsdf_truncation_mult and tsdf_weight_cap must be positive")
-        if not (0 < self.topk_ratio <= 1):
-            raise ConfigError("topk_ratio must lie in (0, 1]")
-        if not (0 < self.suppress_kappa < 1):
-            raise ConfigError("suppress_kappa must lie in (0, 1)")
-        if self.window_small >= self.window_medium:
-            raise ConfigError("window_small must be smaller than window_medium")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        for key, interval in _RANGES.items():
+            value = getattr(self, key)
+            if interval is not None and not _in_range(value, interval):
+                raise ConfigError(f"{key} must lie in {interval}, got {value}")
         if self.width % self.heads != 0:
-            raise ConfigError("width must be divisible by heads")
-        if not (0 <= self.warmup_fraction <= 1):
-            raise ConfigError("warmup_fraction must lie in [0, 1]")
-        if any(v <= 0 for v in (self.sigma_c, self.sigma_b, self.lr)):
-            raise ConfigError("sigma_c, sigma_b and lr must be positive")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        for name in ("icp_trim", "vote_top_fraction"):
-            if not (0 < getattr(self, name) <= 1):
-                raise ConfigError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        if self.dbscan_min_pts < 1:
-            raise ConfigError(f"dbscan_min_pts must be >= 1, got {self.dbscan_min_pts}")
-        for name in ("dbscan_eps_mult", "icp_corr_mult"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("icp_iters", "icp_tol"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            raise ConfigError(f"width must be a multiple of heads, got {self.width} and {self.heads}")
+        if self.window_small >= self.window_medium:
+            raise ConfigError(f"window_small must be smaller than window_medium, "
+                              f"got {self.window_small} and {self.window_medium}")
+        if self.near >= self.far:
+            raise ConfigError(f"near must be smaller than far, got {self.near} and {self.far}")
+        if self.topk_min > self.topk_max:
+            raise ConfigError(f"topk_min must not exceed topk_max, "
+                              f"got {self.topk_min} and {self.topk_max}")
 
     @property
     def loss_weights(self) -> tuple:
@@ -147,23 +125,43 @@ class PipelineConfig:
         return self.icp_corr_mult * self.theta
 
 
+# Every key once: its section, its place in the dump and its valid range as an
+# interval, where a parenthesis excludes the bound and a bracket includes it.
+# Booleans have no range.
 _SECTIONS = {
-    "grid": ("theta", "coarse_factor"),
-    "camera": ("near", "far"),
-    "tsdf": ("tsdf_voxels_per_side", "tsdf_truncation_mult", "tsdf_weight_cap"),
-    "heatmap": ("sigma_c", "sigma_b", "focal_alpha", "focal_gamma",
-                "suppress_beta", "suppress_epsilon", "suppress_kappa", "attention_reweight"),
-    "objectness": ("obj_gamma", "obj_alpha", "topk_ratio", "topk_min", "topk_max"),
-    "network": ("width", "roi_width", "heads", "window_small", "window_medium", "scaled_attention"),
-    "loss": ("lambda_roi", "lambda_obj", "lambda_cls", "lambda_t", "lambda_rot",
-             "smooth_l1_delta", "chamfer_points"),
-    "voting": ("dbscan_eps_mult", "dbscan_min_pts", "vote_top_fraction"),
-    "icp": ("icp_iters", "icp_corr_mult", "icp_tol", "icp_trim", "icp_reciprocal",
-            "icp_use_pbar"),
-    "train": ("seed", "steps", "warmup_fraction", "lr", "momentum", "train_chamfer_points",
-              "train_keep_union_gt", "train_topk_union_gt", "train_rot_lr_mult",
-              "train_clip_norm"),
+    "grid": {"theta": "(0, inf)", "coarse_factor": "[2, inf)"},
+    "camera": {"near": "[0, inf)", "far": "(0, inf)"},
+    "tsdf": {"tsdf_voxels_per_side": "[1, inf)", "tsdf_truncation_mult": "(0, inf)",
+             "tsdf_weight_cap": "(0, inf)"},
+    "heatmap": {"sigma_c": "(0, inf)", "sigma_b": "(0, inf)", "focal_alpha": "[0, inf)",
+                "focal_gamma": "[0, inf)", "suppress_beta": "(0, inf)", "suppress_epsilon": "[0, 1]",
+                "suppress_kappa": "(0, 1)", "attention_reweight": None},
+    "objectness": {"obj_gamma": "[0, inf)", "obj_alpha": "[0, 1]", "topk_ratio": "(0, 1]",
+                   "topk_min": "[1, inf)", "topk_max": "[1, inf)"},
+    "network": {"width": "[1, inf)", "roi_width": "[1, inf)", "heads": "[1, inf)",
+                "window_small": "[1, inf)", "window_medium": "[1, inf)", "scaled_attention": None},
+    "loss": {"lambda_roi": "[0, inf)", "lambda_obj": "[0, inf)", "lambda_cls": "[0, inf)",
+             "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)",
+             "chamfer_points": "[1, inf)"},
+    "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",
+               "vote_top_fraction": "(0, 1]"},
+    "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)",
+            "icp_trim": "(0, 1]", "icp_reciprocal": None, "icp_use_pbar": None},
+    "train": {"seed": "[0, inf)", "steps": "[0, inf)", "warmup_fraction": "[0, 1]",
+              "lr": "(0, inf)", "momentum": "[0, 1)", "train_chamfer_points": "[1, inf)",
+              "train_keep_union_gt": None, "train_topk_union_gt": None,
+              "train_rot_lr_mult": "(0, inf)", "train_clip_norm": "(0, inf)"},
 }
+
+_RANGES = {key: interval for keys in _SECTIONS.values() for key, interval in keys.items()}
+
+
+def _in_range(value, interval: str) -> bool:
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = value > lo if interval[0] == "(" else value >= lo
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
@@ -240,7 +238,3 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text, overrides)
-
-
-def save_config(cfg: PipelineConfig, path) -> None:
-    atomic_write_text(path, dump_config(cfg))

@@ -58,34 +58,13 @@ class SceneGroundTruth:
         return np.concatenate(self.object_clouds, axis=0)
 
 
-@dataclass(frozen=True)
-class HeatmapParams:
-    """Spreads, focal exponents and gating constants for both stages.
-
-    sigma_c / sigma_b are measured in coarse-voxel units so their defaults
-    stay resolution-independent.
-    """
-
-    sigma_c: float = 6.0
-    sigma_b: float = 4.0
-    alpha: float = 4.0
-    gamma: float = 2.0
-    beta: float = 10.0
-    epsilon: float = 0.3
-    kappa: float = 0.5
-
-    def __post_init__(self):
-        if self.sigma_c <= 0 or self.sigma_b <= 0:
-            raise DataError("heatmap spreads must be positive")
-        if not (0.0 < self.kappa < 1.0):
-            raise DataError(f"keep threshold kappa must lie in (0, 1), got {self.kappa}")
-
-
-def roi_target(grid: SparseVoxelGrid, gt: SceneGroundTruth, params: HeatmapParams) -> np.ndarray:
-    """Coarse-stage target: the average of two Gaussian falloffs, one on the
-    distance to the nearest object center, one on the distance to the nearest
-    model surface point. Distances are in coarse-voxel units. Empty scenes
-    yield all zeros.
+def roi_target(grid: SparseVoxelGrid, gt: SceneGroundTruth, sigma_c: float,
+               sigma_b: float) -> np.ndarray:
+    """Coarse-stage target: the average of two Gaussian falloffs, one with
+    spread `sigma_c` on the distance to the nearest object center, one with
+    spread `sigma_b` on the distance to the nearest model surface point.
+    Distances and spreads are in coarse-voxel units, so the spreads stay
+    resolution-independent. Empty scenes yield all zeros.
     """
     n = len(grid)
     if gt.n_objects == 0 or n == 0:
@@ -96,8 +75,8 @@ def roi_target(grid: SparseVoxelGrid, gt: SceneGroundTruth, params: HeatmapParam
     d_center = cKDTree(centers).query(pos)[0]
     d_boundary = cKDTree(boundary).query(pos)[0]
     return 0.5 * (
-        np.exp(-(d_center**2) / params.sigma_c**2)
-        + np.exp(-(d_boundary**2) / params.sigma_b**2)
+        np.exp(-(d_center**2) / sigma_c**2)
+        + np.exp(-(d_boundary**2) / sigma_b**2)
     )
 
 
@@ -122,7 +101,8 @@ def gaussian_focal_loss(pred: np.ndarray, target: np.ndarray, alpha: float = 4.0
     return loss, grad
 
 
-def soft_suppress(pred: np.ndarray, params: HeatmapParams) -> tuple[np.ndarray, np.ndarray]:
+def soft_suppress(pred: np.ndarray, beta: float, epsilon: float,
+                  kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid soft-attention gate over heatmap scores.
 
     a_i = sigmoid(beta * (h_i - epsilon)); returns (a, kept rows with
@@ -130,8 +110,8 @@ def soft_suppress(pred: np.ndarray, params: HeatmapParams) -> tuple[np.ndarray, 
     re-weighting.
     """
     h = np.asarray(pred, dtype=np.float64)
-    a = 1.0 / (1.0 + np.exp(-params.beta * (h - params.epsilon)))
-    kept = np.nonzero(a > params.kappa)[0]
+    a = 1.0 / (1.0 + np.exp(-beta * (h - epsilon)))
+    kept = np.nonzero(a > kappa)[0]
     return a, kept
 
 

@@ -19,7 +19,6 @@ from .errors import DataError
 from .fusion import FusedPointCloud, fuse_views
 from .grid import SparseVoxelGrid, coarsen, pack_index, voxelize
 from .heatmap import (
-    HeatmapParams,
     SceneGroundTruth,
     adaptive_topk,
     focal_loss,
@@ -47,18 +46,6 @@ from .voting import (
 )
 
 N_CLASSES = 4  # part library size; background is class 0
-
-
-def heatmap_params(cfg: PipelineConfig) -> HeatmapParams:
-    return HeatmapParams(
-        sigma_c=cfg.sigma_c,
-        sigma_b=cfg.sigma_b,
-        alpha=cfg.focal_alpha,
-        gamma=cfg.focal_gamma,
-        beta=cfg.suppress_beta,
-        epsilon=cfg.suppress_epsilon,
-        kappa=cfg.suppress_kappa,
-    )
 
 
 def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> FusedPointCloud:
@@ -185,13 +172,13 @@ def staged_forward(
     """
     if len(fine) == 0:
         raise DataError("staged forward on an empty grid")
-    hp = heatmap_params(cfg)
     coarse, parent_row = coarsen(fine, cfg.coarse_factor)
     roi_scores, roi_trunk = model.roi(coarse)
-    attention, kept = soft_suppress(roi_scores.data, hp)
-    target = roi_target(coarse, gt, hp) if train and gt is not None else None
+    attention, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon,
+                                    cfg.suppress_kappa)
+    target = roi_target(coarse, gt, cfg.sigma_c, cfg.sigma_b) if train and gt is not None else None
     if target is not None and cfg.train_keep_union_gt:
-        kept = np.union1d(kept, np.nonzero(target > hp.kappa)[0])
+        kept = np.union1d(kept, np.nonzero(target > cfg.suppress_kappa)[0])
     keep_mask = np.zeros(len(coarse), dtype=bool)
     keep_mask[kept] = True
     fine_rows = np.nonzero(keep_mask[parent_row])[0]
@@ -204,7 +191,8 @@ def staged_forward(
         axis=1,
     )
     if cfg.attention_reweight:
-        gate = ad.sigmoid(ad.mul(ad.sub(roi_scores, ad.constant(hp.epsilon)), ad.constant(hp.beta)))
+        gate = ad.sigmoid(ad.mul(ad.sub(roi_scores, ad.constant(cfg.suppress_epsilon)),
+                                 ad.constant(cfg.suppress_beta)))
         gate_rows = ad.reshape(ad.gather_rows(gate, parent_row[fine_rows]), (len(fine_rows), 1))
         lifted_feats = ad.mul(lifted_feats, gate_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_idx, lifted_feats)

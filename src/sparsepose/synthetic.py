@@ -369,6 +369,10 @@ def sample_scene(
     """
     if n_objects < 1:
         raise DataError("need at least one object")
+    if not 0.0 <= dropout <= 1.0:
+        raise DataError(f"dropout must lie in [0, 1], got {dropout}")
+    if not noise_sigma >= 0.0:
+        raise DataError(f"noise_sigma must be >= 0, got {noise_sigma}")
     bin_min = np.asarray(bin_min, dtype=np.float64).reshape(3)
     bin_max = np.asarray(bin_max, dtype=np.float64).reshape(3)
     rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ from sparsepose.config import PipelineConfig
 from sparsepose.fusion import Workspace, fuse_views
 from sparsepose.grid import SparseVoxelGrid, loglog_slope, occupancy_stats, pack_index, partition_indices, voxelize
 from sparsepose.heatmap import (
-    HeatmapParams,
     SceneGroundTruth,
     class_weights,
     focal_loss,
@@ -281,7 +280,7 @@ def test_criterion_5_analytic_loss_values():
     center = grid.centers()[0]
     boundary = center + np.array([2 * 0.02, 0.0, 0.0])
     gt = SceneGroundTruth(center[None, :], [boundary[None, :]], np.array([1]))
-    H = roi_target(grid, gt, HeatmapParams(sigma_c=6.0, sigma_b=4.0))
+    H = roi_target(grid, gt, sigma_c=6.0, sigma_b=4.0)
     assert abs(H[0] - 0.5 * (1.0 + np.exp(-0.25))) < 1e-9
     assert abs(H[0] - 0.8894) < 5e-5
 

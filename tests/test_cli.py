@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -37,6 +38,16 @@ class TestMakeScene:
         assert run(["make-scene", "--out", b, "--objects", 1, "--seed", 5]) == 0
         assert (a / "scene.json").read_bytes() == (b / "scene.json").read_bytes()
         assert (a / "depth_00.png").read_bytes() == (b / "depth_00.png").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--dropout", 2.0, 3), ("--dropout", -0.5, 3), ("--noise-mm", -1.0, 3), ("--seed", -1, 2),
+    ])
+    def test_bad_flag_writes_no_bundle(self, tmp_path, capsys, flag, value, code):
+        out = tmp_path / "scene"
+        capsys.readouterr()
+        assert run(["make-scene", "--out", out, "--objects", 1, flag, value]) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestFuse:
@@ -105,9 +116,9 @@ class TestTargets:
         assert len(coarse) - 2 == len(coarse_grid)
         # H values match the target op
         from sparsepose.heatmap import roi_target
-        from sparsepose.pipeline import heatmap_params
 
-        H = roi_target(coarse_grid, bundle.gt, heatmap_params(PipelineConfig(theta=0.004)))
+        cfg = PipelineConfig(theta=0.004)
+        H = roi_target(coarse_grid, bundle.gt, cfg.sigma_c, cfg.sigma_b)
         for line, h in zip(coarse[2:], H):
             assert float(line.split(",")[3]) == pytest.approx(h, abs=1e-8)
 
@@ -240,6 +251,16 @@ class TestTrainToyCli:
         assert trace[1] == "step,total,roi,obj,cls,t,rot"
         assert len(trace) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--steps", -3), ("--seed", -1)])
+    def test_bad_flag_writes_no_checkpoint(self, scene_dir, tmp_path, capsys, flag, value):
+        ckpt = tmp_path / "toy.ckpt"
+        capsys.readouterr()
+        assert run(["train-toy", scene_dir, flag, value, "--out", ckpt, "--theta-mm", 4.0]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + flag[2:])
+        assert len(err.strip().splitlines()) == 1
+        assert not ckpt.exists()
+
     def test_short_train_reproducible_trace(self, scene_dir, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for out in (a, b):
@@ -322,6 +343,83 @@ def test_malformed_bundle_exit_code(scene_dir, tmp_path, capsys, name, doc):
     assert len(err.strip().splitlines()) == 1
 
 
+# every key away from its default, in dump order; dumping it reproduces it byte for byte
+_AWAY_FROM_DEFAULTS = """\
+[grid]
+theta = 0.0035
+coarse_factor = 8
+
+[camera]
+near = 0.1
+far = 3.5
+
+[tsdf]
+tsdf_voxels_per_side = 8
+tsdf_truncation_mult = 6.5
+tsdf_weight_cap = 32.0
+
+[heatmap]
+sigma_c = 1.5
+sigma_b = 1.0
+focal_alpha = 3.0
+focal_gamma = 1.5
+suppress_beta = 12.5
+suppress_epsilon = 0.25
+suppress_kappa = 0.4
+attention_reweight = true
+
+[objectness]
+obj_gamma = 1.5
+obj_alpha = 0.3
+topk_ratio = 0.4
+topk_min = 16
+topk_max = 256
+
+[network]
+width = 24
+roi_width = 8
+heads = 3
+window_small = 3
+window_medium = 6
+scaled_attention = false
+
+[loss]
+lambda_roi = 0.5
+lambda_obj = 2.5
+lambda_cls = 1.5
+lambda_t = 2.0
+lambda_rot = 0.75
+smooth_l1_delta = 0.02
+chamfer_points = 128
+
+[voting]
+dbscan_eps_mult = 3.0
+dbscan_min_pts = 4
+vote_top_fraction = 0.6
+
+[icp]
+icp_iters = 20
+icp_corr_mult = 3.5
+icp_tol = 1e-06
+icp_trim = 0.9
+icp_reciprocal = false
+icp_use_pbar = true
+
+[train]
+seed = 7
+steps = 40
+warmup_fraction = 0.2
+lr = 0.005
+momentum = 0.85
+train_chamfer_points = 16
+train_keep_union_gt = false
+train_topk_union_gt = false
+train_rot_lr_mult = 20.0
+train_clip_norm = 5.0
+
+"""
+
+
 class TestDumpConfig:
     def test_roundtrip_through_cli(self, tmp_path):
         out = tmp_path / "cfg.txt"
@@ -331,6 +429,27 @@ class TestDumpConfig:
         out2 = tmp_path / "cfg2.txt"
         assert run(["dump-config", "--config", out, "--out", out2]) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("text, sha256", [
+        ("", "4052d67467b0206c9c40ae04212766ca91983d095c77d7af1e700ffe5bacf11e"),
+        (_AWAY_FROM_DEFAULTS, "121fe7a8b437dd78861f1f6039817e62b7907f7ef6f789d1d3cb65d52493ddf7"),
+    ], ids=["defaults", "every_key_away"])
+    def test_dump_sha_pinned(self, tmp_path, text, sha256):
+        # the config file format: section order, key order and value spelling
+        src = tmp_path / "in.cfg"
+        src.write_text(text)
+        out = tmp_path / "out.cfg"
+        assert run(["dump-config", "--config", src, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_away_config_moves_every_key(self):
+        from dataclasses import fields
+
+        from sparsepose.config import PipelineConfig, parse_config
+
+        away, default = parse_config(_AWAY_FROM_DEFAULTS), PipelineConfig()
+        for f in fields(PipelineConfig):
+            assert getattr(away, f.name) != getattr(default, f.name), f.name
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -354,6 +473,11 @@ class TestDumpConfig:
     ("icp", "icp_trim = 0.0"), ("icp", "icp_trim = 1.5"), ("voting", "vote_top_fraction = 0.0"),
     ("voting", "dbscan_min_pts = 0"), ("voting", "dbscan_eps_mult = -1.0"),
     ("icp", "icp_corr_mult = 0.0"), ("icp", "icp_iters = -3"), ("icp", "icp_tol = -1.0"),
+    ("train", "seed = -1"), ("network", "width = 0"), ("network", "roi_width = 0"),
+    ("camera", "near = 5"), ("camera", "near = 0.05\nfar = 0.01"),
+    ("train", "train_clip_norm = 0"), ("loss", "smooth_l1_delta = 0"), ("train", "momentum = 1.5"),
+    ("objectness", "topk_min = -4"), ("objectness", "topk_max = 0"),
+    ("objectness", "topk_min = 64\ntopk_max = 32"),
 ])
 def test_bad_voting_or_icp_key_fails_before_any_work(scene_dir, tmp_path, capsys, section, line):
     bad = tmp_path / "bad.cfg"

@@ -1,7 +1,23 @@
+from dataclasses import fields
+
 import pytest
 
-from sparsepose.config import PipelineConfig, dump_config, load_config, parse_config, save_config
+from sparsepose.cli import main
+from sparsepose.config import _SECTIONS, PipelineConfig, _in_range, dump_config, load_config, parse_config
 from sparsepose.errors import ConfigError
+
+_RANGED = [(key, interval) for keys in _SECTIONS.values() for key, interval in keys.items()
+           if interval is not None]
+
+
+def _outside(key, interval):
+    """Values just outside each finite bound of `interval`, of the key's type."""
+    kind = type(getattr(PipelineConfig(), key))
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    values = [lo if interval[0] == "(" else lo - 1]
+    if hi != float("inf"):
+        values.append(hi if interval[-1] == ")" else hi + 0.5)
+    return [kind(v) for v in values]
 
 
 class TestDefaults:
@@ -36,6 +52,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(width=30, heads=4)
 
+    def test_section_table_is_complete(self):
+        placed = [key for keys in _SECTIONS.values() for key in keys]
+        assert sorted(placed) == sorted(f.name for f in fields(PipelineConfig))
+        default = PipelineConfig()
+        for keys in _SECTIONS.values():
+            for key, interval in keys.items():
+                if isinstance(getattr(default, key), bool):
+                    assert interval is None, key
+                else:
+                    assert interval is not None, key
+                    assert _in_range(getattr(default, key), interval), key
+
+    @pytest.mark.parametrize("key, interval", _RANGED, ids=[key for key, _ in _RANGED])
+    def test_each_range_rejects_values_outside(self, key, interval):
+        for value in _outside(key, interval):
+            with pytest.raises(ConfigError, match=f"^{key} must lie in "):
+                PipelineConfig(**{key: value})
+
     @pytest.mark.parametrize("overrides", [
         {"heads": 0},
         {"theta": float("nan")},
@@ -60,11 +94,13 @@ class TestRoundTrip:
 
     def test_file_roundtrip(self, tmp_path):
         cfg = PipelineConfig(seed=99, steps=7)
+        partial = tmp_path / "partial.cfg"
+        partial.write_text("[train]\nseed = 99\nsteps = 7\n")
         path = tmp_path / "pipeline.cfg"
-        save_config(cfg, path)
+        assert main(["dump-config", "--config", str(partial), "--out", str(path)]) == 0
         loaded = load_config(path)
         assert loaded == cfg
-        save_config(loaded, tmp_path / "again.cfg")
+        assert main(["dump-config", "--config", str(path), "--out", str(tmp_path / "again.cfg")]) == 0
         assert (tmp_path / "again.cfg").read_bytes() == path.read_bytes()
 
     def test_values_survive(self):

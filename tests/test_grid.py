@@ -167,7 +167,7 @@ class TestLiftAndFilter:
         """staged_forward with suppression keeping the coarse rows `kept`;
         returns the output and the features fed to the objectness net."""
         monkeypatch.setattr(pipeline, "soft_suppress",
-                            lambda scores, hp: (np.zeros(len(scores)), np.asarray(kept, dtype=np.int64)))
+                            lambda scores, *gate: (np.zeros(len(scores)), np.asarray(kept, dtype=np.int64)))
         model = pipeline.build_model(self.cfg, "cloud", seed=0)
         seen = {}
         roi, obj = model.roi, model.obj

@@ -4,7 +4,6 @@ import pytest
 from sparsepose.errors import DataError
 from sparsepose.grid import SparseVoxelGrid, voxelize
 from sparsepose.heatmap import (
-    HeatmapParams,
     SceneGroundTruth,
     adaptive_topk,
     class_weights,
@@ -42,14 +41,14 @@ class TestRoiTarget:
     def test_empty_gt_all_zero(self):
         grid = grid_from_indices([[0, 0, 0], [1, 1, 1]])
         gt = SceneGroundTruth(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64))
-        H = roi_target(grid, gt, HeatmapParams())
+        H = roi_target(grid, gt, 6.0, 4.0)
         assert np.array_equal(H, np.zeros(2))
 
     def test_voxel_on_centroid_and_surface_scores_one(self):
         grid = grid_from_indices([[0, 0, 0]])
         center = grid.centers()[0]
         gt = SceneGroundTruth(center[None, :], [center[None, :]], np.array([1]))
-        H = roi_target(grid, gt, HeatmapParams())
+        H = roi_target(grid, gt, 6.0, 4.0)
         assert H[0] == pytest.approx(1.0)
 
     def test_analytic_distance_weighting(self):
@@ -59,7 +58,7 @@ class TestRoiTarget:
         center = grid.centers()[0]
         boundary = center + np.array([2 * 0.02, 0.0, 0.0])
         gt = SceneGroundTruth(center[None, :], [boundary[None, :]], np.array([1]))
-        H = roi_target(grid, gt, HeatmapParams(sigma_c=6.0, sigma_b=4.0))
+        H = roi_target(grid, gt, sigma_c=6.0, sigma_b=4.0)
         expected = 0.5 * (1.0 + np.exp(-4.0 / 16.0))
         assert H[0] == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.8894, abs=5e-5)
@@ -70,15 +69,15 @@ class TestRoiTarget:
         c = rng.uniform(-0.1, 0.1, size=(2, 3))
         clouds = [rng.uniform(-0.1, 0.1, size=(50, 3)) for _ in range(2)]
         gt = SceneGroundTruth(c, clouds, np.array([1, 2]))
-        params = HeatmapParams()
-        H = roi_target(grid, gt, params)
+        sigma_c, sigma_b = 6.0, 4.0
+        H = roi_target(grid, gt, sigma_c, sigma_b)
         assert np.all((H >= 0) & (H <= 1))
         # recompute via the definition with explicit min distances
         pos = grid.centers() / grid.resolution
         d_c = np.min(np.linalg.norm(pos[:, None, :] - c[None] / grid.resolution, axis=2), axis=1)
         allpts = np.concatenate(clouds) / grid.resolution
         d_b = np.min(np.linalg.norm(pos[:, None, :] - allpts[None], axis=2), axis=1)
-        brute = 0.5 * (np.exp(-d_c**2 / params.sigma_c**2) + np.exp(-d_b**2 / params.sigma_b**2))
+        brute = 0.5 * (np.exp(-d_c**2 / sigma_c**2) + np.exp(-d_b**2 / sigma_b**2))
         assert np.allclose(H, brute, atol=1e-12)
 
 
@@ -112,19 +111,16 @@ class TestGaussianFocalLoss:
 
 class TestSoftSuppress:
     def test_at_epsilon_half(self):
-        params = HeatmapParams(beta=10.0, epsilon=0.3)
-        a, _ = soft_suppress(np.array([0.3]), params)
+        a, _ = soft_suppress(np.array([0.3]), beta=10.0, epsilon=0.3, kappa=0.5)
         assert a[0] == pytest.approx(0.5)
 
     def test_large_beta_step(self):
-        params = HeatmapParams(beta=1e4, epsilon=0.3)
-        a, _ = soft_suppress(np.array([0.299, 0.301]), params)
+        a, _ = soft_suppress(np.array([0.299, 0.301]), beta=1e4, epsilon=0.3, kappa=0.5)
         assert a[0] < 1e-4
         assert a[1] > 1 - 1e-4
 
     def test_analytic_keep(self):
-        params = HeatmapParams(beta=10.0, epsilon=0.3, kappa=0.5)
-        a, kept = soft_suppress(np.array([0.8]), params)
+        a, kept = soft_suppress(np.array([0.8]), beta=10.0, epsilon=0.3, kappa=0.5)
         assert a[0] == pytest.approx(1.0 / (1.0 + np.exp(-5.0)), abs=1e-9)
         assert a[0] == pytest.approx(0.99331, abs=5e-6)
         assert list(kept) == [0]
@@ -132,9 +128,8 @@ class TestSoftSuppress:
     def test_keep_set_monotone_in_kappa(self):
         rng = np.random.default_rng(2)
         scores = rng.random(200)
-        base = HeatmapParams()
-        k1 = set(soft_suppress(scores, HeatmapParams(beta=base.beta, epsilon=base.epsilon, kappa=0.3))[1])
-        k2 = set(soft_suppress(scores, HeatmapParams(beta=base.beta, epsilon=base.epsilon, kappa=0.7))[1])
+        k1 = set(soft_suppress(scores, beta=10.0, epsilon=0.3, kappa=0.3)[1])
+        k2 = set(soft_suppress(scores, beta=10.0, epsilon=0.3, kappa=0.7)[1])
         assert k2 <= k1
 
 

@@ -146,7 +146,7 @@ class TestLosses:
         rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
         compute_losses(out, small_bundle.gt, rotations, small_bundle.models, cfg)
         assert len(calls) == 1
-        expected = heatmap.roi_target(out.coarse, small_bundle.gt, pipeline.heatmap_params(cfg))
+        expected = heatmap.roi_target(out.coarse, small_bundle.gt, cfg.sigma_c, cfg.sigma_b)
         assert np.array_equal(out.roi_target, expected)
 
     def test_backward_reaches_all_heads(self, small_bundle):
