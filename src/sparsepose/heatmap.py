@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError
-from .grid import SparseVoxelGrid, lexsort_rows, pack_index
+from .grid import SparseVoxelGrid, lexsort_rows
 
 _CLAMP = 1e-6
 
@@ -115,20 +115,6 @@ def soft_suppress(pred: np.ndarray, beta: float, epsilon: float,
     return a, kept
 
 
-def objectness_target(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.ndarray:
-    """Binary target: 1 where any model point of any object falls in the
-    voxel (occupancy test by quantizing the clouds at the grid resolution)."""
-    y = np.zeros(len(grid), dtype=np.float64)
-    if gt.n_objects == 0 or len(grid) == 0:
-        return y
-    pts = gt.all_points()
-    occ = np.floor((pts - grid.origin) / grid.resolution).astype(np.int64)
-    occ_keys = np.unique(pack_index(occ))
-    rows = np.isin(grid.keys(), occ_keys)
-    y[rows] = 1.0
-    return y
-
-
 def voxel_object_assignment(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.ndarray:
     """Object index owning each voxel, -1 for background.
 
@@ -152,6 +138,12 @@ def voxel_object_assignment(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.n
     dist = np.where(tied, dist, np.inf)
     owner[occupied] = np.argmin(dist, axis=1)
     return owner
+
+
+def objectness_target(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.ndarray:
+    """Binary target: 1 on every voxel some object owns, that is every voxel
+    holding a model point."""
+    return (voxel_object_assignment(grid, gt) >= 0).astype(np.float64)
 
 
 def focal_loss(pred: np.ndarray, target: np.ndarray, gamma_f: float = 2.0, alpha_f: float = 0.25):

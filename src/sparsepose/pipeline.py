@@ -23,7 +23,6 @@ from .heatmap import (
     adaptive_topk,
     focal_loss,
     gaussian_focal_loss,
-    objectness_target,
     roi_target,
     soft_suppress,
     voxel_object_assignment,
@@ -35,7 +34,6 @@ from .tsdf import TsdfConfig, build_tsdf
 from .voting import (
     VoteSet,
     aggregate_votes,
-    attach_rotations,
     chamfer_rot_loss_graph,
     dbscan,
     icp_refine,
@@ -149,6 +147,7 @@ class StagedOutput:
     offsets: Tensor
     rot6d: Tensor
     roi_target: np.ndarray | None = None  # coarse-grid RoI target when computed in training
+    owner: np.ndarray | None = None       # lifted-grid ownership when computed in training
 
 
 def _light_grid(reference: SparseVoxelGrid, indices: np.ndarray) -> SparseVoxelGrid:
@@ -168,7 +167,9 @@ def staged_forward(
 
     In training mode the keep- and topK-selections are optionally unioned
     with ground-truth foreground so the downstream heads always see
-    supervision while the heatmaps are still warming up.
+    supervision while the heatmaps are still warming up. Training also
+    stores the RoI target and the lifted grid's ownership table, the one
+    source of every per-voxel target.
     """
     if len(fine) == 0:
         raise DataError("staged forward on an empty grid")
@@ -197,10 +198,10 @@ def staged_forward(
         lifted_feats = ad.mul(lifted_feats, gate_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_idx, lifted_feats)
     lifted_grid = _light_grid(fine, lifted_idx)
+    owner = voxel_object_assignment(lifted_grid, gt) if train and gt is not None else None
     selected, _ = adaptive_topk(obj_scores.data, lifted_idx, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
-    if train and gt is not None and cfg.train_topk_union_gt:
-        positive = np.nonzero(objectness_target(lifted_grid, gt) > 0)[0]
-        selected = np.union1d(selected, positive)
+    if owner is not None and cfg.train_topk_union_gt:
+        selected = np.union1d(selected, np.nonzero(owner >= 0)[0])
     selected_idx = lifted_idx[selected]
     selected_feats = ad.gather_rows(obj_trunk, selected)
     offsets, rot6d = model.pose(selected_idx, selected_feats, cfg.window_small, cfg.window_medium)
@@ -218,33 +219,26 @@ def staged_forward(
         offsets=offsets,
         rot6d=rot6d,
         roi_target=target,
+        owner=owner,
     )
 
 
-def multi_class_chamfer(rot6d: Tensor, R_target: np.ndarray, owner: np.ndarray,
-                        class_ids: np.ndarray, models: dict, valid: np.ndarray,
+def multi_class_chamfer(rot6d: Tensor, R_target: np.ndarray, labels: np.ndarray, models: dict,
                         n_pts: int, normalize: bool = True) -> Tensor:
     """Chamfer rotation loss across classes: per-class single-cloud losses
-    combined proportionally to their voxel counts (mean over valid voxels).
+    combined proportionally to their voxel counts (mean over the foreground
+    voxels, those whose class label is not 0).
 
     With `normalize` the per-class chamfer is divided by the squared object
     diameter, making the rotation part dimensionless and commensurate with
     the other task losses (raw squared meters are ~1e-4 for desk-scale parts
     and starve the rotation head under a shared SGD step).
     """
-    valid = np.asarray(valid, dtype=bool)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return ad.constant(0.0)
-    owner_class = np.where(owner >= 0, class_ids[np.maximum(owner, 0)], -1)
+    n_valid = int((labels > 0).sum())
     total = None
-    for cid in np.unique(owner_class[valid & (owner_class > 0)]):
-        mask = valid & (owner_class == cid)
-        n_c = int(mask.sum())
-        if n_c == 0:
-            continue
+    for cid, n_c in zip(*np.unique(labels[labels > 0], return_counts=True)):
         model = models[int(cid)]
-        part = chamfer_rot_loss_graph(rot6d, R_target, model.cloud, mask, n_pts=n_pts)
+        part = chamfer_rot_loss_graph(rot6d, R_target, model.cloud, labels == cid, n_pts=n_pts)
         scale = n_c / n_valid
         if normalize:
             scale /= model.diameter**2
@@ -275,23 +269,25 @@ def compute_losses(
     total as a graph node.
 
     `out` must come from `staged_forward(..., gt=gt, train=True)`: the RoI
-    target is read from `out.roi_target`, computed there from the same `gt`.
+    target and the ownership table are read from `out.roi_target` and
+    `out.owner`, computed there from the same `gt`. Objectness, class labels
+    (0 = background) and the selected rows' pose targets are row gathers of
+    that one table.
     """
     H = out.roi_target
     l_roi = ad.from_loss_fn(out.roi_scores, lambda p: gaussian_focal_loss(p, H, cfg.focal_alpha, cfg.focal_gamma))
 
-    y = objectness_target(out.lifted_grid, gt)
+    y = (out.owner >= 0).astype(np.float64)
     l_obj = ad.from_loss_fn(out.obj_scores, lambda p: focal_loss(p, y, cfg.obj_gamma, cfg.obj_alpha))
 
-    owner_lifted = voxel_object_assignment(out.lifted_grid, gt)
-    labels = np.where(owner_lifted >= 0, gt.class_ids[np.maximum(owner_lifted, 0)], 0)
+    labels = np.r_[0, gt.class_ids][out.owner + 1]  # owner -1 gathers class 0, background
     l_cls = ad.from_loss_fn(out.cls_logits, lambda z: weighted_cross_entropy(z, labels))
 
-    t_target, R_eye, valid, owner_sel = pose_targets(out.selected_grid, gt)
-    R_target = attach_rotations(R_eye, owner_sel, instance_rotations)
+    t_target, R_target, valid = pose_targets(out.selected_grid.centers(), out.owner[out.selected_rows], gt,
+                                             instance_rotations)
     l_t = ad.from_loss_fn(out.offsets, lambda p: smooth_l1(p, t_target, valid, cfg.smooth_l1_delta))
     n_pts = cfg.chamfer_points if chamfer_points is None else chamfer_points
-    l_rot = multi_class_chamfer(out.rot6d, R_target, owner_sel, gt.class_ids, models, valid, n_pts)
+    l_rot = multi_class_chamfer(out.rot6d, R_target, labels[out.selected_rows], models, n_pts)
 
     total = nn.multitask_loss([l_roi, l_obj, l_cls, l_t, l_rot], cfg.loss_weights)
     breakdown = LossBreakdown(
@@ -361,18 +357,14 @@ def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth, instance_rotations
     votes its exact offset and rotation with confidence 1."""
     owner = voxel_object_assignment(fine, gt)
     rows = np.nonzero(owner >= 0)[0]
-    if rows.size == 0:
-        return VoteSet(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 6)), np.zeros(0), np.zeros(0, dtype=np.int64))
     centers = fine.centers()[rows]
-    own = owner[rows]
-    offsets = gt.centroids[own] - centers
-    rot6d = matrix_to_rot6d(instance_rotations[own])
+    offsets, R, _ = pose_targets(centers, owner[rows], gt, instance_rotations)
     return VoteSet(
         voxel_centers=centers,
         offsets=offsets,
-        rot6d=rot6d,
+        rot6d=matrix_to_rot6d(R),
         confidence=np.ones(rows.size),
-        class_ids=gt.class_ids[own],
+        class_ids=gt.class_ids[owner[rows]],
     )
 
 

@@ -20,8 +20,7 @@ from scipy.spatial import cKDTree
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import SparseVoxelGrid
-from .heatmap import SceneGroundTruth, voxel_object_assignment
+from .heatmap import SceneGroundTruth
 from .ioutil import atomic_write_text
 
 
@@ -80,27 +79,18 @@ class Pose:
         self.translation = t
 
 
-def pose_targets(grid: SparseVoxelGrid, gt: SceneGroundTruth):
-    """Per-voxel supervision: offset to the owning object's centroid, the
-    object rotation, and a validity mask (background voxels are masked out
-    of both losses). Returns (t (K,3), R (K,3,3), valid (K,), owner (K,))."""
-    owner = voxel_object_assignment(grid, gt)
-    k = len(grid)
-    t = np.zeros((k, 3))
-    R = np.tile(np.eye(3), (k, 1, 1))
+def pose_targets(centers: np.ndarray, owner: np.ndarray, gt: SceneGroundTruth, rotations: np.ndarray):
+    """Per-voxel supervision from an ownership table (`owner[i]` is the
+    object owning the voxel centred at `centers[i]`, -1 for background): the
+    offset to the owner's centroid, the owner's rotation and a validity mask
+    (background voxels are masked out of both losses and keep a zero offset
+    and the identity). Returns (t (K,3), R (K,3,3), valid (K,))."""
     valid = owner >= 0
-    if valid.any():
-        centers = grid.centers()
-        t[valid] = gt.centroids[owner[valid]] - centers[valid]
-    return t, R, valid, owner
-
-
-def attach_rotations(R_all: np.ndarray, owner: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """Fill per-voxel rotation targets from per-object rotations."""
-    out = R_all.copy()
-    valid = owner >= 0
-    out[valid] = rotations[owner[valid]]
-    return out
+    t = np.zeros((len(owner), 3))
+    R = np.tile(np.eye(3), (len(owner), 1, 1))
+    t[valid] = gt.centroids[owner[valid]] - centers[valid]
+    R[valid] = rotations[owner[valid]]
+    return t, R, valid
 
 
 def smooth_l1(pred: np.ndarray, target: np.ndarray, mask: np.ndarray, delta: float = 0.01):

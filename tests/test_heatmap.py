@@ -316,7 +316,10 @@ class TestVoxelObjectAssignment:
             owner[r] = tied[np.argmin(d)]
         return owner
 
-    def test_matches_per_object_reference(self):
+    @staticmethod
+    def random_scenes():
+        """25 seeded (grid, gt) pairs: a holed 6^3 block, clouds that spill
+        past it and, with two or more objects, an equal-count tie."""
         rng = np.random.default_rng(41)
         theta = 0.01
         for trial in range(25):
@@ -335,7 +338,15 @@ class TestVoxelObjectAssignment:
                 clouds[0] = np.vstack([clouds[0], tie])
                 clouds[1] = np.vstack([clouds[1], tie])
             centroids = np.stack([c.mean(axis=0) for c in clouds])
-            gt = SceneGroundTruth(centroids, clouds, rng.integers(1, 5, size=m))
+            yield grid, SceneGroundTruth(centroids, clouds, rng.integers(1, 5, size=m))
+
+    def test_matches_per_object_reference(self):
+        for trial, (grid, gt) in enumerate(self.random_scenes()):
             owner = voxel_object_assignment(grid, gt)
             assert np.array_equal(owner, self.per_object_reference(grid, gt)), f"trial {trial}"
             assert (owner >= 0).any() and (owner < 0).any()
+
+    def test_objectness_is_ownership(self):
+        for trial, (grid, gt) in enumerate(self.random_scenes()):
+            y = objectness_target(grid, gt)
+            assert np.array_equal(y, (voxel_object_assignment(grid, gt) >= 0).astype(np.float64)), f"trial {trial}"

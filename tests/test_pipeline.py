@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
 from sparsepose.grid import SparseVoxelGrid, coarsen, pack_index
-from sparsepose.heatmap import objectness_target, voxel_object_assignment
+from sparsepose.heatmap import SceneGroundTruth, objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
 from sparsepose import pipeline
 from sparsepose.voting import VoteSet, dbscan, matrix_to_rot6d
@@ -149,6 +150,30 @@ class TestLosses:
         expected = heatmap.roi_target(out.coarse, small_bundle.gt, cfg.sigma_c, cfg.sigma_b)
         assert np.array_equal(out.roi_target, expected)
 
+    def test_ownership_computed_once_per_step(self, small_bundle, monkeypatch):
+        # the top-K union, the objectness, class and pose targets all read one
+        # ownership table of the lifted grid
+        from sparsepose import heatmap, voting
+
+        calls = []
+        original = heatmap.voxel_object_assignment
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (heatmap, pipeline, voting):
+            if getattr(module, "voxel_object_assignment", None) is original:
+                monkeypatch.setattr(module, "voxel_object_assignment", counting)
+        cfg = quick_config()
+        model = build_model(cfg, "cloud", seed=0)
+        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
+        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
+        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
+        compute_losses(out, small_bundle.gt, rotations, small_bundle.models, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(out.owner, original(out.lifted_grid, small_bundle.gt))
+
     def test_backward_reaches_all_heads(self, small_bundle):
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
@@ -174,6 +199,39 @@ class TestOraclePath:
         centers = votes.predicted_centers()
         d = np.linalg.norm(centers[:, None, :] - small_bundle.gt.centroids[None], axis=2).min(axis=1)
         assert d.max() < 1e-9
+
+    def test_oracle_votes_match_brute_force(self):
+        # voxel 0: two points of object 0, one of object 1 -> object 0;
+        # voxel 1: one point of each, a count tie -> the nearer centroid, 1;
+        # voxel 2: object 1 only; voxels 3 and 4 hold no model point
+        theta = 0.01
+        idx = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 3, 0]])
+        fine = SparseVoxelGrid(theta, np.array([0.1, -0.2, 0.0]), idx, np.ones((len(idx), 1)))
+        centers = fine.centers()
+        jitter = np.array([[0.001, 0.002, -0.003], [-0.002, 0.001, 0.002]])
+        clouds = [np.vstack([centers[0] + jitter, centers[1] + jitter[:1]]),
+                  np.vstack([centers[0] - jitter[:1], centers[1] - jitter[1:], centers[2] + jitter])]
+        centroids = np.stack([centers[1] + [0.0, 0.007, 0.0], centers[1] + [0.0, -0.004, 0.0]])
+        gt = SceneGroundTruth(centroids, clouds, np.array([3, 1]))
+        rotations = Rotation.from_rotvec([[0.0, 0.0, 0.4], [-0.7, -0.7, 0.0]]).as_matrix()
+        votes = oracle_votes(fine, gt, rotations)
+
+        rows, owners = [], []
+        for i, v in enumerate(idx):
+            counts = [int(np.all(np.floor((c - fine.origin) / theta).astype(np.int64) == v, axis=1).sum())
+                      for c in clouds]
+            if max(counts) == 0:
+                continue
+            tied = [j for j, c in enumerate(counts) if c == max(counts)]
+            rows.append(i)
+            owners.append(min(tied, key=lambda j: np.linalg.norm(centroids[j] - centers[i])))
+        assert rows == [0, 1, 2] and owners == [0, 1, 1]
+        assert np.array_equal(votes.voxel_centers, centers[rows])
+        assert np.array_equal(votes.offsets, np.stack([centroids[j] - centers[i] for i, j in zip(rows, owners)]))
+        assert np.array_equal(votes.rot6d, np.stack([np.r_[rotations[j][:, 0], rotations[j][:, 1]]
+                                                     for j in owners]))
+        assert np.array_equal(votes.confidence, np.ones(3))
+        assert np.array_equal(votes.class_ids, gt.class_ids[owners])
 
     def test_oracle_estimate_recovers_all_objects(self, small_bundle):
         cfg = quick_config(theta=0.002)
@@ -321,6 +379,27 @@ class TestTrainToy:
         _, trace_a = train_toy(small_bundle, cfg, steps=6)
         _, trace_b = train_toy(small_bundle, cfg, steps=6)
         assert [b.total for b in trace_a] == [b.total for b in trace_b]
+
+    def test_six_step_losses_pinned(self, small_bundle):
+        # every loss part of a six-step run (one warm-up step), recorded
+        # before the targets were read from one ownership table per step
+        expected = [
+            (5.917724842018119, 0.1589423234137575, 1.722952358217466, 0.24576683487656106,
+             0.011258655250084501, 0.06461580844858833),
+            (5.9174370414149635, 0.15865452281060188, 1.722952358217466, 0.24576683487656106,
+             0.011258655250084501, 0.06461580844858833),
+            (5.705712891951677, 0.15821714960653493, 1.593885110052544, 0.24574726414962492,
+             0.06995259591796334, 0.06448809613437054),
+            (5.229259617894169, 0.1577193076296862, 1.4222478493951092, 0.24571816109038072,
+             0.08307662655131358, 0.06413056024445297),
+            (4.778426954668413, 0.15716830484454275, 1.231772304730381, 0.2456805822406632,
+             0.12381772592890923, 0.06312739336467262),
+            (4.368010815874734, 0.15655339969245882, 1.0332938052629228, 0.24563317245325378,
+             0.18627520050224264, 0.061484053980270764),
+        ]
+        _, trace = train_toy(small_bundle, quick_config(steps=6), steps=6)
+        got = [(b.total, b.roi, b.obj, b.cls, b.t, b.rot) for b in trace]
+        np.testing.assert_allclose(np.array(got), np.array(expected), rtol=1e-9, atol=0.0)
 
     def test_loss_decreases_on_short_run(self, small_bundle):
         # the RoI warm-up only moves one loss part, so compare against the

@@ -4,14 +4,13 @@ from scipy.spatial import cKDTree
 
 from sparsepose.errors import DataError, NumericalError
 from sparsepose.grid import SparseVoxelGrid
-from sparsepose.heatmap import SceneGroundTruth
+from sparsepose.heatmap import SceneGroundTruth, voxel_object_assignment
 from sparsepose.voting import (
     NOISE,
     Pose,
     VoteSet,
     _kabsch,
     aggregate_votes,
-    attach_rotations,
     chamfer_rot_loss,
     chordal_mean,
     dbscan,
@@ -74,19 +73,23 @@ class TestPoseTargets:
             object_clouds=[centers[0][None, :], centers[1][None, :]],
             class_ids=np.array([1, 2]),
         )
-        return grid, gt, centers
+        rotations = np.stack([rotation_about([0, 0, 1], 0.3), rotation_about([1, 0, 0], 0.5)])
+        return grid, gt, centers, rotations
 
     def test_offset_zero_at_centroid(self):
-        grid, gt, centers = self.make_scene()
-        t, R, valid, owner = pose_targets(grid, gt)
+        grid, gt, centers, rotations = self.make_scene()
+        owner = voxel_object_assignment(grid, gt)
+        t, R, valid = pose_targets(centers, owner, gt, rotations)
         assert valid[0] and valid[1] and not valid[2]
         assert np.allclose(t[0], 0.0, atol=1e-15)
         assert np.allclose(t[1], 0.004, atol=1e-12)
 
     def test_background_masked(self):
-        grid, gt, _ = self.make_scene()
-        _, _, valid, owner = pose_targets(grid, gt)
+        grid, gt, centers, rotations = self.make_scene()
+        owner = voxel_object_assignment(grid, gt)
+        t, R, valid = pose_targets(centers, owner, gt, rotations)
         assert owner[2] == -1 and not valid[2]
+        assert np.array_equal(t[2], np.zeros(3)) and np.array_equal(R[2], np.eye(3))
 
     def test_matches_brute_force_assignment(self):
         rng = np.random.default_rng(0)
@@ -94,7 +97,8 @@ class TestPoseTargets:
         grid = SparseVoxelGrid(0.01, np.zeros(3), idx, np.ones((len(idx), 1)))
         clouds = [rng.uniform(0, 0.15, size=(40, 3)) for _ in range(3)]
         gt = SceneGroundTruth(np.stack([c.mean(axis=0) for c in clouds]), clouds, np.array([1, 2, 3]))
-        t, _, valid, owner = pose_targets(grid, gt)
+        owner = voxel_object_assignment(grid, gt)
+        t, _, valid = pose_targets(grid.centers(), owner, gt, np.tile(np.eye(3), (3, 1, 1)))
         # brute force: voxel owned by the object owning most contained points
         for i, v in enumerate(idx):
             counts = []
@@ -102,21 +106,20 @@ class TestPoseTargets:
                 inside = np.floor(cloud / 0.01).astype(np.int64)
                 counts.append(int(np.sum(np.all(inside == v, axis=1))))
             if sum(counts) == 0:
-                assert owner[i] == -1
+                assert owner[i] == -1 and not valid[i]
             else:
                 best = max(counts)
                 winners = [j for j, c in enumerate(counts) if c == best]
-                assert owner[i] in winners
+                assert owner[i] in winners and valid[i]
                 assert np.allclose(t[i], gt.centroids[owner[i]] - grid.centers()[i])
 
-    def test_attach_rotations(self):
-        R_all = np.tile(np.eye(3), (3, 1, 1))
-        owner = np.array([1, -1, 0])
-        rots = np.stack([rotation_about([0, 0, 1], 0.3), rotation_about([1, 0, 0], 0.5)])
-        out = attach_rotations(R_all, owner, rots)
-        assert np.allclose(out[0], rots[1])
-        assert np.allclose(out[1], np.eye(3))
-        assert np.allclose(out[2], rots[0])
+    def test_rotation_of_owner(self):
+        grid, gt, centers, rotations = self.make_scene()
+        _, R, valid = pose_targets(centers, np.array([1, -1, 0]), gt, rotations)
+        assert np.array_equal(valid, [True, False, True])
+        assert np.allclose(R[0], rotations[1])
+        assert np.allclose(R[1], np.eye(3))
+        assert np.allclose(R[2], rotations[0])
 
 
 class TestSmoothL1:
