@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text, json_document, read_file
 
 # Default depth validity range in meters.
 DEFAULT_NEAR = 0.05
@@ -268,8 +268,11 @@ def load_depth_png(path, scale: float) -> DepthImage:
     """Read a 16-bit grayscale PNG into a DepthImage (meters = raw * scale)."""
     if scale <= 0:
         raise DataError(f"depth scale must be positive, got {scale}")
-    with open(path, "rb") as f:
-        blob = f.read()
+    return read_file(path, "depth PNG", lambda blob: DepthImage(_decode_png(path, blob) * scale))
+
+
+def _decode_png(path, blob: bytes) -> np.ndarray:
+    """Raw 16-bit values of a grayscale PNG as float64."""
     if blob[:8] != _PNG_SIGNATURE:
         raise DataError(f"{path}: not a PNG file")
     pos = 8
@@ -284,12 +287,13 @@ def load_depth_png(path, scale: float) -> DepthImage:
         if len(payload) != length:
             raise DataError(f"{path}: truncated PNG chunk payload")
         if tag == b"IHDR":
-            width, height, bitdepth, colortype = struct.unpack(">IIBB", payload[:10])
+            if length != 13:
+                raise DataError(f"{path}: IHDR chunk of {length} bytes, expected 13")
+            width, height, bitdepth, colortype, _, _, interlace = struct.unpack(">IIBBBBB", payload)
             if bitdepth != 16:
                 raise DataError(f"{path}: expected 16-bit PNG, got bit depth {bitdepth}")
             if colortype != 0:
                 raise DataError(f"{path}: expected grayscale PNG, got color type {colortype}")
-            interlace = payload[12]
             if interlace != 0:
                 raise DataError(f"{path}: interlaced PNG not supported")
         elif tag == b"IDAT":
@@ -304,8 +308,7 @@ def load_depth_png(path, scale: float) -> DepthImage:
     if len(decompressed) != expected:
         raise DataError(f"{path}: PNG payload size mismatch")
     pixels = _unfilter_scanlines(decompressed, width, height, bpp=2)
-    raw = np.frombuffer(bytes(pixels), dtype=">u2").reshape(height, width)
-    return DepthImage(raw.astype(np.float64) * scale)
+    return np.frombuffer(bytes(pixels), dtype=">u2").reshape(height, width).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +331,18 @@ def save_camera_json(path, intr: CameraIntrinsics, extr: CameraExtrinsics, depth
 
 
 def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics, float]:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read camera JSON ({exc})") from exc
-    try:
-        intr = CameraIntrinsics(
-            fx=float(doc["fx"]),
-            fy=float(doc["fy"]),
-            cx=float(doc["cx"]),
-            cy=float(doc["cy"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-        )
-        T = np.asarray(doc["cam_to_world"], dtype=np.float64).reshape(4, 4)
-        extr = CameraExtrinsics.from_matrix(T)
-        depth_scale = float(doc["depth_scale"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed camera JSON ({exc})") from exc
-    return intr, extr, depth_scale
+    return read_file(path, "camera JSON", _camera_from_blob)
+
+
+def _camera_from_blob(blob: bytes) -> tuple[CameraIntrinsics, CameraExtrinsics, float]:
+    doc = json_document(blob)
+    intr = CameraIntrinsics(
+        fx=float(doc["fx"]),
+        fy=float(doc["fy"]),
+        cx=float(doc["cx"]),
+        cy=float(doc["cy"]),
+        width=int(doc["width"]),
+        height=int(doc["height"]),
+    )
+    extr = CameraExtrinsics.from_matrix(np.asarray(doc["cam_to_world"], dtype=np.float64).reshape(4, 4))
+    return intr, extr, float(doc["depth_scale"])

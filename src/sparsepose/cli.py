@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -169,6 +170,9 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     cfg = _config_from(args)
+    for theta in args.thetas:
+        if not 0.0 < theta < math.inf:
+            raise ConfigError(f"--thetas must be finite and above 0 millimeters, got {theta}")
     bundle = load_scene_bundle(args.scene)
     cloud = fuse_bundle(bundle, cfg)
     thetas = [t / 1000.0 for t in args.thetas]

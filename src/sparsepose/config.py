@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .ioutil import read_file
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -232,9 +233,5 @@ def parse_config(text: str, overrides: dict | None = None) -> PipelineConfig:
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     if path is None:
         return parse_config("", overrides)
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_file(path, "config file", lambda blob: blob.decode("utf-8"), ConfigError)
     return parse_config(text, overrides)

@@ -6,14 +6,13 @@ union (no deduplication; that happens implicitly at voxelization).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import DEFAULT_FAR, DEFAULT_NEAR, CameraExtrinsics, CameraIntrinsics, DepthImage, backproject
 from .errors import DataError
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, read_file
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,10 @@ def write_ply_points(path, points: np.ndarray, scalar: np.ndarray | None = None,
     atomic_write_bytes(path, ("\n".join(header) + "\n").encode("ascii") + pts.tobytes())
 
 
+# one PLY triangle: the vertex count 3, then three vertex indices
+_FACE = np.dtype([("n", "u1"), ("v", "<i4", (3,))])
+
+
 def write_ply_mesh(path, vertices: np.ndarray, faces: np.ndarray) -> None:
     """Binary little-endian PLY triangle mesh."""
     verts = np.asarray(vertices, dtype="<f4").reshape(-1, 3)
@@ -124,7 +127,7 @@ def write_ply_mesh(path, vertices: np.ndarray, faces: np.ndarray) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    face_rows = np.zeros(len(tris), dtype=[("n", "u1"), ("v", "<i4", (3,))])
+    face_rows = np.zeros(len(tris), dtype=_FACE)
     face_rows["n"] = 3
     face_rows["v"] = tris
     atomic_write_bytes(path, ("\n".join(header) + "\n").encode("ascii") + verts.tobytes() + face_rows.tobytes())
@@ -134,10 +137,14 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
     """Read a binary little-endian PLY written by this module.
 
     Returns (vertex table (N, P) float64, faces (F, 3) int64 or None,
-    vertex property names).
+    vertex property names). A body that is not exactly the declared vertices
+    and triangles, or a face index outside the vertex table, raises
+    DataError.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
+    return read_file(path, "PLY file", lambda blob: _parse_ply(path, blob))
+
+
+def _parse_ply(path, blob: bytes):
     end = blob.find(b"end_header\n")
     if not blob.startswith(b"ply") or end < 0:
         raise DataError(f"{path}: not a PLY file")
@@ -162,17 +169,16 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
                 raise DataError(f"{path}: unsupported vertex property type {parts[1]}")
             props.append(parts[2])
     body = blob[end + len(b"end_header\n"):]
-    n_props = len(props)
-    vert_bytes = n_vert * n_props * 4
-    verts = np.frombuffer(body[:vert_bytes], dtype="<f4").reshape(n_vert, n_props).astype(np.float64)
-    faces = None
-    if n_face:
-        faces = np.zeros((n_face, 3), dtype=np.int64)
-        pos = vert_bytes
-        for i in range(n_face):
-            count = body[pos]
-            if count != 3:
-                raise DataError(f"{path}: only triangle faces supported")
-            faces[i] = struct.unpack_from("<3i", body, pos + 1)
-            pos += 13
-    return verts, faces, props
+    vert_bytes = n_vert * len(props) * 4
+    if min(n_vert, n_face) < 0 or len(body) != vert_bytes + n_face * _FACE.itemsize:
+        raise DataError(f"{path}: {len(body)} bytes after the header do not hold the {n_vert} vertices "
+                        f"and {n_face} faces it declares (truncated or padded)")
+    verts = np.frombuffer(body, dtype="<f4", count=n_vert * len(props)).reshape(n_vert, len(props))
+    if not n_face:
+        return verts.astype(np.float64), None, props
+    rows = np.frombuffer(body, dtype=_FACE, offset=vert_bytes)
+    if np.any(rows["n"] != 3):
+        raise DataError(f"{path}: only triangle faces supported")
+    if rows["v"].min() < 0 or rows["v"].max() >= n_vert:
+        raise DataError(f"{path}: face vertex index outside the {n_vert} vertices")
+    return verts.astype(np.float64), rows["v"].astype(np.int64), props

@@ -80,25 +80,33 @@ def roi_target(grid: SparseVoxelGrid, gt: SceneGroundTruth, sigma_c: float,
     )
 
 
+def _focal_penalty(pred, target, gamma: float, weights):
+    """What both focal losses share. With p the prediction clamped into
+    (0, 1) and (w_pos, w_neg) = weights(target), returns the target, the
+    per-voxel penalties -w_pos (1-p)^gamma log p and -w_neg p^gamma log(1-p),
+    their derivatives in p, and the mask of predictions the clamp leaves
+    alone (the only ones with a gradient)."""
+    pred = np.asarray(pred, dtype=np.float64)
+    p = np.clip(pred, _CLAMP, 1.0 - _CLAMP)
+    y = np.asarray(target, dtype=np.float64)
+    if p.shape != y.shape:
+        raise DataError(f"prediction shape {p.shape} != target shape {y.shape}")
+    w_pos, w_neg = weights(y)
+    penalty = (-w_pos * (1.0 - p) ** gamma * np.log(p), -w_neg * p**gamma * np.log(1.0 - p))
+    slope = (-w_pos * ((1.0 - p) ** gamma / p - gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p)),
+             -w_neg * (gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p)))
+    return y, penalty, slope, (pred > _CLAMP) & (pred < 1.0 - _CLAMP)
+
+
 def gaussian_focal_loss(pred: np.ndarray, target: np.ndarray, alpha: float = 4.0, gamma: float = 2.0):
     """Gaussian focal loss, mean over voxels; returns (loss, dloss/dpred).
 
     Per voxel: -H (1-p)^gamma log p - (1-H)^alpha p^gamma log(1-p) with
     predictions clamped into (0, 1).
     """
-    p = np.clip(np.asarray(pred, dtype=np.float64), _CLAMP, 1.0 - _CLAMP)
-    h = np.asarray(target, dtype=np.float64)
-    if p.shape != h.shape:
-        raise DataError(f"prediction shape {p.shape} != target shape {h.shape}")
-    n = max(1, p.size)
-    pos = -h * (1.0 - p) ** gamma * np.log(p)
-    neg = -((1.0 - h) ** alpha) * p**gamma * np.log(1.0 - p)
-    loss = float((pos + neg).sum() / n)
-    dpos = -h * ((1.0 - p) ** gamma / p - gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p))
-    dneg = -((1.0 - h) ** alpha) * (gamma * p ** (gamma - 1.0) * np.log(1.0 - p) - p**gamma / (1.0 - p))
-    grad = (dpos + dneg) / n
-    grad = np.where((pred > _CLAMP) & (pred < 1.0 - _CLAMP), grad, 0.0)
-    return loss, grad
+    h, (pos, neg), (dpos, dneg), live = _focal_penalty(pred, target, gamma, lambda h: (h, (1.0 - h) ** alpha))
+    n = max(1, h.size)
+    return float((pos + neg).sum() / n), np.where(live, (dpos + dneg) / n, 0.0)
 
 
 def soft_suppress(pred: np.ndarray, beta: float, epsilon: float,
@@ -151,19 +159,11 @@ def focal_loss(pred: np.ndarray, target: np.ndarray, gamma_f: float = 2.0, alpha
 
     Returns (loss, dloss/dpred).
     """
-    p = np.clip(np.asarray(pred, dtype=np.float64), _CLAMP, 1.0 - _CLAMP)
-    y = np.asarray(target, dtype=np.float64)
-    if p.shape != y.shape:
-        raise DataError(f"prediction shape {p.shape} != target shape {y.shape}")
+    y, (pos, neg), (dpos, dneg), live = _focal_penalty(pred, target, gamma_f,
+                                                       lambda y: (alpha_f, 1.0 - alpha_f))
     n_pos = max(1.0, float(y.sum()))
-    pos = -alpha_f * (1.0 - p) ** gamma_f * np.log(p)
-    neg = -(1.0 - alpha_f) * p**gamma_f * np.log(1.0 - p)
     loss = float((y * pos + (1.0 - y) * neg).sum() / n_pos)
-    dpos = -alpha_f * ((1.0 - p) ** gamma_f / p - gamma_f * (1.0 - p) ** (gamma_f - 1.0) * np.log(p))
-    dneg = -(1.0 - alpha_f) * (gamma_f * p ** (gamma_f - 1.0) * np.log(1.0 - p) - p**gamma_f / (1.0 - p))
-    grad = (y * dpos + (1.0 - y) * dneg) / n_pos
-    grad = np.where((pred > _CLAMP) & (pred < 1.0 - _CLAMP), grad, 0.0)
-    return loss, grad
+    return loss, np.where(live, (y * dpos + (1.0 - y) * dneg) / n_pos, 0.0)
 
 
 def adaptive_topk(

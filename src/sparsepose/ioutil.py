@@ -1,9 +1,40 @@
-"""Atomic file writing (temp + rename) so readers never see partial output."""
+"""File I/O shared by every reader and writer: one "read this file or
+raise" helper, and atomic writing (temp + rename) so readers never see
+partial output."""
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import tempfile
+import zlib
+
+from .errors import DataError
+
+# what reading and parsing a missing, unreadable or corrupt file raises: OS
+# errors, bad UTF-8, JSON or numbers (ValueError), missing or mistyped fields
+# (LookupError, TypeError, AttributeError), short binary records
+# (struct.error) and broken deflate streams (zlib.error)
+_CORRUPT = (OSError, ValueError, LookupError, TypeError, AttributeError, struct.error, zlib.error)
+
+
+def read_file(path, what: str, parse, error=DataError):
+    """Read `path` and return `parse(blob)` of its bytes. A file that cannot
+    be read, or whose bytes `parse` trips over, raises one `error` that names
+    the file and `what` it should hold; errors `parse` raises on purpose
+    pass through unchanged."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+        return parse(blob)
+    except _CORRUPT as exc:
+        raise error(f"{path}: cannot read {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def json_document(blob: bytes):
+    """A UTF-8 JSON document."""
+    return json.loads(blob.decode("utf-8"))
 
 
 def _default_mode() -> int:

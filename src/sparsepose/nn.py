@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
 from .grid import SparseVoxelGrid, coarsen, pack_index, partition_indices
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, read_file
 
 _STENCIL = np.array(
     [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
@@ -507,11 +507,10 @@ def save_checkpoint(path, params: "OrderedDict[str, Tensor]") -> None:
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     """Read a checkpoint written by `save_checkpoint`; a missing, truncated
     or otherwise malformed file raises DataError."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    return read_file(path, "checkpoint", lambda blob: _parse_checkpoint(path, blob))
+
+
+def _parse_checkpoint(path, blob: bytes) -> "OrderedDict[str, np.ndarray]":
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     pos = 8
@@ -531,10 +530,7 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     out: OrderedDict[str, np.ndarray] = OrderedDict()
     for _ in range(count):
         (name_len,) = unpack("<H")
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: corrupt parameter name at byte {pos - name_len}") from exc
+        name = take(name_len).decode("utf-8")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}q")
         if any(dim < 0 for dim in shape):

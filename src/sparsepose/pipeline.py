@@ -5,7 +5,6 @@ pass, the toy training loop and the voting-based pose estimation path.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .heatmap import (
     voxel_object_assignment,
     weighted_cross_entropy,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_document, read_file
 from .synthetic import SceneBundle
 from .tsdf import TsdfConfig, build_tsdf
 from .voting import (
@@ -117,14 +116,8 @@ def save_model(path, model: PipelineModel) -> None:
 
 
 def load_model(path, cfg: PipelineConfig) -> PipelineModel:
-    meta_path = str(path) + ".json"
-    if not os.path.exists(meta_path):
-        raise DataError(f"missing checkpoint metadata {meta_path}")
-    try:
-        with open(meta_path) as f:
-            representation = json.load(f)["representation"]
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 decoding
-        raise DataError(f"malformed checkpoint metadata {meta_path}: {exc}") from exc
+    representation = read_file(str(path) + ".json", "checkpoint metadata",
+                               lambda blob: json_document(blob)["representation"])
     model = build_model(cfg, representation)
     nn.assign_parameters(model.parameters(), nn.load_checkpoint(path))
     return model

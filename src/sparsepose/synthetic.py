@@ -23,7 +23,7 @@ from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage, load_camera_
 from .errors import DataError
 from .fusion import Workspace, read_ply, write_ply_mesh
 from .heatmap import SceneGroundTruth
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_document, read_file
 
 CLOUD_POINTS = 2048
 _CLOUD_SEED_BASE = 1000
@@ -680,12 +680,7 @@ class SceneBundle:
 
 
 def load_scene_bundle(path) -> SceneBundle:
-    scene_path = os.path.join(path, "scene.json")
-    try:
-        with open(scene_path) as f:
-            scene_doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{scene_path}: cannot read scene bundle ({exc})") from exc
+    scene_doc = read_file(os.path.join(path, "scene.json"), "scene bundle", json_document)
     try:
         depth_scale = float(scene_doc["depth_scale"])
         models: dict[int, ObjectModel] = {}
@@ -706,11 +701,7 @@ def load_scene_bundle(path) -> SceneBundle:
             depths.append(load_depth_png(os.path.join(path, f"depth_{i:02d}.png"), cam_scale))
             cameras.append((intr, extr))
         gt_path = os.path.join(path, "gt.json")
-        try:
-            with open(gt_path) as f:
-                gt_doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"{gt_path}: cannot read ground truth ({exc})") from exc
+        gt_doc = read_file(gt_path, "ground truth", json_document)
         centroids, clouds, class_ids, instances = [], [], [], []
         for obj in gt_doc["objects"]:
             cid = int(obj["class_id"])

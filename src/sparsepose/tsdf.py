@@ -17,7 +17,7 @@ from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
 from .fusion import FusedPointCloud
 from .grid import pack_index, unpack_index
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, read_file
 
 # magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
 # origin[3], block_count; the dump layout is described in SparseTsdf
@@ -233,11 +233,10 @@ class SparseTsdf:
 
     @classmethod
     def load(cls, path) -> "SparseTsdf":
-        try:
-            with open(path, "rb") as f:
-                blob = f.read()
-        except OSError as exc:
-            raise DataError(f"{path}: cannot read sparse TSDF dump ({exc})") from exc
+        return read_file(path, "sparse TSDF dump", lambda blob: cls._parse(path, blob))
+
+    @classmethod
+    def _parse(cls, path, blob: bytes) -> "SparseTsdf":
         if len(blob) < _HEADER.size or blob[:8] != cls.MAGIC:
             raise DataError(f"{path}: not a sparse TSDF dump")
         _, block_size, L, voxel_size, trunc, cap, ox, oy, oz, n_blocks = _HEADER.unpack_from(blob)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
 from .heatmap import SceneGroundTruth
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_document, read_file
 
 
 @dataclass(frozen=True)
@@ -504,22 +504,18 @@ def write_pose_json(path, poses: list[Pose], seed: int | None = None) -> None:
 
 
 def read_pose_json(path) -> list[Pose]:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read pose JSON ({exc})") from exc
-    try:
-        return [
-            Pose(
-                rotation=np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3),
-                translation=np.asarray(entry["translation"], dtype=np.float64),
-                class_id=int(entry["class_id"]),
-                confidence=float(entry.get("confidence", 1.0)),
-                support=int(entry.get("support", 1)),
-                refined=bool(entry.get("refined", False)),
-            )
-            for entry in doc.get("poses", [])
-        ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed pose JSON ({type(exc).__name__}: {exc})") from exc
+    return read_file(path, "pose JSON", _poses_from_blob)
+
+
+def _poses_from_blob(blob: bytes) -> list[Pose]:
+    return [
+        Pose(
+            rotation=np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3),
+            translation=np.asarray(entry["translation"], dtype=np.float64),
+            class_id=int(entry["class_id"]),
+            confidence=float(entry.get("confidence", 1.0)),
+            support=int(entry.get("support", 1)),
+            refined=bool(entry.get("refined", False)),
+        )
+        for entry in json_document(blob).get("poses", [])
+    ]

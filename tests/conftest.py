@@ -31,3 +31,13 @@ def small_bundle_dir(tmp_path_factory):
     spec, lib = small_scene_spec(seed=22)
     export_scene_bundle(spec, lib, out)
     return out
+
+
+@pytest.fixture(scope="session")
+def tiny_bundle_dir(tmp_path_factory):
+    """A one-object bundle of three 80x60 views: cheap enough to run every
+    command on many corrupted copies."""
+    out = tmp_path_factory.mktemp("tiny_scene") / "scene"
+    spec, lib = small_scene_spec(seed=5, n_objects=1, width=80, height=60, focal=76.0)
+    export_scene_bundle(spec, lib, out)
+    return out
