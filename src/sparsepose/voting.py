@@ -81,7 +81,7 @@ class Pose:
 
 def pose_targets(centers: np.ndarray, owner: np.ndarray, gt: SceneGroundTruth, rotations: np.ndarray):
     """Per-voxel supervision from an ownership table (`owner[i]` is the
-    object owning the voxel centred at `centers[i]`, -1 for background): the
+    object owning the voxel centered at `centers[i]`, -1 for background): the
     offset to the owner's centroid, the owner's rotation and a validity mask
     (background voxels are masked out of both losses and keep a zero offset
     and the identity). Returns (t (K,3), R (K,3,3), valid (K,))."""
