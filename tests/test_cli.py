@@ -93,6 +93,13 @@ class TestFuse:
     def test_missing_scene_data_error(self, tmp_path):
         assert run(["fuse", tmp_path / "missing"]) == 3
 
+    def test_cloud_ply_sha_pinned(self, tiny_bundle_dir, tmp_path):
+        # the fused cloud's PLY: header, point order and float32 values
+        out = tmp_path / "fused.ply"
+        assert run(["fuse", tiny_bundle_dir, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "c5ac490f30183cdc861d7363a493dcff81c30ef81e889062749e18f28836512d"
+
 
 class TestTargets:
     def test_csv_dumps(self, scene_dir, tmp_path):
@@ -167,6 +174,12 @@ class TestEstimateAndEval:
         assert report["n_objects"] == 2
         for entry in report["per_object"]:
             assert entry["add_s"] < 0.002
+
+    def test_oracle_pose_json_sha_pinned(self, tiny_bundle_dir, tmp_path):
+        out = tmp_path / "poses"
+        assert run(["estimate", tiny_bundle_dir, "--oracle", "--out", out]) == 0
+        assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == \
+            "7e7dc43ef15559e79997caeea001654ba0ab4293023dc4877e2d30ca0f87da91"
 
     def test_estimate_without_model_or_oracle_is_config_error(self, scene_dir):
         assert run(["estimate", scene_dir]) == 2
