@@ -43,7 +43,7 @@ print(f"\nproject(backproject) pixel error: {err:.2e} px (exact by construction)
 cloud = fuse_views(depths, spec.cameras, spec.workspace)
 print(f"fused cloud: {len(cloud)} points from {len(depths)} views")
 ply = os.path.join(out_dir, "fused.ply")
-write_ply_points(ply, cloud.points)
+write_ply_points(ply, cloud)
 print(f"wrote {ply}")
 
 # -- 16-bit depth PNG round trip ---------------------------------------------

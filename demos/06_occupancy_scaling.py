@@ -21,7 +21,7 @@ cloud = fuse_views(depths, spec.cameras, workspace)
 print(f"fused {len(cloud)} points from {len(depths)} views\n")
 
 thetas = [0.008, 0.004, 0.002, 0.001]
-rows = occupancy_stats(cloud.points - workspace.min_corner, workspace.extent, thetas)
+rows = occupancy_stats(cloud - workspace.min_corner, workspace.extent, thetas)
 print(f"{'theta':>8} {'sparse':>10} {'dense':>12} {'ratio':>9}")
 for r in rows:
     print(f"{r['theta_mm']:6.1f} mm {r['sparse']:10d} {r['dense']:12d} {100*r['ratio']:8.3f}%")

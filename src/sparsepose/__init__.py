@@ -9,7 +9,7 @@ voting with DBSCAN clustering and per-cluster ICP refinement.
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage, backproject, project
 from .config import PipelineConfig, load_config
-from .fusion import FusedPointCloud, Workspace, fuse_views
+from .fusion import Workspace, fuse_views
 from .grid import SparseVoxelGrid, coarsen, voxelize
 from .heatmap import SceneGroundTruth
 from .synthetic import make_primitives, sample_scene
@@ -22,7 +22,6 @@ __all__ = [
     "CameraExtrinsics",
     "CameraIntrinsics",
     "DepthImage",
-    "FusedPointCloud",
     "PipelineConfig",
     "Pose",
     "SceneGroundTruth",

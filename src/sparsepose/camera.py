@@ -24,6 +24,17 @@ DEFAULT_NEAR = 0.05
 DEFAULT_FAR = 5.0
 
 
+def check_rotation(R, what: str) -> np.ndarray:
+    """`R` as a (3, 3) float64 array if it is a rotation: finite, orthonormal
+    within 1e-9 and det +1 (right-handed). Anything else raises DataError
+    naming `what`."""
+    R = np.asarray(R, dtype=np.float64).reshape(3, 3)
+    if not (np.isfinite(R).all() and np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9
+            and abs(np.linalg.det(R) - 1.0) <= 1e-9):
+        raise DataError(f"{what} is not a rotation (finite, orthonormal within 1e-9, det +1)")
+    return R
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics: focal lengths, principal point, image size (pixels)."""
@@ -48,17 +59,6 @@ class CameraIntrinsics:
             dtype=np.float64,
         )
 
-    def inverse_matrix(self) -> np.ndarray:
-        """Closed-form K^-1 (exact, avoids a linear solve)."""
-        return np.array(
-            [
-                [1.0 / self.fx, 0.0, -self.cx / self.fx],
-                [0.0, 1.0 / self.fy, -self.cy / self.fy],
-                [0.0, 0.0, 1.0],
-            ],
-            dtype=np.float64,
-        )
-
 
 @dataclass(frozen=True)
 class CameraExtrinsics:
@@ -68,14 +68,9 @@ class CameraExtrinsics:
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "rotation", check_rotation(self.rotation, "extrinsic rotation"))
         object.__setattr__(self, "translation", t)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9:
-            raise DataError("extrinsic rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(R) - 1.0) > 1e-9:
-            raise DataError("extrinsic rotation must have det +1 (right-handed)")
 
     def matrix(self) -> np.ndarray:
         """4x4 camera-to-world matrix."""
@@ -87,13 +82,6 @@ class CameraExtrinsics:
     def inverse(self) -> "CameraExtrinsics":
         """World-to-camera transform as extrinsics."""
         return CameraExtrinsics(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def compose(self, other: "CameraExtrinsics") -> "CameraExtrinsics":
-        """self after other: maps x -> self(other(x))."""
-        return CameraExtrinsics(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
     @staticmethod
     def identity() -> "CameraExtrinsics":

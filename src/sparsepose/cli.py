@@ -81,7 +81,7 @@ def cmd_fuse(args) -> int:
     if args.repr == "cloud":
         cloud = fuse_bundle(bundle, cfg)
         out = args.out or os.path.join(args.scene, "fused.ply")
-        write_ply_points(out, cloud.points)
+        write_ply_points(out, cloud)
         print(f"fused {len(cloud)} points -> {out} (seed={cfg.seed})")
     else:
         # the fine grid holds one voxel per band voxel: both share the voxel
@@ -176,7 +176,7 @@ def cmd_stats(args) -> int:
     bundle = load_scene_bundle(args.scene)
     cloud = fuse_bundle(bundle, cfg)
     thetas = [t / 1000.0 for t in args.thetas]
-    rows = occupancy_stats(cloud.points - bundle.workspace.min_corner, bundle.workspace.extent, thetas)
+    rows = occupancy_stats(cloud - bundle.workspace.min_corner, bundle.workspace.extent, thetas)
     out = args.out or os.path.join(args.scene, "occupancy.csv")
     atomic_write_text(out, f"# seed={cfg.seed}\n" + occupancy_csv(rows))
     for r in rows:

@@ -39,53 +39,26 @@ class Workspace:
         return np.all((p >= self.min_corner) & (p < self.max_corner), axis=1)
 
 
-@dataclass(frozen=True)
-class FusedPointCloud:
-    """World-frame points with their source view index; may be empty."""
-
-    points: np.ndarray      # (N, 3) float64, meters
-    source_view: np.ndarray  # (N,) int32
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        s = np.asarray(self.source_view, dtype=np.int32).reshape(-1)
-        if p.shape[0] != s.shape[0]:
-            raise DataError("points / source_view row count mismatch")
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "source_view", s)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @staticmethod
-    def empty() -> "FusedPointCloud":
-        return FusedPointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
-
-
 def fuse_views(
     depths: list[DepthImage],
     cams: list[tuple[CameraIntrinsics, CameraExtrinsics]],
     workspace: Workspace,
     near: float = DEFAULT_NEAR,
     far: float = DEFAULT_FAR,
-) -> FusedPointCloud:
-    """Back-project every view and concatenate, cropped to the workspace.
+) -> np.ndarray:
+    """Back-project every view and concatenate, cropped to the workspace:
+    the world-frame cloud as (N, 3) float64 meters.
 
     Point order is deterministic: view-major, then row-major within a view.
-    No valid points is a legitimate outcome and yields an empty cloud.
+    No valid points is a legitimate outcome and yields an empty (0, 3) cloud.
     """
     if len(depths) != len(cams) or len(depths) < 1:
         raise DataError(f"need equally many depths and cameras (>= 1), got {len(depths)} / {len(cams)}")
     chunks = []
-    views = []
-    for i, (depth, (intr, extr)) in enumerate(zip(depths, cams)):
+    for depth, (intr, extr) in zip(depths, cams):
         pts = backproject(depth, intr, extr, near=near, far=far)
-        pts = pts[workspace.contains(pts)]
-        chunks.append(pts)
-        views.append(np.full(len(pts), i, dtype=np.int32))
-    if not chunks:
-        return FusedPointCloud.empty()
-    return FusedPointCloud(np.concatenate(chunks, axis=0), np.concatenate(views))
+        chunks.append(pts[workspace.contains(pts)])
+    return np.concatenate(chunks, axis=0)
 
 
 # ---------------------------------------------------------------------------

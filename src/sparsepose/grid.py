@@ -15,6 +15,14 @@ import numpy as np
 from .errors import DataError
 
 
+# The 27 offsets of the 3x3x3 neighbourhood in lexicographic order; offset o
+# and offset 26 - o are mirror images.
+STENCIL = np.array(
+    [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
+    dtype=np.int64,
+)
+
+
 def lexsort_rows(indices: np.ndarray) -> np.ndarray:
     """Order that sorts integer index rows lexicographically by (x, y, z)."""
     idx = np.asarray(indices)

@@ -7,8 +7,6 @@ distances.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -56,40 +54,37 @@ def auc(errors, max_threshold: float = 0.1, steps: int = 100) -> float:
     return float(acc.mean())
 
 
-def mssd(R_est, t_est, R_gt, t_gt, vertices, symmetries) -> float:
-    """Maximum symmetry-aware surface distance: min over the symmetry set of
-    the max vertex distance between the estimate and the symmetry-adjusted
-    ground truth."""
+def _symmetric_max_distance(R_est, t_est, R_gt, t_gt, vertices, symmetries, name: str, view) -> float:
+    """Min over the symmetry set of the max distance between the estimated
+    and the symmetry-adjusted ground-truth vertex placements, each mapped
+    through `view` (identity for MSSD, the pixel projection for MSPD)."""
     v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     if len(v) == 0:
-        raise DataError("MSSD needs model vertices")
+        raise DataError(f"{name} needs model vertices")
     syms = list(symmetries) if len(symmetries) else [np.eye(3)]
-    est = v @ np.asarray(R_est).T + np.asarray(t_est)
+    est = view(v @ np.asarray(R_est).T + np.asarray(t_est))
     best = np.inf
     R_gt = np.asarray(R_gt)
     t_gt = np.asarray(t_gt)
     for s in syms:
-        gt = (v @ np.asarray(s).T) @ R_gt.T + t_gt
+        gt = view((v @ np.asarray(s).T) @ R_gt.T + t_gt)
         best = min(best, float(np.linalg.norm(est - gt, axis=1).max()))
     return best
+
+
+def mssd(R_est, t_est, R_gt, t_gt, vertices, symmetries) -> float:
+    """Maximum symmetry-aware surface distance: min over the symmetry set of
+    the max vertex distance between the estimate and the symmetry-adjusted
+    ground truth."""
+    return _symmetric_max_distance(R_est, t_est, R_gt, t_gt, vertices, symmetries, "MSSD", lambda p: p)
 
 
 def mspd(R_est, t_est, R_gt, t_gt, vertices, symmetries,
          intr: CameraIntrinsics, extr: CameraExtrinsics) -> float:
     """MSSD's projected twin: distances measured in pixels after projecting
     both placements into the camera."""
-    v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    if len(v) == 0:
-        raise DataError("MSPD needs model vertices")
-    syms = list(symmetries) if len(symmetries) else [np.eye(3)]
-    est_px = project(v @ np.asarray(R_est).T + np.asarray(t_est), intr, extr)[0]
-    best = np.inf
-    R_gt = np.asarray(R_gt)
-    t_gt = np.asarray(t_gt)
-    for s in syms:
-        gt_px = project((v @ np.asarray(s).T) @ R_gt.T + t_gt, intr, extr)[0]
-        best = min(best, float(np.linalg.norm(est_px - gt_px, axis=1).max()))
-    return best
+    return _symmetric_max_distance(R_est, t_est, R_gt, t_gt, vertices, symmetries, "MSPD",
+                                   lambda p: project(p, intr, extr)[0])
 
 
 def recall_curve(errors, thresholds) -> np.ndarray:
@@ -195,22 +190,12 @@ def evaluate_scene(estimates, gt, models, camera=None) -> dict:
 
 
 def write_metric_csv(path, report: dict, seed: int | None = None) -> None:
-    buf = io.StringIO()
-    if seed is not None:
-        buf.write(f"# seed={seed}\n")
-    buf.write("object_id,class_id,matched,add_m,add_s_m,mssd_m,mspd_px\n")
-    writer = csv.writer(buf)
-    for i, entry in enumerate(report["per_object"]):
-        writer.writerow([
-            i,
-            entry["class_id"],
-            entry["matched"],
-            f"{entry['add']:.9g}",
-            f"{entry['add_s']:.9g}",
-            f"{entry['mssd']:.9g}",
-            f"{entry['mspd']:.9g}",
-        ])
-    atomic_write_text(path, buf.getvalue())
+    lines = [] if seed is None else [f"# seed={seed}"]
+    lines.append("object_id,class_id,matched,add_m,add_s_m,mssd_m,mspd_px")
+    for i, e in enumerate(report["per_object"]):
+        lines.append(f"{i},{e['class_id']},{e['matched']},{e['add']:.9g},{e['add_s']:.9g},"
+                     f"{e['mssd']:.9g},{e['mspd']:.9g}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_metric_json(path, report: dict, seed: int | None = None) -> None:

@@ -22,13 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import SparseVoxelGrid, coarsen, pack_index, partition_indices
+from .grid import STENCIL, SparseVoxelGrid, coarsen, pack_index, partition_indices
 from .ioutil import atomic_write_bytes, read_file
-
-_STENCIL = np.array(
-    [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-    dtype=np.int64,
-)
 
 
 class Module:
@@ -218,7 +213,7 @@ class DualBranchBlock(Module):
 class ConvPairs:
     """Kernel map of a 3x3x3 stencil over a fixed sparse index set.
 
-    `nbr[i, o]` is the row of the active voxel at `indices[i] + _STENCIL[o]`,
+    `nbr[i, o]` is the row of the active voxel at `indices[i] + STENCIL[o]`,
     or `n` when that neighbor is inactive; row `n` of a padded feature matrix
     is all zeros, so one fancy-index gather reads every tap of every voxel.
     Offset `o` and offset `26 - o` are mirror images, so `nbr[i, o] == j`
@@ -232,7 +227,7 @@ class ConvPairs:
         keys = pack_index(idx)
         order = np.argsort(keys)
         keys_sorted = keys[order]
-        wanted = pack_index((idx[:, None, :] + _STENCIL[None, :, :]).reshape(-1, 3))
+        wanted = pack_index((idx[:, None, :] + STENCIL[None, :, :]).reshape(-1, 3))
         pos = np.minimum(np.searchsorted(keys_sorted, wanted), max(0, n - 1))
         self.nbr = np.where(keys_sorted[pos] == wanted, order[pos], n).reshape(n, 27)
 
@@ -306,7 +301,7 @@ class SubmanifoldConv3(Module):
 
 
 # ---------------------------------------------------------------------------
-# Pooling helpers for the toy U-Net (mean pool down, copy up)
+# Pooling for the toy U-Net (mean pool down; copying up is a row gather)
 # ---------------------------------------------------------------------------
 
 
@@ -314,10 +309,6 @@ def mean_pool(x: Tensor, parent_row: np.ndarray, n_parents: int) -> Tensor:
     counts = np.bincount(parent_row, minlength=n_parents).astype(np.float64)
     summed = ad.scatter_add_rows(x, parent_row, n_parents)
     return ad.mul(summed, ad.constant(1.0 / np.maximum(counts, 1.0)[:, None]))
-
-
-def unpool(x: Tensor, parent_row: np.ndarray) -> Tensor:
-    return ad.gather_rows(x, parent_row)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +341,7 @@ class RoiUNet(Module):
         down = mean_pool(x, parent_row, len(parent))
         down_pairs = ConvPairs(parent.indices)
         down = ad.relu(self.down_conv(down, down_pairs))
-        up = unpool(down, parent_row)
+        up = ad.gather_rows(down, parent_row)
         x = ad.add(x, self.up_fuse(ad.concat([x, up], axis=1)))
         x = ad.add(x, ad.relu(self.out_conv(x, pairs)))
         scores = ad.sigmoid(ad.reshape(self.head(x), (len(grid),)))

@@ -15,7 +15,7 @@ from . import nn
 from .autodiff import Tensor
 from .config import PipelineConfig
 from .errors import DataError
-from .fusion import FusedPointCloud, fuse_views
+from .fusion import fuse_views
 from .grid import SparseVoxelGrid, coarsen, pack_index, voxelize
 from .heatmap import (
     SceneGroundTruth,
@@ -45,7 +45,8 @@ from .voting import (
 N_CLASSES = 4  # part library size; background is class 0
 
 
-def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> FusedPointCloud:
+def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
+    """The bundle's fused world-frame cloud, (N, 3) meters."""
     return fuse_views(bundle.depths, bundle.cameras, bundle.workspace, near=cfg.near, far=cfg.far)
 
 
@@ -57,7 +58,7 @@ def _input_points(bundle: SceneBundle, cfg: PipelineConfig, representation: str)
     """
     cloud = fuse_bundle(bundle, cfg)
     if representation == "cloud":
-        return cloud, cloud.points, None
+        return cloud, cloud, None
     if representation != "tsdf":
         raise DataError(f"unknown representation '{representation}' (use cloud or tsdf)")
     tsdf_cfg = TsdfConfig(
@@ -82,22 +83,14 @@ def build_input_grid(bundle: SceneBundle, cfg: PipelineConfig, representation: s
 
 
 @dataclass
-class PipelineModel:
+class PipelineModel(nn.Module):
+    """The three networks; parameters are named `roi.*`, `obj.*`, `pose.*`."""
+
     roi: nn.RoiUNet
     obj: nn.ObjectnessNet
     pose: nn.PoseNet
     in_channels: int
     representation: str
-
-    def parameters(self):
-        from collections import OrderedDict
-
-        out = OrderedDict()
-        for prefix, module in (("roi.", self.roi), ("obj.", self.obj), ("pose.", self.pose)):
-            for name, p in module.parameters().items():
-                p.name = prefix + name
-                out[prefix + name] = p
-        return out
 
 
 def build_model(cfg: PipelineConfig, representation: str, seed: int | None = None) -> PipelineModel:
@@ -129,7 +122,6 @@ class StagedOutput:
 
     coarse: SparseVoxelGrid
     roi_scores: Tensor
-    attention: np.ndarray
     kept_coarse_rows: np.ndarray
     lifted_grid: SparseVoxelGrid       # indices of the surviving fine voxels
     lifted_fine_rows: np.ndarray
@@ -168,8 +160,7 @@ def staged_forward(
         raise DataError("staged forward on an empty grid")
     coarse, parent_row = coarsen(fine, cfg.coarse_factor)
     roi_scores, roi_trunk = model.roi(coarse)
-    attention, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon,
-                                    cfg.suppress_kappa)
+    _, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
     target = roi_target(coarse, gt, cfg.sigma_c, cfg.sigma_b) if train and gt is not None else None
     if target is not None and cfg.train_keep_union_gt:
         kept = np.union1d(kept, np.nonzero(target > cfg.suppress_kappa)[0])
@@ -201,7 +192,6 @@ def staged_forward(
     return StagedOutput(
         coarse=coarse,
         roi_scores=roi_scores,
-        attention=attention,
         kept_coarse_rows=kept,
         lifted_grid=lifted_grid,
         lifted_fine_rows=fine_rows,
@@ -466,7 +456,7 @@ def estimate_poses(
             raise DataError("estimate needs a trained model or oracle mode")
         out = staged_forward(model, fine, cfg, train=False)
         votes = predicted_votes(out)
-    scene_points = cloud.points
+    scene_points = cloud
     if cfg.icp_use_pbar and tsdf is not None:
         # near-zero-crossing band voxels stand in for the observed surface
         near = pts[np.abs(pts[:, 3]) < 0.25]

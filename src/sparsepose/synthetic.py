@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage, load_camera_json, load_depth_png, save_camera_json, save_depth_png
+from .camera import (CameraExtrinsics, CameraIntrinsics, DepthImage, check_rotation, load_camera_json,
+                     load_depth_png, save_camera_json, save_depth_png)
 from .errors import DataError
 from .fusion import Workspace, read_ply, write_ply_mesh
 from .heatmap import SceneGroundTruth
@@ -222,35 +223,6 @@ def make_tube_mesh(r_out: float = 0.010, r_in: float = 0.006, height: float = 0.
     return Mesh(verts, np.asarray(faces, dtype=np.int64))
 
 
-def make_uv_sphere_mesh(radius: float, rings: int = 24, segments: int = 48) -> Mesh:
-    """Tessellated sphere (test helper for the analytic ray-cast oracle)."""
-    verts = [[0.0, 0.0, radius]]
-    for i in range(1, rings):
-        phi = np.pi * i / rings
-        for j in range(segments):
-            theta = 2.0 * np.pi * j / segments
-            verts.append([
-                radius * np.sin(phi) * np.cos(theta),
-                radius * np.sin(phi) * np.sin(theta),
-                radius * np.cos(phi),
-            ])
-    verts.append([0.0, 0.0, -radius])
-    south = len(verts) - 1
-    faces = []
-    for j in range(segments):
-        faces.append([0, 1 + j, 1 + (j + 1) % segments])
-    for i in range(rings - 2):
-        row0 = 1 + i * segments
-        row1 = row0 + segments
-        for j in range(segments):
-            j2 = (j + 1) % segments
-            faces += [[row0 + j, row1 + j, row1 + j2], [row0 + j, row1 + j2, row0 + j2]]
-    row = 1 + (rings - 2) * segments
-    for j in range(segments):
-        faces.append([south, row + (j + 1) % segments, row + j])
-    return Mesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
-
-
 @dataclass(frozen=True)
 class ObjectModel:
     """A known part: mesh, canonical surface cloud, declared symmetry set."""
@@ -297,10 +269,6 @@ def make_primitives() -> dict[str, ObjectModel]:
         "notched_cylinder": _model(3, "notched_cylinder", make_notched_cylinder_mesh(), _z_rotations(36)),
         "tube": _model(4, "tube", make_tube_mesh(), _z_rotations(36)),
     }
-
-
-def library_by_class(library: dict[str, ObjectModel]) -> dict[int, ObjectModel]:
-    return {m.class_id: m for m in library.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -569,23 +537,6 @@ def render_depth(spec: SceneSpec, library: dict[str, ObjectModel], view: int) ->
     return DepthImage(depth)
 
 
-def ray_sphere_depth(intr: CameraIntrinsics, extr: CameraExtrinsics, center, radius: float) -> np.ndarray:
-    """Analytic per-pixel depth of a sphere (oracle for the rasterizer)."""
-    gu, gv = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
-    dirs = np.stack([(gu - intr.cx) / intr.fx, (gv - intr.cy) / intr.fy, np.ones_like(gu, dtype=np.float64)], axis=-1)
-    c_cam = (np.asarray(center, dtype=np.float64) - extr.translation) @ extr.rotation
-    a = np.sum(dirs * dirs, axis=-1)
-    b = -2.0 * dirs @ c_cam
-    c = float(c_cam @ c_cam) - radius * radius
-    disc = b * b - 4 * a * c
-    depth = np.zeros((intr.height, intr.width))
-    hit = disc >= 0
-    lam = (-b[hit] - np.sqrt(disc[hit])) / (2 * a[hit])
-    lam[lam <= 0] = 0.0
-    depth[hit] = lam
-    return depth
-
-
 # ---------------------------------------------------------------------------
 # Ground truth and scene bundles
 # ---------------------------------------------------------------------------
@@ -703,9 +654,9 @@ def load_scene_bundle(path) -> SceneBundle:
         gt_path = os.path.join(path, "gt.json")
         gt_doc = read_file(gt_path, "ground truth", json_document)
         centroids, clouds, class_ids, instances = [], [], [], []
-        for obj in gt_doc["objects"]:
+        for i, obj in enumerate(gt_doc["objects"]):
             cid = int(obj["class_id"])
-            R = np.asarray(obj["rotation"], dtype=np.float64).reshape(3, 3)
+            R = check_rotation(obj["rotation"], f"{gt_path}: object {i} rotation")
             t = np.asarray(obj["translation"], dtype=np.float64)
             if cid not in models:
                 raise DataError(f"{gt_path}: object references unknown class {cid}")

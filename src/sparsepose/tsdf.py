@@ -15,8 +15,7 @@ import numpy as np
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
-from .fusion import FusedPointCloud
-from .grid import pack_index, unpack_index
+from .grid import STENCIL, pack_index, unpack_index
 from .ioutil import atomic_write_bytes, read_file
 
 # magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
@@ -31,11 +30,6 @@ def _block_dtype(L: int) -> np.dtype:
 # Voxels per integration / extraction step: whole blocks, about 2^15
 # voxels (8 blocks at L = 16), so a step's temporaries stay in cache.
 _CHUNK_VOXELS = 1 << 15
-
-_NEIGHBOR_OFFSETS = np.array(
-    [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-    dtype=np.int64,
-)
 
 
 @dataclass(frozen=True)
@@ -68,25 +62,26 @@ class TsdfConfig:
         return self.voxels_per_side * self.voxel_size
 
 
-def activate_blocks(cloud: FusedPointCloud, cfg: TsdfConfig, origin) -> np.ndarray:
-    """Blocks intersected by the surface observation, dilated by their
-    26-neighborhood so the +-truncation band around the surface fits.
+def activate_blocks(points: np.ndarray, cfg: TsdfConfig, origin) -> np.ndarray:
+    """Blocks intersected by the fused surface points (N, 3), dilated by
+    their 26-neighborhood so the +-truncation band around the surface fits.
 
     Returns (n, 3) int64 block indices, lexicographically sorted. Empty
     clouds activate nothing.
     """
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    if len(cloud) == 0:
+    if len(points) == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    surf = np.floor((cloud.points - origin) / cfg.block_size).astype(np.int64)
+    surf = np.floor((np.asarray(points, dtype=np.float64) - origin) / cfg.block_size).astype(np.int64)
     surf = np.unique(pack_index(surf))
-    dilated = unpack_index(surf)[:, None, :] + _NEIGHBOR_OFFSETS[None, :, :]
+    dilated = unpack_index(surf)[:, None, :] + STENCIL[None, :, :]
     keys = np.unique(pack_index(dilated.reshape(-1, 3)))
     return unpack_index(np.sort(keys))
 
 
 class SparseTsdf:
-    """Hash map from block index to an L^3 payload of (sdf, weight) voxels.
+    """Active blocks sorted by packed block key; block slot i holds an L^3
+    payload of (sdf, weight) voxels in `sdf[i]` and `weight[i]`.
 
     sdf is the normalized truncated signed distance in [-1, 1]; weight counts
     capped observations. Blocks are fixed at construction (activation step);
@@ -98,10 +93,7 @@ class SparseTsdf:
         self.cfg = cfg
         self.origin = np.asarray(origin, dtype=np.float64).reshape(3)
         blocks = np.asarray(block_indices, dtype=np.int64).reshape(-1, 3)
-        keys = pack_index(blocks)
-        order = np.argsort(keys)
-        self.block_indices = blocks[order]
-        self._block_map: dict[int, int] = {int(k): i for i, k in enumerate(keys[order])}
+        self.block_indices = blocks[np.argsort(pack_index(blocks))]
         L = cfg.voxels_per_side
         n = len(self.block_indices)
         self.sdf = np.zeros((n, L, L, L), dtype=np.float64)
@@ -114,10 +106,6 @@ class SparseTsdf:
     @property
     def n_blocks(self) -> int:
         return len(self.block_indices)
-
-    def block_slot(self, block_index) -> int | None:
-        key = int(pack_index(np.asarray(block_index).reshape(1, 3))[0])
-        return self._block_map.get(key)
 
     def _chunks(self):
         """(first, stop) block ranges of about _CHUNK_VOXELS voxels each, at
@@ -255,7 +243,7 @@ class SparseTsdf:
 
 
 def build_tsdf(
-    cloud: FusedPointCloud,
+    points: np.ndarray,
     depths,
     cams,
     cfg: TsdfConfig,
@@ -263,8 +251,9 @@ def build_tsdf(
     near: float = 0.0,
     far: float = np.inf,
 ) -> SparseTsdf:
-    """Activate blocks from the fused cloud, then integrate every view."""
-    blocks = activate_blocks(cloud, cfg, origin)
+    """Activate blocks from the fused cloud's points, then integrate every
+    view."""
+    blocks = activate_blocks(points, cfg, origin)
     tsdf = SparseTsdf(cfg, blocks, origin)
     for depth, (intr, extr) in zip(depths, cams):
         tsdf.integrate_view(depth, intr, extr, near=near, far=far)

@@ -8,8 +8,6 @@ a final point-to-point ICP against the scene cloud polishes every pose.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -19,6 +17,7 @@ from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .camera import check_rotation
 from .errors import DataError, NumericalError
 from .heatmap import SceneGroundTruth
 from .ioutil import atomic_write_text, json_document, read_file
@@ -69,14 +68,10 @@ class Pose:
     refined: bool = False
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise DataError("pose rotation and translation must be finite")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
-            raise DataError("pose rotation must be orthonormal with det +1")
-        self.rotation = R
-        self.translation = t
+        self.rotation = check_rotation(self.rotation, "pose rotation")
+        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not np.isfinite(self.translation).all():
+            raise DataError("pose translation must be finite")
 
 
 def pose_targets(centers: np.ndarray, owner: np.ndarray, gt: SceneGroundTruth, rotations: np.ndarray):
@@ -470,18 +465,14 @@ POSE_CSV_COLUMNS = (
 
 
 def write_pose_csv(path, poses: list[Pose], seed: int | None = None) -> None:
-    buf = io.StringIO()
-    if seed is not None:
-        buf.write(f"# seed={seed}\n")
-    buf.write(POSE_CSV_COLUMNS + "\n")
-    writer = csv.writer(buf)
+    lines = [] if seed is None else [f"# seed={seed}"]
+    lines.append(POSE_CSV_COLUMNS)
     for i, p in enumerate(poses):
-        row = [i, p.class_id, f"{p.confidence:.9g}"]
-        row += [f"{x:.17g}" for x in p.rotation.reshape(-1)]
-        row += [f"{x:.17g}" for x in p.translation]
-        row += [int(p.refined)]
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+        cells = [str(i), str(p.class_id), f"{p.confidence:.9g}"]
+        cells += [f"{x:.17g}" for x in p.rotation.reshape(-1)]
+        cells += [f"{x:.17g}" for x in p.translation]
+        lines.append(",".join(cells + [str(int(p.refined))]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_pose_json(path, poses: list[Pose], seed: int | None = None) -> None:

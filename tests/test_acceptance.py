@@ -121,7 +121,7 @@ def test_criterion_2_occupancy_scaling():
     depths = render_scene(spec)
     cloud = fuse_views(depths, spec.cameras, ws)
     thetas = [0.008, 0.004, 0.002, 0.001]
-    rows = occupancy_stats(cloud.points - ws.min_corner, ws.extent, thetas)
+    rows = occupancy_stats(cloud - ws.min_corner, ws.extent, thetas)
     inv_theta = [1.0 / t for t in thetas]
     sparse_slope = loglog_slope(inv_theta, [r["sparse"] for r in rows])
     dense_slope = loglog_slope(inv_theta, [r["dense"] for r in rows])
@@ -345,13 +345,13 @@ class _InMemoryBundle:
     estimate_poses expects from a loaded bundle."""
 
     def __init__(self, spec, depths):
-        from sparsepose.synthetic import library_by_class, scene_ground_truth
+        from sparsepose.synthetic import scene_ground_truth
 
         self.depths = depths
         self.cameras = spec.cameras
         self.workspace = spec.workspace
         self.gt = scene_ground_truth(spec, LIBRARY)
-        self.models = library_by_class(LIBRARY)
+        self.models = {m.class_id: m for m in LIBRARY.values()}
         self.instances = spec.instances
         self.seed = spec.seed
         self.depth_scale = spec.depth_scale

@@ -2,6 +2,7 @@
 loads or ends the command with exit code 2, 3 or 4 and one line on stderr,
 never with a traceback."""
 
+import json
 import shutil
 import struct
 import warnings
@@ -132,6 +133,33 @@ def test_stats_rejects_bad_theta(tiny_bundle_dir, tmp_path, capsys, theta):
     err = capsys.readouterr().err
     assert err.startswith("config error: --thetas") and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# gt.json rotations that are not rotations, as flat row-major lists
+BAD_GT_ROTATIONS = {
+    "skewed": lambda r: [r[0] + 0.5] + r[1:],
+    "reflected": lambda r: [-x for x in r],
+    "nan": lambda r: [float("nan")] * 9,
+}
+
+
+@pytest.mark.parametrize("command", ["estimate --oracle", "eval"])
+@pytest.mark.parametrize("case", list(BAD_GT_ROTATIONS))
+def test_gt_rotation_not_a_rotation_exits_3(tiny_bundle_dir, tmp_path, capsys, case, command):
+    poses = tmp_path / "poses"
+    assert run(["estimate", tiny_bundle_dir, "--oracle", "--out", poses]) == 0
+    bundle = copy_bundle(tiny_bundle_dir, tmp_path)
+    doc = json.loads((bundle / "gt.json").read_text())
+    doc["objects"][0]["rotation"] = BAD_GT_ROTATIONS[case](doc["objects"][0]["rotation"])
+    (bundle / "gt.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = {"estimate --oracle": ["estimate", bundle, "--oracle", "--out", out],
+            "eval": ["eval", bundle, poses.with_suffix(".json"), "--out", out]}[command]
+    capsys.readouterr()
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert "gt.json: object 0 rotation is not a rotation" in err and len(err.strip().splitlines()) == 1
+    assert not out.with_suffix(".json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from sparsepose.errors import DataError
-from sparsepose.fusion import FusedPointCloud, Workspace, fuse_views, read_ply, write_ply_mesh, write_ply_points
+from sparsepose.fusion import Workspace, fuse_views, read_ply, write_ply_mesh, write_ply_points
 from sparsepose.grid import voxelize
 
 
@@ -23,21 +23,19 @@ class TestFuseViews:
     def test_single_view_single_pixel(self):
         depth, cam = single_pixel_view()
         cloud = fuse_views([depth], [cam], WS)
-        assert len(cloud) == 1
-        assert cloud.source_view[0] == 0
+        assert cloud.shape == (1, 3) and cloud.dtype == np.float64
 
     def test_duplicate_views_double_points(self):
         depth, cam = single_pixel_view()
         cloud = fuse_views([depth, depth], [cam, cam], WS)
         assert len(cloud) == 2  # vanilla union, no dedup
-        assert np.allclose(cloud.points[0], cloud.points[1])
-        assert list(cloud.source_view) == [0, 1]
+        assert np.array_equal(cloud[0], cloud[1])
 
     def test_empty_result_is_value_not_error(self):
         depth = DepthImage(np.zeros((6, 8)))
         intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
         cloud = fuse_views([depth], [(intr, CameraExtrinsics.identity())], WS)
-        assert len(cloud) == 0
+        assert cloud.shape == (0, 3)
 
     def test_workspace_crop(self):
         depth, cam = single_pixel_view(d=1.0)
@@ -51,7 +49,7 @@ class TestFuseViews:
         depth = DepthImage(rng.uniform(0.3, 2.0, size=(24, 32)))
         ws = Workspace((-0.5, -0.5, 0.2), (0.5, 0.5, 1.2))
         cloud = fuse_views([depth], [(intr, CameraExtrinsics.identity())], ws)
-        assert ws.contains(cloud.points).all()
+        assert ws.contains(cloud).all()
 
     def test_mismatched_lengths_rejected(self):
         depth, cam = single_pixel_view()
@@ -83,8 +81,8 @@ class TestFuseViews:
         ws = Workspace((-2.0, -2.0, 0.0), (2.0, 2.0, 3.0))
         a = fuse_views(views, cams, ws)
         b = fuse_views(views[::-1], cams, ws)
-        ga = voxelize(a.points, 0.01, ws.min_corner)
-        gb = voxelize(b.points, 0.01, ws.min_corner)
+        ga = voxelize(a, 0.01, ws.min_corner)
+        gb = voxelize(b, 0.01, ws.min_corner)
         assert np.array_equal(ga.indices, gb.indices)
 
 
@@ -144,12 +142,3 @@ class TestPly:
         path.write_bytes(b"garbage")
         with pytest.raises(DataError):
             read_ply(path)
-
-
-class TestFusedPointCloud:
-    def test_row_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            FusedPointCloud(np.zeros((3, 3)), np.zeros(2, dtype=np.int32))
-
-    def test_empty_constructor(self):
-        assert len(FusedPointCloud.empty()) == 0

@@ -3,7 +3,7 @@ import pytest
 
 from sparsepose.camera import CameraIntrinsics
 from sparsepose.errors import DataError
-from sparsepose.metrics import add, add_s, auc, evaluate_scene, match_poses, mspd, mssd, recall_curve
+from sparsepose.metrics import add, add_s, auc, evaluate_scene, match_poses, mspd, mssd, recall_curve, write_metric_csv
 from sparsepose.synthetic import default_intrinsics, look_at_extrinsics, make_primitives
 from sparsepose.voting import Pose
 
@@ -249,3 +249,14 @@ class TestRecallAndMatching:
         assert report["ap"] == 1.0
         assert report["ap25"] == 1.0
         assert report["ap25mm"] == 1.0
+
+
+class TestMetricCsv:
+    def test_bytes_pinned(self, tmp_path):
+        # every line ends in "\n"; a missing MSPD (no camera) prints as inf
+        report = {"per_object": [{"class_id": 3, "matched": 0, "add": 0.00032, "add_s": 0.00031,
+                                  "mssd": 0.0004, "mspd": np.inf}]}
+        path = tmp_path / "metrics.csv"
+        write_metric_csv(path, report, seed=3)
+        assert path.read_bytes() == (b"# seed=3\nobject_id,class_id,matched,add_m,add_s_m,mssd_m,mspd_px\n"
+                                     b"0,3,0,0.00032,0.00031,0.0004,inf\n")

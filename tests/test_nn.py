@@ -5,7 +5,7 @@ from sparsepose import autodiff as ad
 from sparsepose import nn
 from sparsepose.autodiff import Tensor, finite_difference_check
 from sparsepose.errors import DataError, NumericalError
-from sparsepose.grid import SparseVoxelGrid, partition_indices
+from sparsepose.grid import STENCIL, SparseVoxelGrid, partition_indices
 
 
 def naive_window_attention(f, Wq, bq, Wk, bk, Wv, bv, Wo, heads, scaled):
@@ -410,7 +410,7 @@ class TestSubmanifoldConv:
         indices = indices[rng.permutation(len(indices))]
         n = len(indices)
         idx_map = {tuple(v): i for i, v in enumerate(indices)}
-        expected = np.array([[idx_map.get(tuple(v + off), n) for off in nn._STENCIL] for v in indices])
+        expected = np.array([[idx_map.get(tuple(v + off), n) for off in STENCIL] for v in indices])
         assert np.array_equal(nn.ConvPairs(indices).nbr, expected)
 
 

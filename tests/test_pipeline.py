@@ -267,8 +267,8 @@ class TestOraclePath:
             np.r_[votes.class_ids, votes.class_ids[0] if bad_class is None else bad_class],
         )
         origin = small_bundle.workspace.min_corner
-        base = votes_to_poses(votes, cloud.points, small_bundle.models, cfg, origin=origin)
-        out = votes_to_poses(extra, cloud.points, small_bundle.models, cfg, origin=origin)
+        base = votes_to_poses(votes, cloud, small_bundle.models, cfg, origin=origin)
+        out = votes_to_poses(extra, cloud, small_bundle.models, cfg, origin=origin)
         assert len(out) == len(base) == small_bundle.gt.n_objects
         for p, q in zip(out, base):
             assert np.array_equal(p.rotation, q.rotation)
@@ -329,7 +329,7 @@ def _voting_output(fine, gt, votes, keep):
     logits[np.arange(len(rows)), votes.class_ids[keep]] = 5.0
     selected = SparseVoxelGrid(fine.resolution, fine.origin, fine.indices[rows], np.zeros((len(rows), 1)))
     return StagedOutput(
-        coarse=None, roi_scores=None, attention=None, kept_coarse_rows=None, lifted_grid=None,
+        coarse=None, roi_scores=None, kept_coarse_rows=None, lifted_grid=None,
         lifted_fine_rows=None, obj_scores=Tensor(votes.confidence[keep]), cls_logits=Tensor(logits),
         selected_rows=np.arange(len(rows)), selected_grid=selected,
         offsets=Tensor(votes.offsets[keep]), rot6d=Tensor(votes.rot6d[keep]),
@@ -351,8 +351,8 @@ class TestPredictedVotes:
         kept = predicted_votes(out)
         assert len(kept) == len(votes) - 1
         origin = small_bundle.workspace.min_corner
-        got = votes_to_poses(kept, cloud.points, small_bundle.models, cfg, origin=origin)
-        base = votes_to_poses(predicted_votes(clean), cloud.points, small_bundle.models, cfg, origin=origin)
+        got = votes_to_poses(kept, cloud, small_bundle.models, cfg, origin=origin)
+        base = votes_to_poses(predicted_votes(clean), cloud, small_bundle.models, cfg, origin=origin)
         assert len(base) > 0
         assert len(got) == len(base)
         for p, q in zip(got, base):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from sparsepose.camera import CameraIntrinsics, backproject
+from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, backproject
 from sparsepose.errors import DataError
 from sparsepose.fusion import Workspace, fuse_views
 from sparsepose.grid import occupancy_stats
@@ -17,7 +17,6 @@ from sparsepose.synthetic import (
     default_camera_ring,
     default_intrinsics,
     export_scene_bundle,
-    library_by_class,
     load_scene_bundle,
     look_at_extrinsics,
     make_box_mesh,
@@ -25,9 +24,7 @@ from sparsepose.synthetic import (
     make_notched_cylinder_mesh,
     make_primitives,
     make_tube_mesh,
-    make_uv_sphere_mesh,
     rasterize_depth,
-    ray_sphere_depth,
     render_depth,
     sample_scene,
     sample_surface,
@@ -93,7 +90,6 @@ class TestPrimitives:
         lib = make_primitives()
         ids = [m.class_id for m in lib.values()]
         assert sorted(ids) == [1, 2, 3, 4]
-        assert set(library_by_class(lib)) == {1, 2, 3, 4}
 
     def test_notched_cylinder_has_notch(self):
         mesh = make_notched_cylinder_mesh(radius=0.012, notch_depth=0.004)
@@ -160,6 +156,55 @@ class TestSampleScene:
         with pytest.raises(DataError):
             sample_scene(lib, (0.0, 0.0, 0.0), (0.02, 0.02, 0.01), n_objects=3, seed=8,
                          max_trials=200)
+
+
+# The rasterizer's reference oracle: a tessellated sphere and its analytic depth.
+
+
+def make_uv_sphere_mesh(radius: float, rings: int = 24, segments: int = 48) -> Mesh:
+    """Tessellated sphere for the analytic ray-cast oracle."""
+    verts = [[0.0, 0.0, radius]]
+    for i in range(1, rings):
+        phi = np.pi * i / rings
+        for j in range(segments):
+            theta = 2.0 * np.pi * j / segments
+            verts.append([
+                radius * np.sin(phi) * np.cos(theta),
+                radius * np.sin(phi) * np.sin(theta),
+                radius * np.cos(phi),
+            ])
+    verts.append([0.0, 0.0, -radius])
+    south = len(verts) - 1
+    faces = []
+    for j in range(segments):
+        faces.append([0, 1 + j, 1 + (j + 1) % segments])
+    for i in range(rings - 2):
+        row0 = 1 + i * segments
+        row1 = row0 + segments
+        for j in range(segments):
+            j2 = (j + 1) % segments
+            faces += [[row0 + j, row1 + j, row1 + j2], [row0 + j, row1 + j2, row0 + j2]]
+    row = 1 + (rings - 2) * segments
+    for j in range(segments):
+        faces.append([south, row + (j + 1) % segments, row + j])
+    return Mesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
+
+
+def ray_sphere_depth(intr: CameraIntrinsics, extr: CameraExtrinsics, center, radius: float) -> np.ndarray:
+    """Analytic per-pixel depth of a sphere (oracle for the rasterizer)."""
+    gu, gv = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
+    dirs = np.stack([(gu - intr.cx) / intr.fx, (gv - intr.cy) / intr.fy, np.ones_like(gu, dtype=np.float64)], axis=-1)
+    c_cam = (np.asarray(center, dtype=np.float64) - extr.translation) @ extr.rotation
+    a = np.sum(dirs * dirs, axis=-1)
+    b = -2.0 * dirs @ c_cam
+    c = float(c_cam @ c_cam) - radius * radius
+    disc = b * b - 4 * a * c
+    depth = np.zeros((intr.height, intr.width))
+    hit = disc >= 0
+    lam = (-b[hit] - np.sqrt(disc[hit])) / (2 * a[hit])
+    lam[lam <= 0] = 0.0
+    depth[hit] = lam
+    return depth
 
 
 class TestRasterizer:
@@ -455,6 +500,6 @@ class TestOccupancySparsity:
         spec = sample_scene(lib, (-0.2, -0.2, 0.0), (0.2, 0.2, 0.2), n_objects=10, seed=13)
         depths = [render_depth(spec, lib, i) for i in range(len(spec.cameras))]
         cloud = fuse_views(depths, spec.cameras, spec.workspace)
-        rows = occupancy_stats(cloud.points - spec.workspace.min_corner,
+        rows = occupancy_stats(cloud - spec.workspace.min_corner,
                                spec.workspace.extent, [0.008])
         assert rows[0]["ratio"] < 0.10

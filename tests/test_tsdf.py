@@ -7,15 +7,16 @@ import pytest
 
 from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from sparsepose.errors import DataError
-from sparsepose.fusion import FusedPointCloud, Workspace, fuse_views
+from sparsepose.fusion import Workspace, fuse_views
 from sparsepose.grid import loglog_slope, pack_index
 from sparsepose import tsdf as tsdf_module
 from sparsepose.tsdf import SparseTsdf, TsdfConfig, activate_blocks, build_tsdf, dense_tsdf_reference
 
 
-def cloud_of(points):
-    pts = np.atleast_2d(points)
-    return FusedPointCloud(pts, np.zeros(len(pts), dtype=np.int32))
+def block_slot(tsdf, block_index):
+    """Slot of a block index in a SparseTsdf's sorted block table."""
+    (slot,) = np.flatnonzero((tsdf.block_indices == block_index).all(axis=1))
+    return slot
 
 
 def flat_depth_camera(d=0.5, width=64, height=48, focal=64.0):
@@ -38,14 +39,14 @@ class TestConfig:
 class TestActivateBlocks:
     def test_single_point_dilates_to_27(self):
         cfg = TsdfConfig(voxel_size=0.002, voxels_per_side=16)
-        blocks = activate_blocks(cloud_of([[0.016, 0.016, 0.016]]), cfg, np.zeros(3))
+        blocks = activate_blocks(np.array([[0.016, 0.016, 0.016]]), cfg, np.zeros(3))
         assert len(blocks) == 27
         assert (blocks.min(axis=0) == [-1, -1, -1]).all()
         assert (blocks.max(axis=0) == [1, 1, 1]).all()
 
     def test_empty_cloud_empty_set(self):
         cfg = TsdfConfig(voxel_size=0.002)
-        blocks = activate_blocks(FusedPointCloud.empty(), cfg, np.zeros(3))
+        blocks = activate_blocks(np.zeros((0, 3)), cfg, np.zeros(3))
         assert len(blocks) == 0
 
     def test_plane_spanning_blocks(self):
@@ -55,7 +56,7 @@ class TestActivateBlocks:
         B = cfg.block_size
         xs, ys = np.meshgrid(np.arange(4) * B + B / 2, np.arange(4) * B + B / 2)
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(16, B / 2)])
-        blocks = activate_blocks(cloud_of(pts), cfg, np.zeros(3))
+        blocks = activate_blocks(pts, cfg, np.zeros(3))
         surface = {tuple(b) for b in np.floor(pts / B).astype(int)}
         assert len(surface) == 16
         assert len(blocks) <= 6 * 6 * 3
@@ -77,7 +78,7 @@ class TestIntegration:
         origin = np.array([-0.016, -0.016, 0.5 - 0.002])
         tsdf = SparseTsdf(cfg, np.array([[0, 0, 0]]), origin)
         tsdf.integrate_view(depth, intr, extr)
-        slot = tsdf.block_slot([0, 0, 0])
+        slot = block_slot(tsdf, [0, 0, 0])
         # local voxel (4, 4, 0) sits at origin + (4.5*0.004, 4.5*0.004, 0.002)
         assert tsdf.weight[slot][4, 4, 0] == 1.0
         # z of that voxel = 0.5, d = 0.5 -> phi = 0
@@ -89,7 +90,7 @@ class TestIntegration:
         origin = np.array([-0.016, -0.016, 0.5 - 2 * 0.04 - 0.002])  # s = 2 tau
         tsdf = SparseTsdf(cfg, np.array([[0, 0, 0]]), origin)
         tsdf.integrate_view(depth, intr, extr)
-        slot = tsdf.block_slot([0, 0, 0])
+        slot = block_slot(tsdf, [0, 0, 0])
         assert tsdf.sdf[slot][4, 4, 0] == pytest.approx(1.0)
 
     def test_halfway_in_band(self):
@@ -100,7 +101,7 @@ class TestIntegration:
         origin = np.array([-0.016, -0.016, 0.48 - 0.002])
         tsdf = SparseTsdf(cfg, np.array([[0, 0, 0]]), origin)
         tsdf.integrate_view(depth, intr, extr)
-        slot = tsdf.block_slot([0, 0, 0])
+        slot = block_slot(tsdf, [0, 0, 0])
         assert tsdf.sdf[slot][4, 4, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_deep_behind_surface_skipped(self):
@@ -109,7 +110,7 @@ class TestIntegration:
         origin = np.array([-0.016, -0.016, 0.5 + 2 * 0.04])  # s = -2 tau: skip
         tsdf = SparseTsdf(cfg, np.array([[0, 0, 0]]), origin)
         tsdf.integrate_view(depth, intr, extr)
-        slot = tsdf.block_slot([0, 0, 0])
+        slot = block_slot(tsdf, [0, 0, 0])
         assert tsdf.weight[slot].max() == 0.0
 
     def test_weight_cap(self):
@@ -119,7 +120,7 @@ class TestIntegration:
         tsdf = SparseTsdf(cfg, np.array([[0, 0, 0]]), origin)
         for _ in range(5):
             tsdf.integrate_view(depth, intr, extr)
-        slot = tsdf.block_slot([0, 0, 0])
+        slot = block_slot(tsdf, [0, 0, 0])
         assert tsdf.weight[slot][4, 4, 0] == 3.0
 
 
@@ -135,7 +136,7 @@ class TestExtractPbar:
         # all voxels far in front of the surface: phi clamps to exactly 1
         tsdf = SparseTsdf(cfg, np.array([[0, 0, 0]]), np.array([-0.016, -0.016, 0.2]))
         tsdf.integrate_view(depth, intr, extr)
-        slot = tsdf.block_slot([0, 0, 0])
+        slot = block_slot(tsdf, [0, 0, 0])
         assert tsdf.weight[slot].max() > 0
         assert tsdf.extract_pbar().shape == (0, 4)
 

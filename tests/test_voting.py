@@ -626,3 +626,14 @@ class TestPoseIO:
         assert lines[0] == "# seed=42"
         assert lines[1].startswith("object_id,class_id,confidence,r00")
         assert len(lines) == 3
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        # every line, header and data row alike, ends in "\n"
+        path = tmp_path / "poses.csv"
+        pose = Pose(np.eye(3), np.array([0.1, -0.2, 0.3]), class_id=2, confidence=0.75, refined=True)
+        write_pose_csv(path, [pose], seed=3)
+        assert path.read_bytes() == (
+            b"# seed=3\n"
+            b"object_id,class_id,confidence,r00,r01,r02,r10,r11,r12,r20,r21,r22,tx,ty,tz,refined\n"
+            b"0,2,0.75,1,0,0,0,1,0,0,0,1,0.10000000000000001,-0.20000000000000001,0.29999999999999999,1\n"
+        )
