@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from sparsepose.camera import DepthImage, backproject, load_depth_png, project, save_depth_png
+from sparsepose.camera import backproject, load_depth_png, project, save_depth_png
 from sparsepose.fusion import fuse_views, write_ply_points
 from sparsepose.synthetic import make_primitives, render_depth, sample_scene
 

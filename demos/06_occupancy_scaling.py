@@ -7,7 +7,8 @@ set of a surface-dominated scene grows roughly quadratically, so occupancy
 ratios collapse at fine resolutions.
 """
 
-import numpy as np
+import os
+import tempfile
 
 from sparsepose.fusion import Workspace, fuse_views
 from sparsepose.grid import loglog_slope, occupancy_csv, occupancy_stats
@@ -31,6 +32,7 @@ print(f"\nlog-log exponents vs 1/theta: "
       f"sparse {loglog_slope(inv, [r['sparse'] for r in rows]):.3f} (~2: surface-like), "
       f"dense {loglog_slope(inv, [r['dense'] for r in rows]):.3f} (cubic)")
 
-with open("occupancy.csv", "w") as f:
+out_path = os.path.join(tempfile.mkdtemp(prefix="sparsepose_demo_"), "occupancy.csv")
+with open(out_path, "w") as f:
     f.write(occupancy_csv(rows))
-print("wrote occupancy.csv")
+print(f"wrote {out_path}")

@@ -11,8 +11,6 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from sparsepose.config import PipelineConfig
 from sparsepose.metrics import add_s
 from sparsepose.pipeline import estimate_poses, train_toy

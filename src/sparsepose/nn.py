@@ -3,6 +3,10 @@ multi-head self-attention with the dual small/medium branch fusion,
 submanifold sparse convolution, the three toy task networks, SGD and
 checkpoint I/O.
 
+The networks never build a kernel map: the caller hands each one the
+`ConvPairs` of its index sets, built once per scene by `ConvPairs(indices)`
+and derived for row subsets by `ConvPairs.subset`.
+
 Two layers are hand-written graph nodes. Submanifold convolution walks its
 kernel map in blocks of _CHUNK_ROWS voxels, so its memory does not grow
 with 27 times the input. Window attention projects q/k/v once over all rows,
@@ -22,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import STENCIL, SparseVoxelGrid, coarsen, pack_index, partition_indices
+from .grid import STENCIL, SparseVoxelGrid, pack_index, partition_indices
 from .ioutil import atomic_write_bytes, read_file
 
 
@@ -218,7 +222,7 @@ class ConvPairs:
     is all zeros, so one fancy-index gather reads every tap of every voxel.
     Offset `o` and offset `26 - o` are mirror images, so `nbr[i, o] == j`
     exactly when `nbr[j, 26 - o] == i`. Reusable across layers on the same
-    index set.
+    index set; `subset` derives the map of a row subset without a search.
     """
 
     def __init__(self, indices: np.ndarray):
@@ -230,6 +234,22 @@ class ConvPairs:
         wanted = pack_index((idx[:, None, :] + STENCIL[None, :, :]).reshape(-1, 3))
         pos = np.minimum(np.searchsorted(keys_sorted, wanted), max(0, n - 1))
         self.nbr = np.where(keys_sorted[pos] == wanted, order[pos], n).reshape(n, 27)
+
+    def __len__(self) -> int:
+        return self.nbr.shape[0]
+
+    def subset(self, rows: np.ndarray) -> "ConvPairs":
+        """Kernel map of the index set `indices[rows]` (rows unique, in any
+        order), equal to `ConvPairs(indices[rows])`: the neighbors of a
+        subset voxel are its neighbors in the full set that are also in the
+        subset, renumbered; every other row, and the full set's zero row,
+        maps to the subset's zero row."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        remap = np.full(len(self) + 1, rows.size, dtype=np.int64)
+        remap[rows] = np.arange(rows.size)
+        derived = ConvPairs.__new__(ConvPairs)
+        derived.nbr = remap[self.nbr[rows]]
+        return derived
 
 
 # Rows of the kernel map gathered per block: the (_CHUNK_ROWS, 27 C) column
@@ -320,7 +340,13 @@ class RoiUNet(Module):
     """Two-level U-Net of residual submanifold convolutions over the coarse
     grid; emits per-voxel foreground scores and the trunk features that get
     lifted downstream. Zero-initialized head, so an untrained net scores
-    exactly 0.5 everywhere."""
+    exactly 0.5 everywhere.
+
+    The caller passes the grid's kernel map `pairs`, and the structure of
+    its coarsening by `pool_factor`: the pooled row of each grid voxel
+    (`pool_row`) and the pooled grid's kernel map (`pool_pairs`)."""
+
+    pool_factor = 2
 
     def __init__(self, in_dim: int, width: int, rng: np.random.Generator):
         self.in_proj = Linear(in_dim, width, rng)
@@ -332,16 +358,14 @@ class RoiUNet(Module):
         self.head = Linear(width, 1, rng, zero_init=True)
         self.width = width
 
-    def __call__(self, grid: SparseVoxelGrid) -> tuple[Tensor, Tensor]:
-        pairs = ConvPairs(grid.indices)
+    def __call__(self, grid: SparseVoxelGrid, pairs: ConvPairs, pool_row: np.ndarray,
+                 pool_pairs: ConvPairs) -> tuple[Tensor, Tensor]:
         x = self.in_proj(Tensor(grid.features))
         x = ad.relu(self.conv1(x, pairs))
         x = ad.add(x, ad.relu(self.conv2(x, pairs)))
-        parent, parent_row = coarsen(grid, 2)
-        down = mean_pool(x, parent_row, len(parent))
-        down_pairs = ConvPairs(parent.indices)
-        down = ad.relu(self.down_conv(down, down_pairs))
-        up = ad.gather_rows(down, parent_row)
+        down = mean_pool(x, pool_row, len(pool_pairs))
+        down = ad.relu(self.down_conv(down, pool_pairs))
+        up = ad.gather_rows(down, pool_row)
         x = ad.add(x, self.up_fuse(ad.concat([x, up], axis=1)))
         x = ad.add(x, ad.relu(self.out_conv(x, pairs)))
         scores = ad.sigmoid(ad.reshape(self.head(x), (len(grid),)))
@@ -362,9 +386,8 @@ class ObjectnessNet(Module):
         self.cls_out = Linear(width, n_classes + 1, rng, zero_init=True)
         self.width = width
 
-    def __call__(self, indices: np.ndarray, features: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        n = len(indices)
-        pairs = ConvPairs(indices)
+    def __call__(self, pairs: ConvPairs, features: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        n = len(pairs)
         x = self.in_proj(features)
         for conv in self.convs:
             x = ad.add(x, ad.relu(conv(x, pairs)))
@@ -394,8 +417,8 @@ class PoseNet(Module):
         self.r_head = Linear(width, 6, rng, zero_init=True)
         self.width = width
 
-    def __call__(self, indices: np.ndarray, features: Tensor, w_small: int, w_medium: int) -> tuple[Tensor, Tensor]:
-        pairs = ConvPairs(indices)
+    def __call__(self, indices: np.ndarray, pairs: ConvPairs, features: Tensor, w_small: int,
+                 w_medium: int) -> tuple[Tensor, Tensor]:
         windows_small = partition_indices(indices, w_small)
         windows_medium = partition_indices(indices, w_medium)
         x = self.in_proj(features)
@@ -455,25 +478,22 @@ class SGD:
         return 1.0
 
     def step(self):
+        """One update; a non-finite gradient raises NumericalError before any
+        parameter moves."""
+        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
+        for name, p in live:
+            if not np.all(np.isfinite(p.grad)):
+                raise NumericalError(f"non-finite gradient for parameter '{name}'")
         if self.clip_norm is not None:
             sq = 0.0
-            for name, p in self.params.items():
-                if p.grad is None:
-                    continue
-                if not np.all(np.isfinite(p.grad)):
-                    raise NumericalError(f"non-finite gradient for parameter '{name}'")
+            for _, p in live:
                 sq += float(np.sum(p.grad**2))
             norm = np.sqrt(sq)
             if norm > self.clip_norm:
                 factor = self.clip_norm / norm
-                for p in self.params.values():
-                    if p.grad is not None:
-                        p.grad = p.grad * factor
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericalError(f"non-finite gradient for parameter '{name}'")
+                for _, p in live:
+                    p.grad = p.grad * factor
+        for name, p in live:
             v = self.velocity[name]
             v *= self.momentum
             v += p.grad

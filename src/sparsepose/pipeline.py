@@ -117,6 +117,51 @@ def load_model(path, cfg: PipelineConfig) -> PipelineModel:
 
 
 @dataclass
+class SceneStructure:
+    """What `staged_forward` needs of one scene that no step changes: the
+    fine grid and its kernel map; the coarse grid, each fine voxel's coarse
+    row (`parent_row`) and its kernel map; `RoiUNet`'s pooling of the coarse
+    grid (`pool_row`) and the pooled grid's kernel map. Built with ground
+    truth it also holds the training targets: the coarse RoI target and the
+    fine grid's ownership table.
+
+    Hold it only for the calls on one scene (a training run, one estimate):
+    the fine kernel map alone is 27 int64 per voxel.
+    """
+
+    fine: SparseVoxelGrid
+    fine_pairs: nn.ConvPairs
+    coarse: SparseVoxelGrid
+    parent_row: np.ndarray
+    coarse_pairs: nn.ConvPairs
+    pool_row: np.ndarray
+    pool_pairs: nn.ConvPairs
+    roi_target: np.ndarray | None = None
+    owner: np.ndarray | None = None
+
+
+def scene_structure(fine: SparseVoxelGrid, cfg: PipelineConfig,
+                    gt: SceneGroundTruth | None = None) -> SceneStructure:
+    """Coarsen the fine grid twice and build the three kernel maps; with
+    `gt`, also the RoI target and the fine-grid ownership table."""
+    if len(fine) == 0:
+        raise DataError("staged forward on an empty grid")
+    coarse, parent_row = coarsen(fine, cfg.coarse_factor)
+    pooled, pool_row = coarsen(coarse, nn.RoiUNet.pool_factor)
+    return SceneStructure(
+        fine=fine,
+        fine_pairs=nn.ConvPairs(fine.indices),
+        coarse=coarse,
+        parent_row=parent_row,
+        coarse_pairs=nn.ConvPairs(coarse.indices),
+        pool_row=pool_row,
+        pool_pairs=nn.ConvPairs(pooled.indices),
+        roi_target=None if gt is None else roi_target(coarse, gt, cfg.sigma_c, cfg.sigma_b),
+        owner=None if gt is None else voxel_object_assignment(fine, gt),
+    )
+
+
+@dataclass
 class StagedOutput:
     """Everything the losses and the voting head need from one forward pass."""
 
@@ -142,7 +187,7 @@ def _light_grid(reference: SparseVoxelGrid, indices: np.ndarray) -> SparseVoxelG
 
 def staged_forward(
     model: PipelineModel,
-    fine: SparseVoxelGrid,
+    fine: SparseVoxelGrid | SceneStructure,
     cfg: PipelineConfig,
     gt: SceneGroundTruth | None = None,
     train: bool = False,
@@ -150,18 +195,22 @@ def staged_forward(
     """RoI scoring on the coarse grid, soft suppression, feature lifting,
     objectness scoring + adaptive topK, pose regression on the survivors.
 
+    `fine` is a grid or its `SceneStructure`. A grid gets its structure built
+    here, with the targets when training with `gt`; a structure brings its
+    own targets, and `gt` is not read. The lifted and selected sets are row
+    subsets of the fine grid, so their kernel maps derive from the fine one.
+
     In training mode the keep- and topK-selections are optionally unioned
     with ground-truth foreground so the downstream heads always see
     supervision while the heatmaps are still warming up. Training also
     stores the RoI target and the lifted grid's ownership table, the one
     source of every per-voxel target.
     """
-    if len(fine) == 0:
-        raise DataError("staged forward on an empty grid")
-    coarse, parent_row = coarsen(fine, cfg.coarse_factor)
-    roi_scores, roi_trunk = model.roi(coarse)
+    scene = fine if isinstance(fine, SceneStructure) else scene_structure(fine, cfg, gt if train else None)
+    fine, coarse, parent_row = scene.fine, scene.coarse, scene.parent_row
+    roi_scores, roi_trunk = model.roi(coarse, scene.coarse_pairs, scene.pool_row, scene.pool_pairs)
     _, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
-    target = roi_target(coarse, gt, cfg.sigma_c, cfg.sigma_b) if train and gt is not None else None
+    target = scene.roi_target if train else None
     if target is not None and cfg.train_keep_union_gt:
         kept = np.union1d(kept, np.nonzero(target > cfg.suppress_kappa)[0])
     keep_mask = np.zeros(len(coarse), dtype=bool)
@@ -180,20 +229,21 @@ def staged_forward(
                                  ad.constant(cfg.suppress_beta)))
         gate_rows = ad.reshape(ad.gather_rows(gate, parent_row[fine_rows]), (len(fine_rows), 1))
         lifted_feats = ad.mul(lifted_feats, gate_rows)
-    obj_scores, cls_logits, obj_trunk = model.obj(lifted_idx, lifted_feats)
-    lifted_grid = _light_grid(fine, lifted_idx)
-    owner = voxel_object_assignment(lifted_grid, gt) if train and gt is not None else None
+    lifted_pairs = scene.fine_pairs.subset(fine_rows)
+    obj_scores, cls_logits, obj_trunk = model.obj(lifted_pairs, lifted_feats)
+    owner = scene.owner[fine_rows] if train and scene.owner is not None else None
     selected, _ = adaptive_topk(obj_scores.data, lifted_idx, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
     if owner is not None and cfg.train_topk_union_gt:
         selected = np.union1d(selected, np.nonzero(owner >= 0)[0])
     selected_idx = lifted_idx[selected]
     selected_feats = ad.gather_rows(obj_trunk, selected)
-    offsets, rot6d = model.pose(selected_idx, selected_feats, cfg.window_small, cfg.window_medium)
+    offsets, rot6d = model.pose(selected_idx, lifted_pairs.subset(selected), selected_feats,
+                                cfg.window_small, cfg.window_medium)
     return StagedOutput(
         coarse=coarse,
         roi_scores=roi_scores,
         kept_coarse_rows=kept,
-        lifted_grid=lifted_grid,
+        lifted_grid=_light_grid(fine, lifted_idx),
         lifted_fine_rows=fine_rows,
         obj_scores=obj_scores,
         cls_logits=cls_logits,
@@ -302,6 +352,7 @@ def train_toy(
     model = build_model(cfg, representation, seed=cfg.seed)
     fine, _, _ = build_input_grid(bundle, cfg, representation)
     gt = bundle.gt
+    scene = scene_structure(fine, cfg, gt)
     instance_rotations = np.asarray([inst.rotation for inst in bundle.instances]).reshape(-1, 3, 3)
     params = model.parameters()
     opt = nn.SGD(params, lr=cfg.lr, momentum=cfg.momentum,
@@ -310,7 +361,7 @@ def train_toy(
     warmup = int(np.floor(cfg.warmup_fraction * steps))
     trace: list[LossBreakdown] = []
     for step in range(steps):
-        out = staged_forward(model, fine, cfg, gt=gt, train=True)
+        out = staged_forward(model, scene, cfg, train=True)
         total, breakdown, parts = compute_losses(
             out, gt, instance_rotations, bundle.models, cfg, chamfer_points=cfg.train_chamfer_points
         )

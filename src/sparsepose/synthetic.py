@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -241,8 +242,9 @@ class ObjectModel:
             syms = [np.eye(3)]
         object.__setattr__(self, "symmetries", syms)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
+        """Largest vertex-to-vertex distance; computed on first access."""
         v = self.mesh.vertices
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
         return float(np.sqrt(d2.max()))

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from sparsepose.synthetic import default_camera_ring, default_intrinsics, export_scene_bundle, load_scene_bundle, make_primitives, sample_scene

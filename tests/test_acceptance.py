@@ -10,10 +10,9 @@ from scipy.spatial import cKDTree
 from sparsepose import autodiff as ad
 from sparsepose import nn
 from sparsepose.autodiff import Tensor, finite_difference_check
-from sparsepose.camera import DepthImage
 from sparsepose.config import PipelineConfig
 from sparsepose.fusion import Workspace, fuse_views
-from sparsepose.grid import SparseVoxelGrid, loglog_slope, occupancy_stats, pack_index, partition_indices, voxelize
+from sparsepose.grid import SparseVoxelGrid, loglog_slope, occupancy_stats, partition_indices
 from sparsepose.heatmap import (
     SceneGroundTruth,
     class_weights,
@@ -23,7 +22,7 @@ from sparsepose.heatmap import (
     weighted_cross_entropy,
 )
 from sparsepose.metrics import add, add_s, auc, mssd
-from sparsepose.pipeline import build_input_grid, estimate_poses, train_toy
+from sparsepose.pipeline import estimate_poses, train_toy
 from sparsepose.synthetic import (
     default_camera_ring,
     default_intrinsics,
@@ -41,7 +40,6 @@ from sparsepose.voting import (
     dbscan,
     icp_refine,
     matrix_to_rot6d,
-    rot6d_to_matrix,
     smooth_l1,
 )
 

@@ -30,7 +30,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", [p for p in DEMOS if p.name not in LONG_RUNNING], ids=lambda p: p.name)
 def test_demo_runs(path, tmp_path):
-    # outputs land in tmp_path: the demos write to a temp dir or the cwd
+    # outputs land in tmp_path: the demos write under a temp dir
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env, capture_output=True,

@@ -172,14 +172,14 @@ class TestLiftAndFilter:
         seen = {}
         roi, obj = model.roi, model.obj
 
-        def roi_spy(coarse):
-            scores, trunk = roi(coarse)
+        def roi_spy(coarse, *structure):
+            scores, trunk = roi(coarse, *structure)
             seen["trunk"] = trunk.data
             return scores, trunk
 
-        def obj_spy(indices, feats):
+        def obj_spy(pairs, feats):
             seen["feats"] = feats.data
-            return obj(indices, feats)
+            return obj(pairs, feats)
 
         model.roi, model.obj = roi_spy, obj_spy
         out = pipeline.staged_forward(model, fine, self.cfg)

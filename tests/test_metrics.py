@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sparsepose.camera import CameraIntrinsics
 from sparsepose.errors import DataError
 from sparsepose.metrics import add, add_s, auc, evaluate_scene, match_poses, mspd, mssd, recall_curve, write_metric_csv
 from sparsepose.synthetic import default_intrinsics, look_at_extrinsics, make_primitives

@@ -5,7 +5,7 @@ from sparsepose import autodiff as ad
 from sparsepose import nn
 from sparsepose.autodiff import Tensor, finite_difference_check
 from sparsepose.errors import DataError, NumericalError
-from sparsepose.grid import STENCIL, SparseVoxelGrid, partition_indices
+from sparsepose.grid import STENCIL, SparseVoxelGrid, coarsen, partition_indices
 
 
 def naive_window_attention(f, Wq, bq, Wk, bk, Wv, bv, Wo, heads, scaled):
@@ -404,6 +404,26 @@ class TestSubmanifoldConv:
         assert x.grad.shape == (0, 3)
         assert np.array_equal(conv.kernel.grad, np.zeros((27, 3, 4)))
 
+    @pytest.mark.parametrize("share", [1.0, 0.6, 0.1, 0.0])
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_subset_matches_kernel_map_of_subset(self, share, order):
+        rng = np.random.default_rng(44)
+        indices = np.unique(rng.integers(-6, 7, size=(600, 3)), axis=0)
+        rows = np.sort(rng.choice(len(indices), size=int(round(share * len(indices))), replace=False))
+        if order == "shuffled":
+            rows = rng.permutation(rows)
+        derived = nn.ConvPairs(indices).subset(rows)
+        assert derived.nbr.dtype == np.int64
+        assert np.array_equal(derived.nbr, nn.ConvPairs(indices[rows]).nbr)
+
+    def test_subset_of_subset_matches(self):
+        rng = np.random.default_rng(45)
+        indices = np.unique(rng.integers(-6, 7, size=(600, 3)), axis=0)
+        outer = np.nonzero(rng.random(len(indices)) < 0.7)[0]
+        inner = np.nonzero(rng.random(len(outer)) < 0.4)[0]
+        derived = nn.ConvPairs(indices).subset(outer).subset(inner)
+        assert np.array_equal(derived.nbr, nn.ConvPairs(indices[outer][inner]).nbr)
+
     def test_kernel_map_matches_dict_lookup(self):
         rng = np.random.default_rng(43)
         indices = np.unique(rng.integers(-3, 4, size=(80, 3)), axis=0)
@@ -421,17 +441,22 @@ class TestToyNets:
         feats = rng.normal(size=(len(idx), channels))
         return SparseVoxelGrid(0.02, np.zeros(3), idx, feats)
 
+    def roi_structure(self, grid):
+        """RoiUNet's kernel maps and pooling rows for `grid`."""
+        pooled, pool_row = coarsen(grid, nn.RoiUNet.pool_factor)
+        return nn.ConvPairs(grid.indices), pool_row, nn.ConvPairs(pooled.indices)
+
     def test_roi_unet_zero_init_head_scores_half(self):
         grid = self.make_grid()
         net = nn.RoiUNet(4, 16, np.random.default_rng(20))
-        scores, trunk = net(grid)
+        scores, trunk = net(grid, *self.roi_structure(grid))
         assert np.allclose(scores.data, 0.5)
         assert trunk.data.shape == (len(grid), 16)
 
     def test_objectness_shapes_and_init(self):
         grid = self.make_grid(channels=20)
         net = nn.ObjectnessNet(20, 32, 4, np.random.default_rng(21))
-        obj, logits, trunk = net(grid.indices, Tensor(grid.features))
+        obj, logits, trunk = net(nn.ConvPairs(grid.indices), Tensor(grid.features))
         assert np.allclose(obj.data, 0.5)
         assert logits.data.shape == (len(grid), 5)
         assert trunk.data.shape == (len(grid), 32)
@@ -439,7 +464,7 @@ class TestToyNets:
     def test_pose_net_zero_init_outputs(self):
         grid = self.make_grid(channels=32)
         net = nn.PoseNet(32, 32, 4, np.random.default_rng(22))
-        offsets, rot6d = net(grid.indices, Tensor(grid.features), 4, 8)
+        offsets, rot6d = net(grid.indices, nn.ConvPairs(grid.indices), Tensor(grid.features), 4, 8)
         assert offsets.data.shape == (len(grid), 3)
         assert rot6d.data.shape == (len(grid), 6)
         assert np.allclose(offsets.data, 0.0)
@@ -449,8 +474,8 @@ class TestToyNets:
         grid = self.make_grid()
         a = nn.RoiUNet(4, 16, np.random.default_rng(23))
         b = nn.RoiUNet(4, 16, np.random.default_rng(23))
-        sa, _ = a(grid)
-        sb, _ = b(grid)
+        sa, _ = a(grid, *self.roi_structure(grid))
+        sb, _ = b(grid, *self.roi_structure(grid))
         assert np.array_equal(sa.data, sb.data)
 
 
@@ -515,6 +540,26 @@ class TestSGD:
         p.grad = np.array([np.nan])
         with pytest.raises(NumericalError, match="layer.weight"):
             opt.step()
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_before_any_update(self, clip_norm, bad):
+        a = ad.parameter(np.array([1.0, 2.0]), name="a")
+        b = ad.parameter(np.array([3.0]), name="b")
+        opt = nn.SGD({"a": a, "b": b}, lr=0.1, momentum=0.9, clip_norm=clip_norm)
+        a.grad, b.grad = np.array([0.5, 0.5]), np.array([bad])
+        with pytest.raises(NumericalError, match="'b'"):
+            opt.step()
+        assert np.array_equal(a.data, [1.0, 2.0]) and np.array_equal(b.data, [3.0])
+        assert np.array_equal(opt.velocity["a"], [0.0, 0.0])
+
+    def test_clip_rescales_global_norm(self):
+        a = ad.parameter(np.array([0.0]), name="a")
+        b = ad.parameter(np.array([0.0]), name="b")
+        opt = nn.SGD({"a": a, "b": b}, lr=1.0, clip_norm=1.0)
+        a.grad, b.grad = np.array([3.0]), np.array([4.0])
+        opt.step()
+        assert a.data[0] == pytest.approx(-0.6) and b.data[0] == pytest.approx(-0.8)
 
 
 class TestCheckpoint:

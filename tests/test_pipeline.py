@@ -4,7 +4,7 @@ from scipy.spatial.transform import Rotation
 
 from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
-from sparsepose.grid import SparseVoxelGrid, coarsen, pack_index
+from sparsepose.grid import SparseVoxelGrid, pack_index
 from sparsepose.heatmap import SceneGroundTruth, objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
 from sparsepose import pipeline
@@ -20,6 +20,7 @@ from sparsepose.pipeline import (
     oracle_votes,
     predicted_votes,
     save_model,
+    scene_structure,
     staged_forward,
     train_toy,
     votes_to_poses,
@@ -187,6 +188,63 @@ class TestLosses:
         assert any(name.startswith("roi.") for name in grads)
         assert any(name.startswith("obj.") for name in grads)
         assert any(name.startswith("pose.") for name in grads)
+
+
+class TestSceneStructure:
+    """Kernel maps, coarse structure and targets are built once per scene
+    and handed to every step."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        from sparsepose import heatmap, nn, voting
+
+        calls = {"kernel_map": 0, "roi_target": 0, "ownership": 0}
+        init, target, owner = nn.ConvPairs.__init__, heatmap.roi_target, heatmap.voxel_object_assignment
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(nn.ConvPairs, "__init__", counted("kernel_map", init))
+        monkeypatch.setattr(pipeline, "roi_target", counted("roi_target", target))
+        for module in (heatmap, pipeline, voting):
+            if getattr(module, "voxel_object_assignment", None) is owner:
+                monkeypatch.setattr(module, "voxel_object_assignment", counted("ownership", owner))
+        return calls
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_train_toy_builds_structure_once(self, small_bundle, monkeypatch, steps):
+        # fine, coarse and pooled kernel maps; one RoI target; one ownership table
+        calls = self.count_builds(monkeypatch)
+        train_toy(small_bundle, quick_config(), steps=steps)
+        assert calls == {"kernel_map": 3, "roi_target": 1, "ownership": 1}
+
+    def test_structure_matches_bare_grid(self, small_bundle):
+        cfg = quick_config()
+        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        for train in (False, True):
+            a = staged_forward(build_model(cfg, "cloud", seed=0), fine, cfg, gt=small_bundle.gt, train=train)
+            b = staged_forward(build_model(cfg, "cloud", seed=0), scene, cfg, train=train)
+            for name in ("roi_scores", "obj_scores", "cls_logits", "offsets", "rot6d"):
+                assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+            assert np.array_equal(a.selected_rows, b.selected_rows)
+            if train:
+                assert np.array_equal(a.roi_target, b.roi_target) and np.array_equal(a.owner, b.owner)
+
+    def test_training_owner_gathers_lifted_rows(self, small_bundle, monkeypatch):
+        # a lifted set that is a strict subset of the fine grid
+        cfg = quick_config(train_keep_union_gt=False)
+        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        kept = np.arange(0, len(scene.coarse), 2)
+        monkeypatch.setattr(pipeline, "soft_suppress", lambda scores, *gate: (np.zeros(len(scores)), kept))
+        out = staged_forward(build_model(cfg, "cloud", seed=0), scene, cfg, train=True)
+        assert 0 < len(out.lifted_grid) < len(fine)
+        assert (out.owner >= 0).any()
+        assert np.array_equal(out.owner, voxel_object_assignment(out.lifted_grid, small_bundle.gt))
 
 
 class TestOraclePath:

@@ -86,6 +86,14 @@ class TestPrimitives:
         for model in lib.values():
             assert 0.01 < model.diameter < 0.1
 
+    def test_diameter_is_largest_vertex_distance(self):
+        for model in make_primitives().values():
+            v = model.mesh.vertices
+            brute = max(float(np.linalg.norm(a - b)) for a in v for b in v)
+            assert model.diameter == pytest.approx(brute, rel=1e-12)
+            assert "diameter" in vars(model)  # computed once, then read back
+            assert model.diameter is model.diameter
+
     def test_class_ids_unique(self):
         lib = make_primitives()
         ids = [m.class_id for m in lib.values()]
@@ -481,7 +489,7 @@ class TestSceneBundle:
             assert not [n for n in left if n.startswith(".tmp_")], left
 
     def test_depth_png_quantization_roundtrip(self, bundle_dir, tmp_path):
-        from sparsepose.camera import load_depth_png, save_depth_png
+        from sparsepose.camera import save_depth_png
 
         bundle = load_scene_bundle(bundle_dir)
         path = bundle_dir / "depth_00.png"

@@ -8,7 +8,7 @@ import pytest
 from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from sparsepose.errors import DataError
 from sparsepose.fusion import Workspace, fuse_views
-from sparsepose.grid import loglog_slope, pack_index
+from sparsepose.grid import loglog_slope
 from sparsepose import tsdf as tsdf_module
 from sparsepose.tsdf import SparseTsdf, TsdfConfig, activate_blocks, build_tsdf, dense_tsdf_reference
 
