@@ -65,6 +65,6 @@ loss_obj, _ = focal_loss(pred_obj, y)
 print(f"focal loss of a decent prediction: {loss_obj:.4f}")
 
 scores = pred_obj + 0.01 * np.random.default_rng(1).normal(size=len(lifted))
-selected, k = adaptive_topk(scores, lifted.indices, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
+selected, k = adaptive_topk(scores, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
 frac_fg = y[selected].mean() if k else 0.0
 print(f"adaptive topK keeps K={k} voxels; {100*frac_fg:.1f}% of them are foreground")

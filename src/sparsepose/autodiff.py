@@ -36,9 +36,6 @@ class Tensor:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, grad={'set' if self.grad is not None else 'none'})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Reverse sweep from a scalar output."""
         if self.data.size != 1:
@@ -175,23 +172,11 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy @ semantics (batched leading dims allowed)."""
+    """Matrix product with numpy @ semantics of operands with two or more
+    dimensions (batched leading dims allowed)."""
     out = Tensor(a.data @ b.data, parents=(a, b))
 
     def backward(g):
-        if b.data.ndim == 1:
-            if a.data.ndim == 1:  # inner product
-                _accumulate(a, g * b.data)
-                _accumulate(b, g * a.data)
-                return
-            _accumulate(a, g[..., :, None] * b.data[None, :])
-            gb = (a.data * g[..., :, None]).sum(axis=tuple(range(a.data.ndim - 1)))
-            _accumulate(b, gb)
-            return
-        if a.data.ndim == 1:
-            _accumulate(a, _unbroadcast((g[..., None, :] * b.data).sum(axis=-1), a.data.shape))
-            _accumulate(b, _unbroadcast(a.data[:, None] * g[..., None, :], b.data.shape))
-            return
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         _accumulate(a, _unbroadcast(ga, a.data.shape))
@@ -224,19 +209,14 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n))
 
 
-def reduce_min(a: Tensor, axis: int, keepdims=False) -> Tensor:
+def reduce_min(a: Tensor, axis: int) -> Tensor:
     """Minimum along one axis; the gradient routes to the first argmin."""
     arg = np.argmin(a.data, axis=axis)
-    val = np.min(a.data, axis=axis, keepdims=keepdims)
-    out = Tensor(val, parents=(a,))
+    out = Tensor(np.min(a.data, axis=axis), parents=(a,))
 
     def backward(g):
-        if not keepdims:
-            g_exp = np.expand_dims(g, axis)
-        else:
-            g_exp = g
         ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, np.expand_dims(arg, axis), g_exp, axis=axis)
+        np.put_along_axis(ga, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
         _accumulate(a, ga)
 
     out._backward = backward if out.requires_grad else None

@@ -79,10 +79,6 @@ class CameraExtrinsics:
         T[:3, 3] = self.translation
         return T
 
-    def inverse(self) -> "CameraExtrinsics":
-        """World-to-camera transform as extrinsics."""
-        return CameraExtrinsics(self.rotation.T, -self.rotation.T @ self.translation)
-
     @staticmethod
     def identity() -> "CameraExtrinsics":
         return CameraExtrinsics(np.eye(3), np.zeros(3))

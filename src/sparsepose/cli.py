@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, DataError, NumericalError
 from .ioutil import atomic_write_text
@@ -31,6 +33,7 @@ from .pipeline import (
     build_input_grid,
     estimate_poses,
     fuse_bundle,
+    input_points,
     load_model,
     save_model,
     train_toy,
@@ -84,12 +87,10 @@ def cmd_fuse(args) -> int:
         write_ply_points(out, cloud)
         print(f"fused {len(cloud)} points -> {out} (seed={cfg.seed})")
     else:
-        # the fine grid holds one voxel per band voxel: both share the voxel
-        # size and the origin
-        fine, _, tsdf = build_input_grid(bundle, cfg, "tsdf")
+        _, band, tsdf = input_points(bundle, cfg, "tsdf")
         out = args.out or os.path.join(args.scene, "fused.tsdf")
         tsdf.dump(out)
-        print(f"sparse tsdf: {tsdf.n_blocks} blocks, {len(fine)} band voxels -> {out} (seed={cfg.seed})")
+        print(f"sparse tsdf: {tsdf.n_blocks} blocks, {len(band)} band voxels -> {out} (seed={cfg.seed})")
     return 0
 
 
@@ -269,14 +270,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow or an invalid value the code does not expect ends
+        # the run; code that expects one says so with its own errstate
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -128,19 +128,20 @@ class PipelineConfig:
 
 # Every key once: its section, its place in the dump and its valid range as an
 # interval, where a parenthesis excludes the bound and a bracket includes it.
-# Booleans have no range.
+# Booleans have no range. Lengths and spreads have finite upper bounds: past
+# them an index overflows int64, a square overflows or one TSDF block fills memory.
 _SECTIONS = {
-    "grid": {"theta": "(0, inf)", "coarse_factor": "[2, inf)"},
+    "grid": {"theta": "(0, 1]", "coarse_factor": "[2, 1000]"},
     "camera": {"near": "[0, inf)", "far": "(0, inf)"},
-    "tsdf": {"tsdf_voxels_per_side": "[1, inf)", "tsdf_truncation_mult": "(0, inf)",
+    "tsdf": {"tsdf_voxels_per_side": "[1, 32]", "tsdf_truncation_mult": "(0, inf)",
              "tsdf_weight_cap": "(0, inf)"},
-    "heatmap": {"sigma_c": "(0, inf)", "sigma_b": "(0, inf)", "focal_alpha": "[0, inf)",
+    "heatmap": {"sigma_c": "[0.1, 1000]", "sigma_b": "[0.1, 1000]", "focal_alpha": "[0, inf)",
                 "focal_gamma": "[0, inf)", "suppress_beta": "(0, inf)", "suppress_epsilon": "[0, 1]",
                 "suppress_kappa": "(0, 1)", "attention_reweight": None},
     "objectness": {"obj_gamma": "[0, inf)", "obj_alpha": "[0, 1]", "topk_ratio": "(0, 1]",
                    "topk_min": "[1, inf)", "topk_max": "[1, inf)"},
     "network": {"width": "[1, inf)", "roi_width": "[1, inf)", "heads": "[1, inf)",
-                "window_small": "[1, inf)", "window_medium": "[1, inf)", "scaled_attention": None},
+                "window_small": "[1, 1000]", "window_medium": "[1, 1000]", "scaled_attention": None},
     "loss": {"lambda_roi": "[0, inf)", "lambda_obj": "[0, inf)", "lambda_cls": "[0, inf)",
              "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)",
              "chamfer_points": "[1, inf)"},

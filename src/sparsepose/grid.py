@@ -23,14 +23,6 @@ STENCIL = np.array(
 )
 
 
-def lexsort_rows(indices: np.ndarray) -> np.ndarray:
-    """Order that sorts integer index rows lexicographically by (x, y, z)."""
-    idx = np.asarray(indices)
-    if idx.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-
-
 def pack_index(indices: np.ndarray, bits: int = 21) -> np.ndarray:
     """Bit-pack integer 3D indices into one int64 key per row.
 
@@ -44,6 +36,16 @@ def pack_index(indices: np.ndarray, bits: int = 21) -> np.ndarray:
     if shifted.size and (shifted.min() < 0 or shifted.max() >= limit):
         raise DataError("voxel index outside packable range (+-2^20)")
     return (shifted[:, 0] << (2 * bits)) | (shifted[:, 1] << bits) | shifted[:, 2]
+
+
+def lattice_index(points: np.ndarray, origin, size: float) -> np.ndarray:
+    """Floor index (N, 3) int64 of each point in the lattice of cells of edge
+    `size` anchored at `origin`. An index outside the packable range (+-2^20)
+    raises DataError before the cast, which would otherwise wrap it."""
+    offset = np.asarray(points, dtype=np.float64).reshape(-1, 3) - origin
+    if offset.size and not np.abs(offset).max() < (1 << 20) * size:
+        raise DataError(f"cell size {size} puts an index outside the packable range (+-2^20)")
+    return np.floor(offset / size).astype(np.int64)
 
 
 def unpack_index(keys: np.ndarray, bits: int = 21) -> np.ndarray:
@@ -139,7 +141,7 @@ def voxelize(points: np.ndarray, resolution: float, origin) -> SparseVoxelGrid:
     if pts.shape[0] == 0:
         return SparseVoxelGrid(resolution, origin, np.zeros((0, 3), dtype=np.int64), np.zeros((0, n_channels)))
     xyz = pts[:, :3]
-    idx = np.floor((xyz - origin) / resolution).astype(np.int64)
+    idx = lattice_index(xyz, origin, resolution)
     keys = pack_index(idx)
     order = np.argsort(keys, kind="stable")
     keys_s = keys[order]
@@ -223,8 +225,7 @@ def occupancy_stats(points: np.ndarray, workspace_extent, resolutions) -> list[d
     rows = []
     for theta in resolutions:
         if pts.shape[0]:
-            idx = np.floor(pts / theta).astype(np.int64)
-            sparse = len(np.unique(pack_index(idx)))
+            sparse = len(np.unique(pack_index(lattice_index(pts, 0.0, theta))))
         else:
             sparse = 0
         dense = int(np.prod(np.ceil(extent / theta)))

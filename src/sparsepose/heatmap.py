@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError
-from .grid import SparseVoxelGrid, lexsort_rows
+from .grid import SparseVoxelGrid, lattice_index
 
 _CLAMP = 1e-6
 
@@ -134,7 +134,7 @@ def voxel_object_assignment(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.n
         return owner
     n, m = len(grid), gt.n_objects
     objects = np.repeat(np.arange(m), [len(cloud) for cloud in gt.object_clouds])
-    rows = grid.row_lookup(np.floor((gt.all_points() - grid.origin) / grid.resolution).astype(np.int64))
+    rows = grid.row_lookup(lattice_index(gt.all_points(), grid.origin, grid.resolution))
     inside = rows >= 0
     counts = np.bincount(rows[inside] * m + objects[inside], minlength=n * m).reshape(n, m)
     occupied = counts.sum(axis=1) > 0
@@ -168,19 +168,18 @@ def focal_loss(pred: np.ndarray, target: np.ndarray, gamma_f: float = 2.0, alpha
 
 def adaptive_topk(
     scores: np.ndarray,
-    indices: np.ndarray,
     ratio: float,
     k_min: int = 1,
     k_max: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Keep the K = clamp(ceil(ratio * N), k_min, min(k_max, N)) best-scoring
-    rows; ties break toward the lexicographically smaller voxel index and the
-    output rows preserve index-sorted order.
+    rows, returned in ascending order; ties break toward the smaller row. The
+    rows of a sorted grid are in voxel-index order, so there a tie goes to the
+    lexicographically smaller voxel.
     """
     if not (0.0 < ratio <= 1.0):
         raise DataError(f"topK ratio must lie in (0, 1], got {ratio}")
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
     n = scores.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64), 0
@@ -188,10 +187,7 @@ def adaptive_topk(
     k = max(k, int(k_min))
     cap = n if k_max is None else min(int(k_max), n)
     k = min(k, cap)
-    lex = lexsort_rows(idx)
-    lex_rank = np.empty(n, dtype=np.int64)
-    lex_rank[lex] = np.arange(n)
-    order = np.lexsort((lex_rank, -scores))  # score desc, then smaller index first
+    order = np.argsort(-scores, kind="stable")
     kept = np.sort(order[:k])
     return kept, k
 

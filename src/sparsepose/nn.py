@@ -50,9 +50,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         item._collect(f"{name}.{i}.", out)
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        item.name = f"{name}.{i}"
-                        out[f"{name}.{i}"] = item
 
 
 def _init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -50,7 +50,7 @@ def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
     return fuse_views(bundle.depths, bundle.cameras, bundle.workspace, near=cfg.near, far=cfg.far)
 
 
-def _input_points(bundle: SceneBundle, cfg: PipelineConfig, representation: str):
+def input_points(bundle: SceneBundle, cfg: PipelineConfig, representation: str):
     """Fuse the views and pick the points to voxelize: the raw cloud, or the
     TSDF band points with their signed-distance channel.
 
@@ -78,7 +78,7 @@ def build_input_grid(bundle: SceneBundle, cfg: PipelineConfig, representation: s
 
     Returns (fine grid, fused cloud, tsdf or None).
     """
-    cloud, pts, tsdf = _input_points(bundle, cfg, representation)
+    cloud, pts, tsdf = input_points(bundle, cfg, representation)
     return voxelize(pts, cfg.theta, bundle.workspace.min_corner), cloud, tsdf
 
 
@@ -232,7 +232,7 @@ def staged_forward(
     lifted_pairs = scene.fine_pairs.subset(fine_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_pairs, lifted_feats)
     owner = scene.owner[fine_rows] if train and scene.owner is not None else None
-    selected, _ = adaptive_topk(obj_scores.data, lifted_idx, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
+    selected, _ = adaptive_topk(obj_scores.data, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
     if owner is not None and cfg.train_topk_union_gt:
         selected = np.union1d(selected, np.nonzero(owner >= 0)[0])
     selected_idx = lifted_idx[selected]
@@ -257,24 +257,22 @@ def staged_forward(
 
 
 def multi_class_chamfer(rot6d: Tensor, R_target: np.ndarray, labels: np.ndarray, models: dict,
-                        n_pts: int, normalize: bool = True) -> Tensor:
+                        n_pts: int) -> Tensor:
     """Chamfer rotation loss across classes: per-class single-cloud losses
     combined proportionally to their voxel counts (mean over the foreground
     voxels, those whose class label is not 0).
 
-    With `normalize` the per-class chamfer is divided by the squared object
-    diameter, making the rotation part dimensionless and commensurate with
-    the other task losses (raw squared meters are ~1e-4 for desk-scale parts
-    and starve the rotation head under a shared SGD step).
+    The per-class chamfer is divided by the squared object diameter, making
+    the rotation part dimensionless and commensurate with the other task
+    losses (raw squared meters are ~1e-4 for desk-scale parts and starve the
+    rotation head under a shared SGD step).
     """
     n_valid = int((labels > 0).sum())
     total = None
     for cid, n_c in zip(*np.unique(labels[labels > 0], return_counts=True)):
         model = models[int(cid)]
         part = chamfer_rot_loss_graph(rot6d, R_target, model.cloud, labels == cid, n_pts=n_pts)
-        scale = n_c / n_valid
-        if normalize:
-            scale /= model.diameter**2
+        scale = n_c / n_valid / model.diameter**2
         term = ad.mul(part, ad.constant(scale))
         total = term if total is None else ad.add(total, term)
     return total if total is not None else ad.constant(0.0)
@@ -495,7 +493,7 @@ def estimate_poses(
 ):
     """Full inference: fuse, stage the heatmaps (or take oracle votes),
     cluster and refine. Returns (pose list, vote count)."""
-    cloud, pts, tsdf = _input_points(bundle, cfg, representation)
+    cloud, pts, tsdf = input_points(bundle, cfg, representation)
     fine = voxelize(pts, cfg.theta, bundle.workspace.min_corner)
     if len(fine) == 0:
         return [], 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
-from .grid import STENCIL, pack_index, unpack_index
+from .grid import STENCIL, lattice_index, pack_index, unpack_index
 from .ioutil import atomic_write_bytes, read_file
 
 # magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
@@ -72,11 +72,10 @@ def activate_blocks(points: np.ndarray, cfg: TsdfConfig, origin) -> np.ndarray:
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     if len(points) == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    surf = np.floor((np.asarray(points, dtype=np.float64) - origin) / cfg.block_size).astype(np.int64)
-    surf = np.unique(pack_index(surf))
+    surf = np.unique(pack_index(lattice_index(points, origin, cfg.block_size)))
     dilated = unpack_index(surf)[:, None, :] + STENCIL[None, :, :]
     keys = np.unique(pack_index(dilated.reshape(-1, 3)))
-    return unpack_index(np.sort(keys))
+    return unpack_index(keys)
 
 
 class SparseTsdf:

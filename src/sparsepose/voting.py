@@ -152,14 +152,10 @@ def matrix_to_rot6d(R: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _rows3(t: Tensor, start: int) -> Tensor:
-    return ad.narrow(t, 1, start, 3)
-
-
 def rot6d_to_matrix_graph(r6: Tensor) -> Tensor:
     """Differentiable Gram-Schmidt: (K, 6) -> (K, 3, 3), columns (b1, b2, b3)."""
-    a1 = _rows3(r6, 0)
-    a2 = _rows3(r6, 3)
+    a1 = ad.narrow(r6, 1, 0, 3)
+    a2 = ad.narrow(r6, 1, 3, 3)
     n1 = ad.pow_const(ad.tsum(ad.mul(a1, a1), axis=1, keepdims=True), 0.5)
     b1 = ad.div(a1, n1)
     proj = ad.tsum(ad.mul(b1, a2), axis=1, keepdims=True)

@@ -52,11 +52,6 @@ class TestExtrinsics:
         with pytest.raises(DataError):
             CameraExtrinsics(R, np.zeros(3))
 
-    def test_inverse_roundtrip(self):
-        R = rotation_about([1, 2, 3], 0.7)
-        e = CameraExtrinsics(R, np.array([0.1, -0.2, 0.3]))
-        assert np.allclose(e.matrix() @ e.inverse().matrix(), np.eye(4), atol=1e-12)
-
 
 class TestBackproject:
     def test_principal_ray(self):

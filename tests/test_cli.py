@@ -84,6 +84,27 @@ class TestFuse:
         assert capsys.readouterr().out == \
             f"sparse tsdf: {tsdf.n_blocks} blocks, {band} band voxels -> {out} (seed={seed})\n"
 
+    def test_tsdf_band_count_without_voxelize(self, tiny_bundle_dir, tmp_path, capsys, monkeypatch):
+        # the fine grid has one voxel per band row, so the count needs no grid
+        import sparsepose.grid
+        import sparsepose.pipeline
+        from sparsepose.config import PipelineConfig
+        from sparsepose.synthetic import load_scene_bundle
+
+        calls = []
+        for module in (sparsepose.grid, sparsepose.pipeline):
+            monkeypatch.setattr(module, "voxelize", lambda *a, **k: calls.append(1))
+        out = tmp_path / "fused.tsdf"
+        capsys.readouterr()
+        assert run(["fuse", tiny_bundle_dir, "--repr", "tsdf", "--out", out, "--theta-mm", 4.0]) == 0
+        assert calls == []
+        line = capsys.readouterr().out
+        assert line == f"sparse tsdf: 100 blocks, 29925 band voxels -> {out} (seed=0)\n"
+        monkeypatch.undo()
+        fine, _, _ = sparsepose.pipeline.build_input_grid(load_scene_bundle(tiny_bundle_dir),
+                                                          PipelineConfig(theta=0.004), "tsdf")
+        assert f", {len(fine)} band voxels ->" in line
+
     def test_deterministic_bytes(self, scene_dir, tmp_path):
         a, b = tmp_path / "a.ply", tmp_path / "b.ply"
         run(["fuse", scene_dir, "--out", a, "--theta-mm", 4.0])

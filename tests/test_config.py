@@ -16,7 +16,7 @@ def _outside(key, interval):
     lo, hi = (float(bound) for bound in interval[1:-1].split(","))
     values = [lo if interval[0] == "(" else lo - 1]
     if hi != float("inf"):
-        values.append(hi if interval[-1] == ")" else hi + 0.5)
+        values.append(hi if interval[-1] == ")" else hi + (1 if kind is int else 0.5))
     return [kind(v) for v in values]
 
 
