@@ -128,8 +128,8 @@ class PipelineConfig:
 
 # Every key once: its section, its place in the dump and its valid range as an
 # interval, where a parenthesis excludes the bound and a bracket includes it.
-# Booleans have no range. Lengths and spreads have finite upper bounds: past
-# them an index overflows int64, a square overflows or one TSDF block fills memory.
+# Booleans have no range. Lengths and spreads have finite upper bounds: past them an
+# index or a square overflows, or one TSDF block or the (V, n, n) chamfer fills memory.
 _SECTIONS = {
     "grid": {"theta": "(0, 1]", "coarse_factor": "[2, 1000]"},
     "camera": {"near": "[0, inf)", "far": "(0, inf)"},
@@ -144,13 +144,13 @@ _SECTIONS = {
                 "window_small": "[1, 1000]", "window_medium": "[1, 1000]", "scaled_attention": None},
     "loss": {"lambda_roi": "[0, inf)", "lambda_obj": "[0, inf)", "lambda_cls": "[0, inf)",
              "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)",
-             "chamfer_points": "[1, inf)"},
+             "chamfer_points": "[1, 256]"},
     "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",
                "vote_top_fraction": "(0, 1]"},
     "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)",
             "icp_trim": "(0, 1]", "icp_reciprocal": None, "icp_use_pbar": None},
     "train": {"seed": "[0, inf)", "steps": "[0, inf)", "warmup_fraction": "[0, 1]",
-              "lr": "(0, inf)", "momentum": "[0, 1)", "train_chamfer_points": "[1, inf)",
+              "lr": "(0, inf)", "momentum": "[0, 1)", "train_chamfer_points": "[1, 256]",
               "train_keep_union_gt": None, "train_topk_union_gt": None,
               "train_rot_lr_mult": "(0, inf)", "train_clip_norm": "(0, inf)"},
 }

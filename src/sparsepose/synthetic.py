@@ -470,6 +470,11 @@ def scene_triangles(spec: SceneSpec, library: dict[str, ObjectModel]) -> np.ndar
     return np.concatenate(chunks, axis=0)
 
 
+# Bounding-box pixels per rasterization step, whole triangles at a time, so
+# temporaries stay bounded (one triangle's box at most fills the image).
+_CHUNK_PIXELS = 1 << 16
+
+
 def rasterize_depth(triangles: np.ndarray, intr: CameraIntrinsics, extr: CameraExtrinsics) -> np.ndarray:
     """Z-buffer rasterization of a world triangle soup.
 
@@ -477,50 +482,47 @@ def rasterize_depth(triangles: np.ndarray, intr: CameraIntrinsics, extr: CameraE
     perspective-correct ray/plane intersection depth, so back-projected
     points land exactly on the triangle plane. Triangles reaching behind the
     camera are skipped (desk scenes keep cameras outside the geometry).
+
+    One pass over all triangles: their bounding-box pixels form one flat list,
+    walked in chunks of about _CHUNK_PIXELS; each inside pixel's elementwise
+    (BLAS-free) ray/plane depth enters the z-buffer through np.minimum.at.
     """
     H, W = intr.height, intr.width
-    zbuf = np.full((H, W), np.inf)
-    tris = np.asarray(triangles, dtype=np.float64)
-    if tris.size == 0:
-        return np.zeros((H, W))
-    cam = (tris.reshape(-1, 3) - extr.translation) @ extr.rotation
-    cam = cam.reshape(-1, 3, 3)
-    for tri in cam:
-        z = tri[:, 2]
-        if np.any(z <= 1e-9):
-            continue
-        u = intr.fx * tri[:, 0] / z + intr.cx
-        v = intr.fy * tri[:, 1] / z + intr.cy
-        u0 = max(0, int(np.ceil(u.min())))
-        u1 = min(W - 1, int(np.floor(u.max())))
-        v0 = max(0, int(np.ceil(v.min())))
-        v1 = min(H - 1, int(np.floor(v.max())))
-        if u0 > u1 or v0 > v1:
-            continue
-        gu, gv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-        e0 = (u[1] - u[0]) * (gv - v[0]) - (v[1] - v[0]) * (gu - u[0])
-        e1 = (u[2] - u[1]) * (gv - v[1]) - (v[2] - v[1]) * (gu - u[1])
-        e2 = (u[0] - u[2]) * (gv - v[2]) - (v[0] - v[2]) * (gu - u[2])
-        inside = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
-        if not inside.any():
-            continue
-        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        c = float(n @ tri[0])
-        dirs = np.stack(
-            [(gu[inside] - intr.cx) / intr.fx, (gv[inside] - intr.cy) / intr.fy, np.ones(int(inside.sum()))],
-            axis=1,
-        )
-        denom = dirs @ n
+    zbuf = np.full(H * W, np.inf)
+    pts = np.asarray(triangles, dtype=np.float64).reshape(-1, 3)
+    cam = ((pts - extr.translation) @ extr.rotation).reshape(-1, 3, 3)
+    cam = cam[np.all(cam[:, :, 2] > 1e-9, axis=1)]
+    u = (intr.fx * cam[:, :, 0] / cam[:, :, 2] + intr.cx).T  # (3, n): one row per vertex
+    v = (intr.fy * cam[:, :, 1] / cam[:, :, 2] + intr.cy).T
+    u0 = np.clip(np.ceil(u.min(axis=0)), 0, W).astype(np.int64)
+    v0 = np.clip(np.ceil(v.min(axis=0)), 0, H).astype(np.int64)
+    cols = np.maximum(np.clip(np.floor(u.max(axis=0)), -1, W - 1).astype(np.int64) - u0 + 1, 0)
+    counts = cols * np.maximum(np.clip(np.floor(v.max(axis=0)), -1, H - 1).astype(np.int64) - v0 + 1, 0)
+    du, dv = np.roll(u, -1, axis=0) - u, np.roll(v, -1, axis=0) - v  # edge i: vertex i to i + 1
+    n = np.cross(cam[:, 1] - cam[:, 0], cam[:, 2] - cam[:, 0]).T
+    c = n[0] * cam[:, 0, 0] + n[1] * cam[:, 0, 1] + n[2] * cam[:, 0, 2]
+    ends = np.cumsum(counts)
+    first = ends - counts
+    t0 = 0
+    while t0 < len(counts):
+        t1 = max(t0 + 1, int(np.searchsorted(ends, first[t0] + _CHUNK_PIXELS, side="right")))
+        t = np.repeat(np.arange(t0, t1), counts[t0:t1])
+        row, col = np.divmod(np.arange(first[t0], ends[t1 - 1]) - first[t], cols[t])
+        gu, gv = u0[t] + col, v0[t] + row
+        pos = neg = True
+        for i in range(3):
+            e = du[i][t] * (gv - v[i][t]) - dv[i][t] * (gu - u[i][t])
+            pos, neg = pos & (e >= 0), neg & (e <= 0)
+        inside = np.flatnonzero(pos | neg)
+        t, gu, gv = t[inside], gu[inside], gv[inside]
+        denom = (gu - intr.cx) / intr.fx * n[0][t] + (gv - intr.cy) / intr.fy * n[1][t] + n[2][t]
         good = np.abs(denom) > 1e-15
-        lam = np.full(len(dirs), np.inf)
-        lam[good] = c / denom[good]
-        lam[lam <= 0] = np.inf
-        rows = gv[inside]
-        cols = gu[inside]
-        better = lam < zbuf[rows, cols]
-        zbuf[rows[better], cols[better]] = lam[better]
+        lam = c[t[good]] / denom[good]
+        front = lam > 0
+        np.minimum.at(zbuf, (gv * W + gu)[good][front], lam[front])
+        t0 = t1
     zbuf[~np.isfinite(zbuf)] = 0.0
-    return zbuf
+    return zbuf.reshape(H, W)
 
 
 def render_depth(spec: SceneSpec, library: dict[str, ObjectModel], view: int) -> DepthImage:

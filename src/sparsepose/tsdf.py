@@ -85,7 +85,8 @@ class SparseTsdf:
     sdf is the normalized truncated signed distance in [-1, 1]; weight counts
     capped observations. Blocks are fixed at construction (activation step);
     their payloads are independent array slices, so concurrent reads with
-    exclusive per-block writes are safe.
+    exclusive per-block writes are safe. A test keeps the row-major formula
+    ((c - t) @ R, int cast, 2-D index) and asserts integration matches it.
     """
 
     def __init__(self, cfg: TsdfConfig, block_indices: np.ndarray, origin):
@@ -97,10 +98,7 @@ class SparseTsdf:
         n = len(self.block_indices)
         self.sdf = np.zeros((n, L, L, L), dtype=np.float64)
         self.weight = np.zeros((n, L, L, L), dtype=np.float64)
-        # Local voxel coordinates (L^3, 3) in local lex order.
-        ll = np.arange(L)
-        lx, ly, lz = np.meshgrid(ll, ll, ll, indexing="ij")
-        self._local = np.stack([lx, ly, lz], axis=-1).reshape(-1, 3)  # (L^3, 3)
+        self._local = np.indices((L, L, L)).reshape(3, -1)  # (3, L^3) in local lex order
 
     @property
     def n_blocks(self) -> int:
@@ -114,12 +112,11 @@ class SparseTsdf:
             yield b0, min(b0 + step, self.n_blocks)
 
     def _center_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """World center of voxel (b, l) is (origin + base[b]) + local[l], with
-        base (n_blocks, 3) the block corner offsets and local (L^3, 3) the
-        in-block center offsets in local lex order."""
-        base = self.block_indices.astype(np.float64) * self.cfg.block_size
-        local = (self._local.astype(np.float64) + 0.5) * self.cfg.voxel_size
-        return base, local
+        """World center of voxel (b, l) is corners[:, b] + local[:, l], as
+        coordinate rows: corners (3, n_blocks) = origin + block corner offset,
+        local (3, L^3) the in-block center offsets in local lex order."""
+        corners = (self.origin + self.block_indices.astype(np.float64) * self.cfg.block_size).T
+        return corners, (self._local + 0.5) * self.cfg.voxel_size
 
     def integrate_view(
         self,
@@ -138,24 +135,25 @@ class SparseTsdf:
 
         The blocks are walked in chunks of about _CHUNK_VOXELS voxels, so the
         temporaries of one call are bounded by the chunk, not by the grid.
-        Every voxel sees the same float64 expressions as a full-grid pass, so
-        sdf and weight match that formula bit for bit.
+        Centers are (3, n) coordinate rows projected as R^T @ (c - t); pixels
+        are rounded and bounds-tested in float and read from the flat image.
+        sdf and weight match the row-major full-grid formula bit for bit.
         """
+        if depth.values.shape != (intr.height, intr.width):
+            raise DataError(f"depth shape {depth.values.shape} does not match intrinsics")
         L3 = self.cfg.voxels_per_side**3
         tau = self.cfg.truncation
-        base, local = self._center_parts()
-        image = depth.values
+        corners, local = self._center_parts()
         flat_sdf = self.sdf.reshape(-1)
         flat_w = self.weight.reshape(-1)
         for b0, b1 in self._chunks():
-            centers = (self.origin + base[b0:b1, None, :] + local[None, :, :]).reshape(-1, 3)
-            cam_pts = (centers - extr.translation) @ extr.rotation
-            z = cam_pts[:, 2]
+            centers = (corners[:, b0:b1, None] + local[:, None, :]).reshape(3, -1)
+            x, y, z = extr.rotation.T @ (centers - extr.translation[:, None])
             with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.round(intr.fx * cam_pts[:, 0] / z + intr.cx).astype(np.int64)
-                v = np.round(intr.fy * cam_pts[:, 1] / z + intr.cy).astype(np.int64)
+                u = np.rint(intr.fx * x / z + intr.cx)
+                v = np.rint(intr.fy * y / z + intr.cy)
             rows = np.flatnonzero((z > 0) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height))
-            d = image[v[rows], u[rows]]
+            d = depth.values.take(v[rows].astype(np.int64) * intr.width + u[rows].astype(np.int64))
             s = d - z[rows]
             ok = (d > 0) & (d >= near) & (d <= far) & (s >= -tau)
             rows = rows[ok] + b0 * L3
@@ -183,16 +181,15 @@ class SparseTsdf:
             w = flat_w[b0 * L3:b1 * L3]
             kept.append(np.flatnonzero((w > 0) & (np.abs(sdf) < 1.0)) + b0 * L3)
         rows = np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
-        base, local = self._center_parts()
+        corners, local = self._center_parts()
         b, l = np.divmod(rows, L3)
-        centers = (self.origin + base[b]) + local[l]
-        return np.hstack([centers, flat_sdf[rows][:, None]])
+        return np.hstack([(corners[:, b] + local[:, l]).T, flat_sdf[rows][:, None]])
 
     def global_voxel_indices(self) -> np.ndarray:
         """(n_blocks * L^3, 3) global voxel indices at resolution voxel_size."""
         L = self.cfg.voxels_per_side
         base = self.block_indices * L
-        return (base[:, None, :] + self._local[None, :, :]).reshape(-1, 3)
+        return (base[:, None, :] + self._local.T[None, :, :]).reshape(-1, 3)
 
     # -- binary dump ---------------------------------------------------------
     # Layout (little-endian):

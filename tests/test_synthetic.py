@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import small_scene_spec
+from sparsepose import synthetic
 from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, backproject
 from sparsepose.errors import DataError
 from sparsepose.fusion import Workspace, fuse_views
@@ -215,12 +217,76 @@ def ray_sphere_depth(intr: CameraIntrinsics, extr: CameraExtrinsics, center, rad
     return depth
 
 
+def loop_rasterize_depth(triangles, intr, extr):
+    """rasterize_depth as a loop over triangles with a per-triangle z-buffer
+    test and BLAS dot products: the reference for the one-pass rasterizer."""
+    zbuf = np.full((intr.height, intr.width), np.inf)
+    cam = ((triangles.reshape(-1, 3) - extr.translation) @ extr.rotation).reshape(-1, 3, 3)
+    for tri in cam:
+        z = tri[:, 2]
+        if np.any(z <= 1e-9):
+            continue
+        u = intr.fx * tri[:, 0] / z + intr.cx
+        v = intr.fy * tri[:, 1] / z + intr.cy
+        u0, u1 = max(0, int(np.ceil(u.min()))), min(intr.width - 1, int(np.floor(u.max())))
+        v0, v1 = max(0, int(np.ceil(v.min()))), min(intr.height - 1, int(np.floor(v.max())))
+        if u0 > u1 or v0 > v1:
+            continue
+        gu, gv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+        e0 = (u[1] - u[0]) * (gv - v[0]) - (v[1] - v[0]) * (gu - u[0])
+        e1 = (u[2] - u[1]) * (gv - v[1]) - (v[2] - v[1]) * (gu - u[1])
+        e2 = (u[0] - u[2]) * (gv - v[2]) - (v[0] - v[2]) * (gu - u[2])
+        inside = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
+        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        gu, gv = gu[inside], gv[inside]
+        denom = np.column_stack([(gu - intr.cx) / intr.fx, (gv - intr.cy) / intr.fy, np.ones(len(gu))]) @ n
+        lam = np.full(len(gu), np.inf)
+        good = np.abs(denom) > 1e-15
+        lam[good] = float(n @ tri[0]) / denom[good]
+        lam[lam <= 0] = np.inf
+        better = lam < zbuf[gv, gu]
+        zbuf[gv[better], gu[better]] = lam[better]
+    zbuf[~np.isfinite(zbuf)] = 0.0
+    return zbuf
+
+
+def rasterizer_edge_scene():
+    """A small scene's triangles plus a triangle reaching behind the camera,
+    a degenerate one, one seen edge-on and one off the image, with its views."""
+    spec, lib = small_scene_spec(seed=5, n_objects=3, width=120, height=90, focal=110.0)
+    intr, extr = spec.cameras[0]
+    eye, ahead, right = extr.translation, extr.rotation[:, 2], extr.rotation[:, 0]
+    extra = np.array([
+        [eye - 0.05 * ahead, eye + 0.3 * ahead + 0.02 * right, eye + 0.3 * ahead - 0.02 * right],
+        [eye + 0.3 * ahead, eye + 0.3 * ahead, eye + 0.31 * ahead],
+        [eye + 0.2 * ahead, eye + 0.4 * ahead, eye + 0.3 * ahead + 1e-9 * right],
+        [eye + 0.3 * ahead + 5 * right, eye + 0.3 * ahead + 6 * right, eye + 0.4 * ahead + 5 * right],
+    ])
+    return np.concatenate([scene_triangles(spec, lib), extra]), spec.cameras
+
+
 class TestRasterizer:
     def test_empty_scene_all_invalid(self):
         intr = default_intrinsics(width=64, height=48, focal=60.0)
         extr = look_at_extrinsics((0.0, 0.0, 0.5), (0.0, 0.0, 0.0))
         depth = rasterize_depth(np.zeros((0, 3, 3)), intr, extr)
         assert np.all(depth == 0.0)
+
+    def test_matches_per_triangle_loop(self):
+        # the same edge tests and depth formula; only the dot products sum in
+        # another order than BLAS, so depths agree to rounding, masks exactly
+        tris, cams = rasterizer_edge_scene()
+        for intr, extr in cams:
+            depth, ref = rasterize_depth(tris, intr, extr), loop_rasterize_depth(tris, intr, extr)
+            assert np.array_equal(depth > 0, ref > 0)
+            assert np.allclose(depth, ref, rtol=1e-12, atol=0.0)
+
+    def test_chunk_size_does_not_change_depth(self, monkeypatch):
+        tris, cams = rasterizer_edge_scene()
+        whole = [rasterize_depth(tris, intr, extr) for intr, extr in cams]
+        monkeypatch.setattr(synthetic, "_CHUNK_PIXELS", 50)  # below most triangles' boxes
+        for (intr, extr), ref in zip(cams, whole):
+            assert np.array_equal(rasterize_depth(tris, intr, extr), ref)
 
     def test_frontal_plane_constant_depth(self):
         # a large quad facing the camera at z = 1: every covered pixel reads 1

@@ -367,6 +367,84 @@ class TestPinnedDump:
         assert digest == "eeb5e6227a37f12701c792dca50076434e605ff28d7543984d02d5501878cc32"
 
 
+def row_major_integrate(tsdf, depth, intr, extr, near, far):
+    """integrate_view by the row-major full-grid formula: (n, 3) centers,
+    (c - t) @ R, round then int64 cast, 2-D image index. Updates tsdf in
+    place."""
+    L = tsdf.cfg.voxels_per_side
+    tau = tsdf.cfg.truncation
+    base = tsdf.block_indices.astype(np.float64) * tsdf.cfg.block_size
+    ll = np.arange(L)
+    local = np.stack(np.meshgrid(ll, ll, ll, indexing="ij"), axis=-1).reshape(-1, 3)
+    local = (local.astype(np.float64) + 0.5) * tsdf.cfg.voxel_size
+    centers = (tsdf.origin + base[:, None, :] + local[None, :, :]).reshape(-1, 3)
+    cam_pts = (centers - extr.translation) @ extr.rotation
+    z = cam_pts[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.round(intr.fx * cam_pts[:, 0] / z + intr.cx).astype(np.int64)
+        v = np.round(intr.fy * cam_pts[:, 1] / z + intr.cy).astype(np.int64)
+    rows = np.flatnonzero((z > 0) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height))
+    d = depth.values[v[rows], u[rows]]
+    s = d - z[rows]
+    ok = (d > 0) & (d >= near) & (d <= far) & (s >= -tau)
+    rows = rows[ok]
+    phi = np.clip(s[ok] / tau, -1.0, 1.0)
+    flat_sdf = tsdf.sdf.reshape(-1)
+    flat_w = tsdf.weight.reshape(-1)
+    w_old = flat_w[rows]
+    flat_sdf[rows] = (w_old * flat_sdf[rows] + phi) / (w_old + 1.0)
+    flat_w[rows] = np.minimum(w_old + 1.0, tsdf.cfg.weight_cap)
+
+
+class TestCoordinateRowLayout:
+    def test_bit_identical_to_row_major_formula(self):
+        # multi-chunk box scene, plus a view from inside the workspace: the
+        # voxels behind it have z <= 0 and most in front fall off its image
+        from sparsepose.synthetic import look_at_extrinsics
+
+        cfg = TsdfConfig(voxel_size=0.002, voxels_per_side=8)
+        blocks = box_scene_tsdf(cfg).block_indices
+        depths, cams = box_scene_views()
+        views = [(d, intr, extr, 0.33, 0.37) for d, (intr, extr) in zip(depths, cams)]
+        intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=31.5, cy=23.5, width=64, height=48)
+        ramp = np.tile(np.linspace(0.0, 0.1, intr.width), (intr.height, 1))
+        views.append((DepthImage(ramp), intr, look_at_extrinsics((0.0, 0.0, 0.03), (1.0, 0.2, 0.03)),
+                      0.01, 0.08))
+        new = SparseTsdf(cfg, blocks, BOX_WS.min_corner)
+        old = SparseTsdf(cfg, blocks, BOX_WS.min_corner)
+        assert new.n_blocks > tsdf_module._CHUNK_VOXELS // 8**3
+        for depth, intr, extr, near, far in views:
+            before = old.weight.copy()
+            new.integrate_view(depth, intr, extr, near=near, far=far)
+            row_major_integrate(old, depth, intr, extr, near, far)
+            assert (old.weight != before).any()
+            assert np.array_equal(new.sdf, old.sdf)
+            assert np.array_equal(new.weight, old.weight)
+
+    def test_depth_shape_must_match_intrinsics(self):
+        depth, intr, extr = flat_depth_camera(d=0.5)
+        tsdf = SparseTsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=8), np.array([[0, 0, 0]]),
+                          np.array([-0.016, -0.016, 0.48]))
+        with pytest.raises(DataError):
+            tsdf.integrate_view(DepthImage(depth.values[:, 1:]), intr, extr)
+
+    def test_build_tsdf_integrates_each_view_once(self, monkeypatch):
+        # perfbench's per-view tsdf.integrate_view spans rely on this call pattern
+        calls = []
+        integrate = SparseTsdf.integrate_view
+
+        def spy(self, depth, *args, **kwargs):
+            calls.append(depth)
+            integrate(self, depth, *args, **kwargs)
+
+        monkeypatch.setattr(SparseTsdf, "integrate_view", spy)
+        depths, cams = box_scene_views()
+        cloud = fuse_views(depths, cams, BOX_WS, near=0.05, far=2.0)
+        build_tsdf(cloud, depths, cams, TsdfConfig(voxel_size=0.004, voxels_per_side=8),
+                   BOX_WS.min_corner, near=0.05, far=2.0)
+        assert [id(d) for d in calls] == [id(d) for d in depths]
+
+
 class TestScaling:
     def test_band_voxel_count_slope(self):
         # surface-dominated scenes: the in-band voxel count grows ~ (1/theta)^2
