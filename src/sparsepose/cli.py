@@ -33,7 +33,7 @@ from .pipeline import (
     build_input_grid,
     estimate_poses,
     fuse_bundle,
-    input_points,
+    fuse_tsdf,
     load_model,
     save_model,
     train_toy,
@@ -87,10 +87,10 @@ def cmd_fuse(args) -> int:
         write_ply_points(out, cloud)
         print(f"fused {len(cloud)} points -> {out} (seed={cfg.seed})")
     else:
-        _, band, tsdf = input_points(bundle, cfg, "tsdf")
+        tsdf = fuse_tsdf(bundle, cfg, fuse_bundle(bundle, cfg))
         out = args.out or os.path.join(args.scene, "fused.tsdf")
         tsdf.dump(out)
-        print(f"sparse tsdf: {tsdf.n_blocks} blocks, {len(band)} band voxels -> {out} (seed={cfg.seed})")
+        print(f"sparse tsdf: {tsdf.n_blocks} blocks, {len(tsdf.band_rows())} band voxels -> {out} (seed={cfg.seed})")
     return 0
 
 

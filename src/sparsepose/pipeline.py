@@ -29,7 +29,7 @@ from .heatmap import (
 )
 from .ioutil import atomic_write_text, json_document, read_file
 from .synthetic import SceneBundle
-from .tsdf import TsdfConfig, build_tsdf
+from .tsdf import SparseTsdf, TsdfConfig, build_tsdf
 from .voting import (
     VoteSet,
     aggregate_votes,
@@ -50,36 +50,27 @@ def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
     return fuse_views(bundle.depths, bundle.cameras, bundle.workspace, near=cfg.near, far=cfg.far)
 
 
-def input_points(bundle: SceneBundle, cfg: PipelineConfig, representation: str):
-    """Fuse the views and pick the points to voxelize: the raw cloud, or the
-    TSDF band points with their signed-distance channel.
-
-    Returns (fused cloud, points, tsdf or None).
-    """
-    cloud = fuse_bundle(bundle, cfg)
-    if representation == "cloud":
-        return cloud, cloud, None
-    if representation != "tsdf":
-        raise DataError(f"unknown representation '{representation}' (use cloud or tsdf)")
-    tsdf_cfg = TsdfConfig(
-        voxel_size=cfg.theta,
-        voxels_per_side=cfg.tsdf_voxels_per_side,
-        truncation=cfg.tsdf_truncation_mult * cfg.theta,
-        weight_cap=cfg.tsdf_weight_cap,
-    )
-    tsdf = build_tsdf(cloud, bundle.depths, bundle.cameras, tsdf_cfg, bundle.workspace.min_corner,
+def fuse_tsdf(bundle: SceneBundle, cfg: PipelineConfig, cloud: np.ndarray) -> SparseTsdf:
+    """The bundle's TSDF, at voxelize's voxel size (theta) and origin (workspace corner)."""
+    tsdf_cfg = TsdfConfig(voxel_size=cfg.theta, voxels_per_side=cfg.tsdf_voxels_per_side,
+                          truncation=cfg.tsdf_truncation_mult * cfg.theta, weight_cap=cfg.tsdf_weight_cap)
+    return build_tsdf(cloud, bundle.depths, bundle.cameras, tsdf_cfg, bundle.workspace.min_corner,
                       near=cfg.near, far=cfg.far)
-    return cloud, tsdf.extract_pbar(), tsdf
 
 
 def build_input_grid(bundle: SceneBundle, cfg: PipelineConfig, representation: str = "cloud"):
-    """Fuse the views and voxelize either the raw cloud or the TSDF band
-    points (with their signed-distance channel) at the pipeline resolution.
+    """Fuse the views and build the fine grid at theta: the voxelized raw
+    cloud, or the TSDF band grid with its signed-distance channel.
 
     Returns (fine grid, fused cloud, tsdf or None).
     """
-    cloud, pts, tsdf = input_points(bundle, cfg, representation)
-    return voxelize(pts, cfg.theta, bundle.workspace.min_corner), cloud, tsdf
+    cloud = fuse_bundle(bundle, cfg)
+    if representation == "cloud":
+        return voxelize(cloud, cfg.theta, bundle.workspace.min_corner), cloud, None
+    if representation != "tsdf":
+        raise DataError(f"unknown representation '{representation}' (use cloud or tsdf)")
+    tsdf = fuse_tsdf(bundle, cfg, cloud)
+    return tsdf.band_grid(), cloud, tsdf
 
 
 @dataclass
@@ -493,8 +484,7 @@ def estimate_poses(
 ):
     """Full inference: fuse, stage the heatmaps (or take oracle votes),
     cluster and refine. Returns (pose list, vote count)."""
-    cloud, pts, tsdf = input_points(bundle, cfg, representation)
-    fine = voxelize(pts, cfg.theta, bundle.workspace.min_corner)
+    fine, cloud, tsdf = build_input_grid(bundle, cfg, representation)
     if len(fine) == 0:
         return [], 0
     if oracle:
@@ -508,6 +498,7 @@ def estimate_poses(
     scene_points = cloud
     if cfg.icp_use_pbar and tsdf is not None:
         # near-zero-crossing band voxels stand in for the observed surface
+        pts = tsdf.extract_pbar()
         near = pts[np.abs(pts[:, 3]) < 0.25]
         if len(near) >= 100:
             scene_points = near[:, :3]

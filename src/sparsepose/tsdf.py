@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
-from .grid import STENCIL, lattice_index, pack_index, unpack_index
+from .grid import STENCIL, SparseVoxelGrid, lattice_index, pack_index, unpack_index
 from .ioutil import atomic_write_bytes, read_file
 
 # magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
@@ -85,8 +85,7 @@ class SparseTsdf:
     sdf is the normalized truncated signed distance in [-1, 1]; weight counts
     capped observations. Blocks are fixed at construction (activation step);
     their payloads are independent array slices, so concurrent reads with
-    exclusive per-block writes are safe. A test keeps the row-major formula
-    ((c - t) @ R, int cast, 2-D index) and asserts integration matches it.
+    exclusive per-block writes are safe.
     """
 
     def __init__(self, cfg: TsdfConfig, block_indices: np.ndarray, origin):
@@ -111,12 +110,12 @@ class SparseTsdf:
         for b0 in range(0, self.n_blocks, step):
             yield b0, min(b0 + step, self.n_blocks)
 
-    def _center_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """World center of voxel (b, l) is corners[:, b] + local[:, l], as
-        coordinate rows: corners (3, n_blocks) = origin + block corner offset,
-        local (3, L^3) the in-block center offsets in local lex order."""
-        corners = (self.origin + self.block_indices.astype(np.float64) * self.cfg.block_size).T
-        return corners, (self._local + 0.5) * self.cfg.voxel_size
+    def _center_parts(self, blocks: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World center of voxel (b, l) is corners[:, b] + offsets[..., l], as
+        coordinate rows: corners (3, n) = origin + corner offset of the (n, 3)
+        block indices, offsets the in-block center offsets of local indices."""
+        corners = (self.origin + blocks.astype(np.float64) * self.cfg.block_size).T
+        return corners, (local + 0.5) * self.cfg.voxel_size
 
     def integrate_view(
         self,
@@ -136,60 +135,85 @@ class SparseTsdf:
         The blocks are walked in chunks of about _CHUNK_VOXELS voxels, so the
         temporaries of one call are bounded by the chunk, not by the grid.
         Centers are (3, n) coordinate rows projected as R^T @ (c - t); pixels
-        are rounded and bounds-tested in float and read from the flat image.
-        sdf and weight match the row-major full-grid formula bit for bit.
+        are rounded and bounds-tested in float, one take on the flat image
+        reads every lane (off-image lanes at pixel 0) and only the lanes that
+        pass are updated. sdf and weight match the row-major full-grid
+        formula bit for bit.
         """
         if depth.values.shape != (intr.height, intr.width):
             raise DataError(f"depth shape {depth.values.shape} does not match intrinsics")
-        L3 = self.cfg.voxels_per_side**3
         tau = self.cfg.truncation
-        corners, local = self._center_parts()
-        flat_sdf = self.sdf.reshape(-1)
-        flat_w = self.weight.reshape(-1)
+        corners, local = self._center_parts(self.block_indices, self._local)
         for b0, b1 in self._chunks():
             centers = (corners[:, b0:b1, None] + local[:, None, :]).reshape(3, -1)
             x, y, z = extr.rotation.T @ (centers - extr.translation[:, None])
+            # off-image lanes hold inf and NaN; the float pixel index is exact below 2^53
             with np.errstate(divide="ignore", invalid="ignore"):
                 u = np.rint(intr.fx * x / z + intr.cx)
                 v = np.rint(intr.fy * y / z + intr.cy)
-            rows = np.flatnonzero((z > 0) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height))
-            d = depth.values.take(v[rows].astype(np.int64) * intr.width + u[rows].astype(np.int64))
-            s = d - z[rows]
-            ok = (d > 0) & (d >= near) & (d <= far) & (s >= -tau)
-            rows = rows[ok] + b0 * L3
-            phi = np.clip(s[ok] / tau, -1.0, 1.0)
-            w_old = flat_w[rows]
-            flat_sdf[rows] = (w_old * flat_sdf[rows] + phi) / (w_old + 1.0)
-            flat_w[rows] = np.minimum(w_old + 1.0, self.cfg.weight_cap)
+                inside = (z > 0) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+                pixel = np.where(inside, v * intr.width + u, 0.0)
+            d = depth.values.take(pixel.astype(np.int64))
+            s = d - z
+            rows = np.flatnonzero(inside & (d > 0) & (d >= near) & (d <= far) & (s >= -tau))
+            phi = np.clip(s[rows] / tau, -1.0, 1.0)
+            sdf, w = self.sdf[b0:b1].reshape(-1), self.weight[b0:b1].reshape(-1)  # chunk views
+            w_old = w[rows]
+            sdf[rows] = (w_old * sdf[rows] + phi) / (w_old + 1.0)
+            w[rows] = np.minimum(w_old + 1.0, self.cfg.weight_cap)
+
+    def band_rows(self) -> np.ndarray:
+        """Ascending flat rows (slot * L^3 + local) of the band, w > 0 and
+        |sdf| < 1, tested chunk by chunk so temporaries stay chunk-sized."""
+        L3 = self.cfg.voxels_per_side**3
+        kept = [np.flatnonzero((self.weight[b0:b1] > 0) & (np.abs(self.sdf[b0:b1]) < 1.0)) + b0 * L3
+                for b0, b1 in self._chunks()]
+        return np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
 
     def extract_pbar(self) -> np.ndarray:
-        """Enriched representation: rows (x, y, z, sdf) for every observed
-        voxel strictly inside the truncation band (w > 0 and |sdf| < 1).
+        """Enriched representation: rows (x, y, z, sdf) of the band voxels
+        in band_rows order. Centers match the full-grid center formula bit for
+        bit. For readers of band points; the fine grid comes from band_grid."""
+        rows = self.band_rows()
+        corners, local = self._center_parts(self.block_indices, self._local)
+        b, l = np.divmod(rows, self.cfg.voxels_per_side**3)
+        return np.hstack([(corners[:, b] + local[:, l]).T, self.sdf.reshape(-1)[rows][:, None]])
 
-        Row order is deterministic: block lex order, then local voxel lex
-        order within the block. The band test walks the same block chunks as
-        integrate_view and centers are built for the kept voxels only, so
-        memory is bounded by the chunk plus the band; the rows match the
-        full-grid center formula bit for bit.
-        """
-        L3 = self.cfg.voxels_per_side**3
-        flat_sdf = self.sdf.reshape(-1)
-        flat_w = self.weight.reshape(-1)
-        kept = []
-        for b0, b1 in self._chunks():
-            sdf = flat_sdf[b0 * L3:b1 * L3]
-            w = flat_w[b0 * L3:b1 * L3]
-            kept.append(np.flatnonzero((w > 0) & (np.abs(sdf) < 1.0)) + b0 * L3)
-        rows = np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
-        corners, local = self._center_parts()
-        b, l = np.divmod(rows, L3)
-        return np.hstack([(corners[:, b] + local[:, l]).T, flat_sdf[rows][:, None]])
+    def band_grid(self) -> SparseVoxelGrid:
+        """The band as a sparse grid at voxel_size anchored at origin, equal
+        to voxelize(extract_pbar(), voxel_size, origin). Each band voxel holds
+        one point: one sort of the packed keys orders the rows, and features
+        are voxelize's for one point (center offset, log1p(1), sdf). A center
+        offset depends on the global index alone along each axis, so it is
+        tabulated over the index span with the same expressions."""
+        L, h = self.cfg.voxels_per_side, self.cfg.voxel_size
+        rows = self.band_rows()
+        keys = self._voxel_keys(rows)
+        order = np.argsort(keys, kind="stable")  # keys are unique; runs arrive nearly sorted
+        idx = unpack_index(keys[order])
+        features = np.empty((len(rows), 5))
+        if len(rows):
+            g = np.arange(idx.min(), idx.max() + 1)
+            corners, local = self._center_parts(np.stack([g // L] * 3, axis=1), g % L)
+            offset = (corners + local - (self.origin[:, None] + (g + 0.5) * h)) / h  # row per axis
+            features[:, :3] = offset.reshape(-1).take(idx - g[0] + np.arange(3) * len(g))
+        features[:, 3] = np.log1p(1.0)
+        features[:, 4] = self.sdf.reshape(-1).take(rows[order])
+        return SparseVoxelGrid(h, self.origin, idx, features)
+
+    def _voxel_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Packed global index block * L + local of flat voxel rows: a
+        per-block base key plus a per-voxel local offset. Checking each
+        block's far corner keeps every sum inside the key's fields."""
+        L = self.cfg.voxels_per_side
+        b, l = np.divmod(rows, L**3)
+        base = self.block_indices * L
+        pack_index(base + (L - 1))
+        return pack_index(base)[b] + (pack_index(self._local.T) - pack_index(np.zeros(3)))[l]
 
     def global_voxel_indices(self) -> np.ndarray:
         """(n_blocks * L^3, 3) global voxel indices at resolution voxel_size."""
-        L = self.cfg.voxels_per_side
-        base = self.block_indices * L
-        return (base[:, None, :] + self._local.T[None, :, :]).reshape(-1, 3)
+        return unpack_index(self._voxel_keys(np.arange(self.sdf.size)))
 
     # -- binary dump ---------------------------------------------------------
     # Layout (little-endian):

@@ -68,7 +68,8 @@ class TestFuse:
         assert tsdf.n_blocks > 0
         assert len(tsdf.extract_pbar()) > 0
 
-    def test_tsdf_band_extracted_once(self, scene_dir, tmp_path, capsys, monkeypatch):
+    def test_tsdf_band_counted_without_extraction(self, scene_dir, tmp_path, capsys, monkeypatch):
+        # the count comes from the band test alone; no band centers are built
         from sparsepose.config import PipelineConfig
         from sparsepose.tsdf import SparseTsdf
 
@@ -77,7 +78,7 @@ class TestFuse:
         monkeypatch.setattr(SparseTsdf, "extract_pbar", lambda self: calls.append(1) or extract(self))
         out = tmp_path / "fused.tsdf"
         assert run(["fuse", scene_dir, "--repr", "tsdf", "--out", out, "--theta-mm", 4.0]) == 0
-        assert len(calls) == 1
+        assert calls == []
         tsdf = SparseTsdf.load(out)
         band = len(extract(tsdf))
         seed = PipelineConfig().seed
@@ -201,6 +202,13 @@ class TestEstimateAndEval:
         assert run(["estimate", tiny_bundle_dir, "--oracle", "--out", out]) == 0
         assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == \
             "7e7dc43ef15559e79997caeea001654ba0ab4293023dc4877e2d30ca0f87da91"
+
+    def test_oracle_pose_json_sha_pinned_tsdf(self, tiny_bundle_dir, tmp_path):
+        # the TSDF path: band grid, its votes and ICP against the fused cloud
+        out = tmp_path / "poses"
+        assert run(["estimate", tiny_bundle_dir, "--oracle", "--repr", "tsdf", "--out", out]) == 0
+        assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == \
+            "3e03093b907ec985f522876bf65a59d0fc4a4f0fc339ead7b8ca45e55a719b33"
 
     def test_estimate_without_model_or_oracle_is_config_error(self, scene_dir):
         assert run(["estimate", scene_dir]) == 2

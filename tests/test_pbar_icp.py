@@ -14,7 +14,7 @@ def test_icp_against_tsdf_band(small_bundle, monkeypatch):
     extract = SparseTsdf.extract_pbar
     monkeypatch.setattr(SparseTsdf, "extract_pbar", lambda self: calls.append(1) or extract(self))
     poses, n_votes = estimate_poses(small_bundle, cfg, oracle=True, representation="tsdf")
-    assert len(calls) == 1, "the band is extracted once and serves both the grid and ICP"
+    assert len(calls) == 1, "the band points are extracted once, for ICP; the grid needs none"
     assert n_votes > 0
     assert len(poses) >= small_bundle.gt.n_objects
     for inst in small_bundle.instances:

@@ -203,17 +203,21 @@ def assert_matches_dense(tsdf):
     assert missing == []
 
 
-def full_grid_pbar(tsdf):
-    """extract_pbar by the full-grid formula: every voxel center at once."""
+def full_grid_centers(tsdf):
+    """Every voxel center by the full-grid formula, (n_blocks * L^3, 3)."""
     L = tsdf.cfg.voxels_per_side
     base = tsdf.block_indices.astype(np.float64) * tsdf.cfg.block_size
     ll = np.arange(L)
     local = np.stack(np.meshgrid(ll, ll, ll, indexing="ij"), axis=-1).reshape(-1, 3)
     local = (local.astype(np.float64) + 0.5) * tsdf.cfg.voxel_size
-    centers = (tsdf.origin + base[:, None, :] + local[None, :, :]).reshape(-1, 3)
+    return (tsdf.origin + base[:, None, :] + local[None, :, :]).reshape(-1, 3)
+
+
+def full_grid_pbar(tsdf):
+    """extract_pbar by the full-grid formula: every voxel center at once."""
     sdf = tsdf.sdf.reshape(-1)
     keep = (tsdf.weight.reshape(-1) > 0) & (np.abs(sdf) < 1.0)
-    return np.hstack([centers[keep], sdf[keep][:, None]])
+    return np.hstack([full_grid_centers(tsdf)[keep], sdf[keep][:, None]])
 
 
 class TestDenseOracle:
@@ -459,3 +463,154 @@ class TestScaling:
             counts.append(len(tsdf.extract_pbar()))
         slope = loglog_slope([1.0 / t for t in thetas], counts)
         assert 1.6 <= slope <= 2.4
+
+
+def load_bench_workloads():
+    """perfbench/workloads.py, which holds the benchmark's scene specs."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench_fuse_bundles(tmp_path_factory):
+    """The four fuse_tsdf benchmark scenes of seeds 0 and 1, exported and
+    loaded back as the benchmark does."""
+    from sparsepose.synthetic import export_scene_bundle, load_scene_bundle
+
+    workloads = load_bench_workloads()
+    bundles = []
+    for seed in (0, 1):
+        lib, specs = workloads.scene_specs("fuse_tsdf", seed)
+        for name, spec in specs:
+            out = tmp_path_factory.mktemp(f"fuse_{seed}") / name
+            export_scene_bundle(spec, lib, out)
+            bundles.append(load_scene_bundle(out))
+    return bundles
+
+
+def assert_band_grid_matches_voxelize(tsdf):
+    from sparsepose.grid import voxelize
+
+    grid = tsdf.band_grid()
+    ref = voxelize(tsdf.extract_pbar(), tsdf.cfg.voxel_size, tsdf.origin)
+    assert grid.resolution == ref.resolution
+    assert np.array_equal(grid.origin, ref.origin)
+    assert grid.indices.dtype == ref.indices.dtype and grid.indices.shape == ref.indices.shape
+    assert np.array_equal(grid.indices, ref.indices)
+    assert grid.features.shape == ref.features.shape
+    assert np.array_equal(grid.features, ref.features)
+    return grid
+
+
+class TestBandGrid:
+    def test_box_scene(self):
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.002, voxels_per_side=8))
+        assert tsdf.n_blocks == 180
+        assert len(assert_band_grid_matches_voxelize(tsdf)) > 0
+
+    def test_bench_fuse_scenes(self, bench_fuse_bundles):
+        from sparsepose.config import PipelineConfig
+        from sparsepose.grid import voxelize
+        from sparsepose.pipeline import build_input_grid
+
+        cfg = PipelineConfig()
+        assert len(bench_fuse_bundles) == 8
+        for bundle in bench_fuse_bundles:
+            fine, _, tsdf = build_input_grid(bundle, cfg, "tsdf")
+            ref = voxelize(tsdf.extract_pbar(), cfg.theta, bundle.workspace.min_corner)
+            assert len(fine) > 0
+            assert np.array_equal(fine.indices, ref.indices)
+            assert np.array_equal(fine.features, ref.features)
+
+    def test_block_larger_than_chunk(self, monkeypatch):
+        monkeypatch.setattr(tsdf_module, "_CHUNK_VOXELS", 100)
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=8))
+        assert [stop - b0 for b0, stop in tsdf._chunks()] == [1] * tsdf.n_blocks
+        assert len(assert_band_grid_matches_voxelize(tsdf)) > 0
+
+    @pytest.mark.parametrize("L", [1, 5, 8, 16])
+    def test_voxels_per_side(self, L):
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=L))
+        assert len(assert_band_grid_matches_voxelize(tsdf)) > 0
+
+    def test_negative_block_indices(self):
+        # the origin sits inside the scene, so the band spans blocks on both
+        # sides of zero along every axis
+        depths, cams = box_scene_views()
+        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=5)
+        cloud = fuse_views(depths, cams, BOX_WS, near=0.05, far=2.0)
+        origin = np.array([0.0, 0.0, 0.02])
+        tsdf = build_tsdf(cloud, depths, cams, cfg, origin, near=0.05, far=2.0)
+        grid = assert_band_grid_matches_voxelize(tsdf)
+        assert (grid.indices < 0).any(axis=0).all() and (grid.indices > 0).any(axis=0).all()
+
+    def test_empty_tsdf(self):
+        tsdf = SparseTsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=8), np.zeros((0, 3)), np.zeros(3))
+        grid = assert_band_grid_matches_voxelize(tsdf)
+        assert grid.indices.shape == (0, 3) and grid.indices.dtype == np.int64
+        assert grid.features.shape == (0, 5)
+
+    def test_blocks_without_band(self):
+        # observed, but every voxel clamps to phi = 1: blocks and weights, no band
+        depth, intr, extr = flat_depth_camera(d=1.0)
+        cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8, truncation=0.01)
+        tsdf = SparseTsdf(cfg, np.array([[0, 0, 0], [0, 1, 0]]), np.array([-0.016, -0.016, 0.2]))
+        tsdf.integrate_view(depth, intr, extr)
+        assert tsdf.weight.max() > 0 and len(tsdf.band_rows()) == 0
+        grid = assert_band_grid_matches_voxelize(tsdf)
+        assert grid.indices.shape == (0, 3) and grid.indices.dtype == np.int64
+        assert grid.features.shape == (0, 5)
+
+    @pytest.mark.parametrize("L, x, fits", [
+        (8, 2**17 - 1, True), (8, 2**17, False), (5, -209715, True),
+        (5, 209715, False),  # the first voxel packs, the block's far corner does not
+    ])
+    def test_packable_range(self, L, x, fits):
+        from sparsepose.grid import voxelize
+
+        tsdf = SparseTsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=L), np.array([[x, 0, 0]]), np.zeros(3))
+        tsdf.weight[:] = 1.0
+        tsdf.sdf[:] = 0.5
+        if fits:
+            assert len(assert_band_grid_matches_voxelize(tsdf)) == L**3
+        else:
+            with pytest.raises(DataError):
+                tsdf.band_grid()
+            with pytest.raises(DataError):
+                voxelize(tsdf.extract_pbar(), tsdf.cfg.voxel_size, tsdf.origin)
+
+    def test_band_rows_is_the_band_test(self):
+        tsdf = box_scene_tsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=8))
+        keep = (tsdf.weight.reshape(-1) > 0) & (np.abs(tsdf.sdf.reshape(-1)) < 1.0)
+        assert np.array_equal(tsdf.band_rows(), np.flatnonzero(keep))
+
+
+class TestIntegrationUnderRaisingErrstate:
+    def test_camera_plane_through_active_blocks(self):
+        # the CLI runs every command with floating-point errors raising. A
+        # camera at a voxel center puts a layer of voxels on its image plane
+        # (z == 0), where x / z is inf or NaN; the masked pixel index is
+        # computed on those lanes too, and must raise nothing
+        cfg = TsdfConfig(voxel_size=0.002, voxels_per_side=8)
+        blocks = box_scene_tsdf(cfg).block_indices
+        new = SparseTsdf(cfg, blocks, BOX_WS.min_corner)
+        old = SparseTsdf(cfg, blocks, BOX_WS.min_corner)
+        block = np.array([4, 4, 1])  # holds the box center, amid the active blocks
+        assert (new.block_indices == block).all(axis=1).any()
+        eye = BOX_WS.min_corner + block * cfg.block_size + 0.5 * cfg.voxel_size
+        extr = CameraExtrinsics(np.eye(3), eye)
+        depth, intr, _ = flat_depth_camera(d=0.03)
+        z = full_grid_centers(new)[:, 2] - eye[2]
+        assert (z == 0).sum() > 1 and (z < 0).any() and (z > 0).any()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            new.integrate_view(depth, intr, extr)
+        row_major_integrate(old, depth, intr, extr, 0.0, np.inf)
+        assert old.weight.any()
+        assert np.array_equal(new.sdf, old.sdf)
+        assert np.array_equal(new.weight, old.weight)
