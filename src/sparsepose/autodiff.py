@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-A Tensor wraps a float array plus an on-demand gradient; ops record closures
-that accumulate into their parents. Everything runs in float64. Gradients
-of disjoint graph regions accumulate in a fixed topological order, so results
-are deterministic.
+A Tensor wraps a float array plus an on-demand gradient. Every op computes
+its value, defines a backward closure that accumulates into its parents and
+returns one `Tensor(value, parents, backward)` node; the constructor keeps
+parents and closure only when some parent requires a gradient, so constant
+inputs build no graph. Everything runs in float64. Gradients of disjoint
+graph regions accumulate in a fixed topological order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .grid import group_rows
 
 
 class Tensor:
@@ -93,79 +97,60 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, parents=(a, b))
-
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, parents=(a, b))
-
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), backward=backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, parents=(a, b))
-
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, parents=(a, b))
-
     def backward(g):
         _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         _accumulate(b, _unbroadcast(-g * a.data / (b.data**2), b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data / b.data, parents=(a, b), backward=backward)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
-    out = Tensor(a.data**p, parents=(a,))
-
     def backward(g):
         _accumulate(a, g * p * a.data ** (p - 1.0))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data**p, parents=(a,), backward=backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     val = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(val, parents=(a,))
 
     def backward(g):
         _accumulate(a, g * val * (1.0 - val))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(val, parents=(a,), backward=backward)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0), parents=(a,))
 
     def backward(g):
         _accumulate(a, g * mask)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=backward)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -174,34 +159,25 @@ def relu(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy @ semantics of operands with two or more
     dimensions (batched leading dims allowed)."""
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
     def backward(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         _accumulate(a, _unbroadcast(ga, a.data.shape))
         _accumulate(b, _unbroadcast(gb, b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data @ b.data, parents=(a, b), backward=backward)
 
 
 # -- reductions --------------------------------------------------------------
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,))
-
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,), backward=backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -212,15 +188,13 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def reduce_min(a: Tensor, axis: int) -> Tensor:
     """Minimum along one axis; the gradient routes to the first argmin."""
     arg = np.argmin(a.data, axis=axis)
-    out = Tensor(np.min(a.data, axis=axis), parents=(a,))
 
     def backward(g):
         ga = np.zeros_like(a.data)
         np.put_along_axis(ga, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
         _accumulate(a, ga)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.min(a.data, axis=axis), parents=(a,), backward=backward)
 
 
 def softmax_lastaxis(a: Tensor) -> Tensor:
@@ -228,44 +202,36 @@ def softmax_lastaxis(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     val = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(val, parents=(a,))
 
     def backward(g):
         dot = (g * val).sum(axis=-1, keepdims=True)
         _accumulate(a, val * (g - dot))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(val, parents=(a,), backward=backward)
 
 
 # -- shape manipulation ------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-
     def backward(g):
         _accumulate(a, g.reshape(a.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = np.argsort(axes)
-    out = Tensor(a.data.transpose(axes), parents=(a,))
 
     def backward(g):
         _accumulate(a, g.transpose(inv))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data.transpose(axes), parents=(a,), backward=backward)
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [constant(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -273,8 +239,7 @@ def concat(tensors, axis=0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accumulate(t, piece)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors), backward=backward)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -282,57 +247,46 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = Tensor(a.data[sl], parents=(a,))
 
     def backward(g):
         ga = np.zeros_like(a.data)
         ga[sl] = g
         _accumulate(a, ga)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data[sl], parents=(a,), backward=backward)
 
 
 # -- row gather / scatter ----------------------------------------------------
 
 
 def segment_sum(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum `values` rows into `n_rows` output slots (sort + reduceat; much
-    faster than np.add.at for large inputs)."""
+    """Sum `values` rows into `n_rows` output slots (grouped by row, then
+    reduceat; much faster than np.add.at for large inputs)."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
-    if rows.size == 0:
-        return out
-    order = np.argsort(rows, kind="stable")
-    rs = rows[order]
-    vs = values[order]
-    starts = np.nonzero(np.r_[True, rs[1:] != rs[:-1]])[0]
-    out[rs[starts]] = np.add.reduceat(vs, starts, axis=0)
+    order, starts, _ = group_rows(rows)
+    out[rows[order[starts]]] = np.add.reduceat(values[order], starts, axis=0)
     return out
 
 
 def gather_rows(a: Tensor, rows) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    out = Tensor(a.data[rows], parents=(a,))
 
     def backward(g):
         _accumulate(a, segment_sum(g, rows, a.data.shape[0]))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data[rows], parents=(a,), backward=backward)
 
 
 def scatter_add_rows(a: Tensor, rows, n_rows: int) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     if rows.shape[0] != a.data.shape[0]:
         raise DataError("scatter rows must match input row count")
-    out = Tensor(segment_sum(a.data, rows, n_rows), parents=(a,))
 
     def backward(g):
         _accumulate(a, g[rows])
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(segment_sum(a.data, rows, n_rows), parents=(a,), backward=backward)
 
 
 def from_loss_fn(pred: Tensor, fn) -> Tensor:
@@ -340,13 +294,11 @@ def from_loss_fn(pred: Tensor, fn) -> Tensor:
     loss, grad = fn(pred.data)
     if not np.isfinite(loss):
         raise NumericalError(f"loss function returned non-finite value {loss}")
-    out = Tensor(np.float64(loss), parents=(pred,))
 
     def backward(g):
         _accumulate(pred, g * grad)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.float64(loss), parents=(pred,), backward=backward)
 
 
 # -- verification ------------------------------------------------------------

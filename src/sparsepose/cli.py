@@ -153,12 +153,8 @@ def cmd_eval(args) -> int:
     cfg = _config_from(args)
     bundle = load_scene_bundle(args.scene)
     poses = read_pose_json(args.poses)
-    report = evaluate_scene(
-        poses,
-        {"instances": bundle.instances},
-        bundle.models,
-        camera=bundle.cameras[0] if bundle.cameras else None,
-    )
+    report = evaluate_scene(poses, bundle.instances, bundle.models,
+                            camera=bundle.cameras[0] if bundle.cameras else None)
     out = args.out or os.path.join(args.scene, "metrics")
     write_metric_csv(out + ".csv", report, seed=cfg.seed)
     write_metric_json(out + ".json", report, seed=cfg.seed)

@@ -3,7 +3,8 @@ partitioning and occupancy statistics.
 
 Voxel indices are int64 triples with floor quantization (lower-inclusive),
 kept unique and lexicographically sorted so that every downstream selection
-is deterministic.
+is deterministic. Their packed int64 keys are grouped into runs by
+`group_rows` and looked up by `find_rows`, the one copy of each rule.
 """
 
 from __future__ import annotations
@@ -102,27 +103,29 @@ class SparseVoxelGrid:
         return pack_index(self.indices)
 
     def row_lookup(self, query_indices: np.ndarray) -> np.ndarray:
-        """Row of each query index, or -1 when absent (vectorized search)."""
-        q = np.asarray(query_indices, dtype=np.int64).reshape(-1, 3)
-        if len(self) == 0 or q.shape[0] == 0:
-            return np.full(q.shape[0], -1, dtype=np.int64)
-        keys = self.keys()  # sorted because indices are lex-sorted
-        qk = pack_index(q)
-        pos = np.searchsorted(keys, qk)
-        pos_clip = np.minimum(pos, len(keys) - 1)
-        found = keys[pos_clip] == qk
-        return np.where(found, pos_clip, -1)
+        """Row of each query index, or -1 when absent (keys are sorted
+        because indices are lex-sorted)."""
+        return find_rows(self.keys(), pack_index(query_indices))
 
 
-def _group_sorted(keys_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and unique keys of runs in an already-sorted key array."""
-    if keys_sorted.size == 0:
-        return np.zeros(0, dtype=np.int64), keys_sorted
-    change = np.empty(keys_sorted.size, dtype=bool)
-    change[0] = True
-    change[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    starts = np.nonzero(change)[0]
-    return starts, keys_sorted[starts]
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal keys: (order, starts, counts) where `order` is the
+    stable ascending sort of the rows, so rows stay ascending within a run,
+    and run r is rows order[starts[r] : starts[r] + counts[r]]."""
+    keys = np.asarray(keys).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    s = keys[order]
+    starts = np.flatnonzero(np.r_[s.size > 0, s[1:] != s[:-1]])
+    return order, starts, np.diff(starts, append=s.size)
+
+
+def find_rows(sorted_keys: np.ndarray, query: np.ndarray, missing: int = -1) -> np.ndarray:
+    """Position of each query key in the ascending `sorted_keys`, or
+    `missing` where the key is absent."""
+    if sorted_keys.size == 0:
+        return np.full(np.shape(query), missing, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_keys, query), sorted_keys.size - 1)
+    return np.where(sorted_keys[pos] == query, pos, missing)
 
 
 def voxelize(points: np.ndarray, resolution: float, origin) -> SparseVoxelGrid:
@@ -142,12 +145,7 @@ def voxelize(points: np.ndarray, resolution: float, origin) -> SparseVoxelGrid:
         return SparseVoxelGrid(resolution, origin, np.zeros((0, 3), dtype=np.int64), np.zeros((0, n_channels)))
     xyz = pts[:, :3]
     idx = lattice_index(xyz, origin, resolution)
-    keys = pack_index(idx)
-    order = np.argsort(keys, kind="stable")
-    keys_s = keys[order]
-    starts, _ = _group_sorted(keys_s)
-    counts = np.diff(np.append(starts, keys_s.size))
-
+    order, starts, counts = group_rows(pack_index(idx))
     xyz_s = xyz[order]
     sums = np.add.reduceat(xyz_s, starts, axis=0)
     means = sums / counts[:, None]
@@ -181,11 +179,7 @@ def coarsen(grid: SparseVoxelGrid, factor: int = 10) -> tuple[SparseVoxelGrid, n
         empty = SparseVoxelGrid(grid.resolution * factor, grid.origin,
                                 np.zeros((0, 3), dtype=np.int64), np.zeros((0, grid.channels)))
         return empty, np.zeros(0, dtype=np.int64)
-    keys = pack_index(coarse_idx)
-    order = np.argsort(keys, kind="stable")
-    keys_s = keys[order]
-    starts, _ = _group_sorted(keys_s)
-    counts = np.diff(np.append(starts, keys_s.size))
+    order, starts, counts = group_rows(pack_index(coarse_idx))
     feat_sums = np.add.reduceat(grid.features[order], starts, axis=0)
     coarse_feat = feat_sums / counts[:, None]
     uniq = coarse_idx[order][starts]
@@ -209,9 +203,8 @@ def partition_indices(indices: np.ndarray, window: int) -> list[tuple[tuple[int,
     if indices.shape[0] == 0:
         return []
     keys = pack_index(np.floor_divide(indices, int(window)))
-    order = np.argsort(keys, kind="stable")  # rows stay ascending within a window
-    starts, uniq_keys = _group_sorted(keys[order])
-    ids = [tuple(int(v) for v in row) for row in unpack_index(uniq_keys)]
+    order, starts, _ = group_rows(keys)
+    ids = [tuple(int(v) for v in row) for row in unpack_index(keys[order[starts]])]
     return list(zip(ids, np.split(order, starts[1:])))
 
 

@@ -118,16 +118,17 @@ def match_poses(estimates, gt_class_ids, gt_rotations, gt_translations):
     return matched
 
 
-def evaluate_scene(estimates, gt, models, camera=None) -> dict:
+def evaluate_scene(estimates, instances, models, camera=None) -> dict:
     """Per-object and aggregate metrics for one scene.
 
-    `gt` is a SceneGroundTruth plus per-object rotations/translations taken
-    from the bundle instances; `models` maps class id -> ObjectModel.
-    Unmatched objects contribute +inf errors (so AUC and recalls drop).
+    `instances` are the ground-truth objects (class id, rotation,
+    translation), such as a bundle's instances; `models` maps class id ->
+    ObjectModel. Unmatched objects contribute +inf errors (so AUC and
+    recalls drop).
     """
-    gt_rot = np.asarray([inst.rotation for inst in gt["instances"]]).reshape(-1, 3, 3)
-    gt_tra = np.asarray([inst.translation for inst in gt["instances"]]).reshape(-1, 3)
-    gt_cls = np.asarray([inst.class_id for inst in gt["instances"]], dtype=np.int64)
+    gt_rot = np.asarray([inst.rotation for inst in instances]).reshape(-1, 3, 3)
+    gt_tra = np.asarray([inst.translation for inst in instances]).reshape(-1, 3)
+    gt_cls = np.asarray([inst.class_id for inst in instances], dtype=np.int64)
     matched = match_poses(estimates, gt_cls, gt_rot, gt_tra)
     per_object = []
     for gi in range(len(gt_cls)):

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import STENCIL, SparseVoxelGrid, pack_index, partition_indices
+from .grid import STENCIL, SparseVoxelGrid, find_rows, pack_index, partition_indices
 from .ioutil import atomic_write_bytes, read_file
 
 
@@ -170,7 +170,6 @@ def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale
         attn = e / e.sum(axis=-1, keepdims=True)
         merge(attn @ vg, rows, z)
         saved.append((rows, qg, kg, vg, attn))
-    out = Tensor(z, parents=(q, k, v))
 
     def backward(g):
         dq, dk, dv = np.zeros((n, c)), np.zeros((n, c)), np.zeros((n, c))
@@ -185,8 +184,7 @@ def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale
         ad._accumulate(k, dk)
         ad._accumulate(v, dv)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(z, parents=(q, k, v), backward=backward)
 
 
 class DualBranchBlock(Module):
@@ -227,10 +225,9 @@ class ConvPairs:
         n = idx.shape[0]
         keys = pack_index(idx)
         order = np.argsort(keys)
-        keys_sorted = keys[order]
         wanted = pack_index((idx[:, None, :] + STENCIL[None, :, :]).reshape(-1, 3))
-        pos = np.minimum(np.searchsorted(keys_sorted, wanted), max(0, n - 1))
-        self.nbr = np.where(keys_sorted[pos] == wanted, order[pos], n).reshape(n, 27)
+        # an absent neighbor reads entry n of the appended order: the zero row n
+        self.nbr = np.append(order, n)[find_rows(keys[order], wanted, missing=n)].reshape(n, 27)
 
     def __len__(self) -> int:
         return self.nbr.shape[0]
@@ -296,7 +293,6 @@ class SubmanifoldConv3(Module):
         for s in range(0, n, _CHUNK_ROWS):
             value[s : s + _CHUNK_ROWS] = _gather_cols(padded, nbr[s : s + _CHUNK_ROWS]) @ weights
         value += bias.data
-        out = Tensor(value, parents=(x, kernel, bias))
 
         def backward(g):
             padded = _pad(g)
@@ -313,8 +309,7 @@ class SubmanifoldConv3(Module):
             ad._accumulate(bias, g.sum(axis=0))
             ad._accumulate(x, dx)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(value, parents=(x, kernel, bias), backward=backward)
 
 
 # ---------------------------------------------------------------------------

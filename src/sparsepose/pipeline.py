@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .config import PipelineConfig
 from .errors import DataError
 from .fusion import fuse_views
-from .grid import SparseVoxelGrid, coarsen, pack_index, voxelize
+from .grid import SparseVoxelGrid, coarsen, lattice_index, pack_index, voxelize
 from .heatmap import (
     SceneGroundTruth,
     adaptive_topk,
@@ -447,10 +447,10 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     if len(scene) == 0:
         return poses
     base = np.zeros(3) if origin is None else np.asarray(origin, dtype=np.float64)
-    scene_keys = pack_index(np.floor((scene - base) / cfg.theta).astype(np.int64))
+    scene_keys = pack_index(lattice_index(scene, base, cfg.theta))
     order = np.argsort(scene_keys, kind="stable")
     sorted_keys = scene_keys[order]
-    vote_keys = pack_index(np.floor((votes.voxel_centers - base) / cfg.theta).astype(np.int64))
+    vote_keys = pack_index(lattice_index(votes.voxel_centers, base, cfg.theta))
     cluster_ids = np.unique(labels[labels >= 0])
     refined: list = []
     full_tree = None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
-from .grid import STENCIL, SparseVoxelGrid, lattice_index, pack_index, unpack_index
+from .grid import STENCIL, SparseVoxelGrid, group_rows, lattice_index, pack_index, unpack_index
 from .ioutil import atomic_write_bytes, read_file
 
 # magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
@@ -223,8 +223,8 @@ class SparseTsdf:
     #   int64 block_count
     #   per block: int64 index[3], then L^3 pairs of float32 (sdf, weight)
     #   in local lexicographic voxel order.
-    # A file whose length differs from header + block_count * (24 + 8 L^3)
-    # is rejected.
+    # A file whose length differs from header + block_count * (24 + 8 L^3),
+    # or that names one block twice, is rejected.
 
     MAGIC = b"SPTSDF01"
 
@@ -255,10 +255,13 @@ class SparseTsdf:
             raise DataError(f"{path}: {len(blob)} bytes do not hold the {n_blocks} blocks "
                             f"of {L}^3 voxels the header declares (truncated or padded)")
         blocks = np.frombuffer(blob, dtype=_block_dtype(L), count=n_blocks, offset=_HEADER.size)
-        out = cls(cfg, blocks["index"], (ox, oy, oz))
-        slots = np.searchsorted(pack_index(out.block_indices), pack_index(blocks["index"]))
-        out.sdf[slots] = blocks["pairs"][..., 0].reshape(-1, L, L, L)
-        out.weight[slots] = blocks["pairs"][..., 1].reshape(-1, L, L, L)
+        order, starts, counts = group_rows(pack_index(blocks["index"]))  # ascending keys: slot order
+        if np.any(counts > 1):
+            twice = blocks["index"][order[starts[np.argmax(counts > 1)]]]
+            raise DataError(f"{path}: block {tuple(twice.tolist())} appears more than once")
+        out = cls(cfg, blocks["index"][order], (ox, oy, oz))
+        out.sdf[:] = blocks["pairs"][order, :, 0].reshape(-1, L, L, L)
+        out.weight[:] = blocks["pairs"][order, :, 1].reshape(-1, L, L, L)
         return out
 
 

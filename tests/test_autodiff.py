@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsepose import autodiff as ad
+from sparsepose import nn
 from sparsepose.autodiff import Tensor, finite_difference_check
 from sparsepose.errors import DataError, NumericalError
 
@@ -196,3 +197,69 @@ class TestLossWrapper:
             x.data[i] = orig
             num[i] = (hi - lo) / (2 * eps)
         assert np.max(np.abs(num - x.grad)) < 1e-6
+
+
+def _conv_node(x, kernel, bias):
+    conv = nn.SubmanifoldConv3(2, 3, np.random.default_rng(0))
+    conv.kernel, conv.bias = kernel, bias
+    return conv(x, nn.ConvPairs(np.array([[0, 0, 0], [0, 0, 1], [1, 1, 1], [3, 0, 0]])))
+
+
+# Every op that builds its node through the Tensor constructor, plus the two
+# hand-written nodes in nn: (input shapes, op over the input tensors).
+GRAPH_NODES = {
+    "add": ([(3, 4), (4,)], ad.add),
+    "sub": ([(3, 4), (3, 1)], ad.sub),
+    "mul": ([(3, 4), (3, 4)], ad.mul),
+    "div": ([(3, 4), (3, 4)], ad.div),
+    "pow_const": ([(3, 4)], lambda a: ad.pow_const(a, -0.5)),
+    "sigmoid": ([(3, 4)], ad.sigmoid),
+    "relu": ([(3, 4)], ad.relu),
+    "matmul": ([(2, 3, 4), (4, 2)], ad.matmul),
+    "tsum_all": ([(3, 4)], ad.tsum),
+    "tsum_axis": ([(3, 4)], lambda a: ad.tsum(a, axis=0)),
+    "tsum_keepdims": ([(3, 4)], lambda a: ad.tsum(a, axis=1, keepdims=True)),
+    "reduce_min": ([(3, 4)], lambda a: ad.reduce_min(a, axis=1)),
+    "softmax_lastaxis": ([(3, 4)], ad.softmax_lastaxis),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+    "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
+    "concat": ([(3, 4), (3, 2)], lambda a, b: ad.concat([a, b], axis=1)),
+    "narrow": ([(3, 4)], lambda a: ad.narrow(a, 1, 1, 2)),
+    "gather_rows": ([(3, 4)], lambda a: ad.gather_rows(a, [2, 0, 2])),
+    "scatter_add_rows": ([(4, 2)], lambda a: ad.scatter_add_rows(a, [0, 2, 2, 1], 3)),
+    "from_loss_fn": ([(3, 4)], lambda a: ad.from_loss_fn(a, lambda p: (float((p**2).sum()), 2 * p))),
+    "window_attention": ([(4, 4)] * 3,
+                         lambda q, k, v: nn._window_attention(q, k, v, [np.array([[0, 3], [1, 2]])], 2, 0.5)),
+    "submanifold_conv3": ([(4, 2), (27, 2, 3), (3,)], _conv_node),
+}
+
+
+class TestGraphNodeGate:
+    @staticmethod
+    def inputs(shapes, param=None):
+        rng = np.random.default_rng(5)
+        return [ad.parameter(rng.uniform(0.5, 1.5, size=s)) if i == param else Tensor(rng.uniform(0.5, 1.5, size=s))
+                for i, s in enumerate(shapes)]
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_NODES))
+    def test_constant_inputs_build_no_graph(self, name):
+        shapes, op = GRAPH_NODES[name]
+        out = op(*self.inputs(shapes))
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_NODES))
+    def test_backward_reaches_the_one_parameter(self, name):
+        shapes, op = GRAPH_NODES[name]
+        for param in range(len(shapes)):
+            tensors = self.inputs(shapes, param)
+            out = op(*tensors)
+            assert out.requires_grad and out._backward is not None
+            scalarize(out).backward()
+            for i, t in enumerate(tensors):
+                if i == param:
+                    assert t.grad is not None and t.grad.shape == t.data.shape
+                    assert np.all(np.isfinite(t.grad)) and np.any(t.grad != 0)
+                else:
+                    assert t.grad is None

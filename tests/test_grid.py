@@ -7,6 +7,8 @@ from sparsepose.errors import DataError
 from sparsepose.grid import (
     SparseVoxelGrid,
     coarsen,
+    find_rows,
+    group_rows,
     loglog_slope,
     occupancy_csv,
     occupancy_stats,
@@ -22,6 +24,58 @@ def brute_force_voxel_set(points, theta, origin):
     for p in np.atleast_2d(points):
         out.add(tuple(int(np.floor((p[k] - origin[k]) / theta)) for k in range(3)))
     return out
+
+
+# Key arrays for group_rows / find_rows: empty, one key, all keys equal,
+# packed negative voxel indices with repeats, and random repeats.
+KEY_CASES = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "one": np.array([7], dtype=np.int64),
+    "all_equal": np.full(6, -3, dtype=np.int64),
+    "negative_indices": pack_index(np.array([[-1, -1, -1], [0, 0, 0], [-1, -1, -1], [-5, 3, -2],
+                                             [-(1 << 20), 0, (1 << 20) - 1], [0, 0, 0], [-5, 3, -2]])),
+    "random": np.random.default_rng(4).integers(-50, 50, size=300).astype(np.int64),
+}
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("name", sorted(KEY_CASES))
+    def test_matches_unique(self, name):
+        keys = KEY_CASES[name]
+        order, starts, counts = group_rows(keys)
+        uniq, first, inverse, n = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+        assert order.dtype == starts.dtype == counts.dtype == np.int64
+        assert np.array_equal(keys[order[starts]], uniq)
+        assert np.array_equal(order[starts], first)
+        assert np.array_equal(counts, n)
+        assert counts.sum() == len(keys) and np.array_equal(np.sort(order), np.arange(len(keys)))
+        for r in range(len(uniq)):  # each run: the rows of that key, ascending
+            run = order[starts[r] : starts[r] + counts[r]]
+            assert np.array_equal(run, np.flatnonzero(inverse.reshape(-1) == r))
+
+
+class TestFindRows:
+    @pytest.mark.parametrize("missing", [-1, 10**6])
+    @pytest.mark.parametrize("name", sorted(KEY_CASES))
+    def test_matches_dict_lookup(self, name, missing):
+        sorted_keys = np.unique(KEY_CASES[name])
+        table = {int(k): i for i, k in enumerate(sorted_keys)}
+        # present keys, their neighbours (absent unless another key), far below
+        # the first key and far above the last
+        query = np.concatenate([sorted_keys, sorted_keys - 1, sorted_keys + 1,
+                                [-(1 << 62), 1 << 62, 0, -51, 51]]).astype(np.int64)
+        got = find_rows(sorted_keys, query, missing=missing)
+        assert got.dtype == np.int64
+        assert got.tolist() == [table.get(int(q), missing) for q in query]
+
+    @pytest.mark.parametrize("name", sorted(KEY_CASES))
+    def test_empty_query(self, name):
+        got = find_rows(np.unique(KEY_CASES[name]), np.zeros(0, dtype=np.int64))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_row_lookup_of_empty_grid(self):
+        grid = SparseVoxelGrid(0.01, np.zeros(3), np.zeros((0, 3), dtype=np.int64), np.zeros((0, 4)))
+        assert grid.row_lookup(np.array([[0, 0, 0], [-3, 1, 2]])).tolist() == [-1, -1]
 
 
 class TestPackIndex:

@@ -238,7 +238,7 @@ class TestRecallAndMatching:
         models = {m.class_id: m for m in lib.values()}
         intr = default_intrinsics(width=320, height=240, focal=300.0)
         extr = look_at_extrinsics((0.0, 0.0, 0.5), (0.0, 0.0, 0.0))
-        report = evaluate_scene(estimates, {"instances": instances}, models, camera=(intr, extr))
+        report = evaluate_scene(estimates, instances, models, camera=(intr, extr))
         for entry in report["per_object"]:
             assert entry["add"] == pytest.approx(0.0, abs=1e-12)
             assert entry["add_s"] == pytest.approx(0.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -292,6 +293,15 @@ class TestDumpFormat:
         _, path = self.small_dump(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(DataError):
+            SparseTsdf.load(path)
+
+    def test_block_named_twice_rejected(self, tmp_path):
+        tsdf, path = self.small_dump(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # the third block's index names the second block again
+        struct.pack_into("<3q", blob, 76 + 2 * (24 + 8 * 64), *tsdf.block_indices[1])
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=re.escape(f"{path}: block (0, 0, 0) appears more than once")):
             SparseTsdf.load(path)
 
     def test_missing_dump_rejected(self, tmp_path):
