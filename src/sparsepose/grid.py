@@ -119,13 +119,13 @@ def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, np.diff(starts, append=s.size)
 
 
-def find_rows(sorted_keys: np.ndarray, query: np.ndarray, missing: int = -1) -> np.ndarray:
-    """Position of each query key in the ascending `sorted_keys`, or
-    `missing` where the key is absent."""
+def find_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position of each query key in the ascending `sorted_keys`, or -1
+    where the key is absent."""
     if sorted_keys.size == 0:
-        return np.full(np.shape(query), missing, dtype=np.int64)
+        return np.full(np.shape(query), -1, dtype=np.int64)
     pos = np.minimum(np.searchsorted(sorted_keys, query), sorted_keys.size - 1)
-    return np.where(sorted_keys[pos] == query, pos, missing)
+    return np.where(sorted_keys[pos] == query, pos, -1)
 
 
 def voxelize(points: np.ndarray, resolution: float, origin) -> SparseVoxelGrid:

@@ -226,8 +226,8 @@ class ConvPairs:
         keys = pack_index(idx)
         order = np.argsort(keys)
         wanted = pack_index((idx[:, None, :] + STENCIL[None, :, :]).reshape(-1, 3))
-        # an absent neighbor reads entry n of the appended order: the zero row n
-        self.nbr = np.append(order, n)[find_rows(keys[order], wanted, missing=n)].reshape(n, 27)
+        # an absent neighbor (-1) reads the last entry of the appended order: the zero row n
+        self.nbr = np.append(order, n)[find_rows(keys[order], wanted)].reshape(n, 27)
 
     def __len__(self) -> int:
         return self.nbr.shape[0]

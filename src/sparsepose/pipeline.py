@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .config import PipelineConfig
 from .errors import DataError
 from .fusion import fuse_views
-from .grid import SparseVoxelGrid, coarsen, lattice_index, pack_index, voxelize
+from .grid import SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, voxelize
 from .heatmap import (
     SceneGroundTruth,
     adaptive_topk,
@@ -448,16 +448,15 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
         return poses
     base = np.zeros(3) if origin is None else np.asarray(origin, dtype=np.float64)
     scene_keys = pack_index(lattice_index(scene, base, cfg.theta))
-    order = np.argsort(scene_keys, kind="stable")
-    sorted_keys = scene_keys[order]
+    order, starts, counts = group_rows(scene_keys)
+    run_keys = scene_keys[order[starts]]
     vote_keys = pack_index(lattice_index(votes.voxel_centers, base, cfg.theta))
     cluster_ids = np.unique(labels[labels >= 0])
     refined: list = []
     full_tree = None
     for pose, cid in zip(poses, cluster_ids):
-        member_keys = np.unique(vote_keys[labels == cid])
-        lo = np.searchsorted(sorted_keys, member_keys, side="left")
-        run = np.searchsorted(sorted_keys, member_keys, side="right") - lo
+        hit = find_rows(run_keys, np.unique(vote_keys[labels == cid]))
+        lo, run = starts[hit[hit >= 0]], counts[hit[hit >= 0]]
         # rows of every run lo[k] .. lo[k] + run[k], back in scene order
         first = np.cumsum(run) - run
         target = scene[np.sort(order[np.arange(run.sum()) + np.repeat(lo - first, run)])]

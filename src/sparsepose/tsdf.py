@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from .errors import DataError
-from .grid import STENCIL, SparseVoxelGrid, group_rows, lattice_index, pack_index, unpack_index
+from .grid import STENCIL, SparseVoxelGrid, find_rows, lattice_index, pack_index, unpack_index
 from .ioutil import atomic_write_bytes, read_file
 
 # magic, block_size, voxels_per_side, voxel_size, truncation, weight_cap,
@@ -79,7 +79,8 @@ def activate_blocks(points: np.ndarray, cfg: TsdfConfig, origin) -> np.ndarray:
 
 
 class SparseTsdf:
-    """Active blocks sorted by packed block key; block slot i holds an L^3
+    """Active blocks, each named once, sorted by packed block key (a
+    repeated block raises DataError); block slot i holds an L^3
     payload of (sdf, weight) voxels in `sdf[i]` and `weight[i]`.
 
     sdf is the normalized truncated signed distance in [-1, 1]; weight counts
@@ -91,8 +92,11 @@ class SparseTsdf:
     def __init__(self, cfg: TsdfConfig, block_indices: np.ndarray, origin):
         self.cfg = cfg
         self.origin = np.asarray(origin, dtype=np.float64).reshape(3)
-        blocks = np.asarray(block_indices, dtype=np.int64).reshape(-1, 3)
-        self.block_indices = blocks[np.argsort(pack_index(blocks))]
+        keys = np.sort(pack_index(block_indices))
+        self.block_indices = unpack_index(keys)
+        if np.any(keys[1:] == keys[:-1]):
+            twice = self.block_indices[1:][keys[1:] == keys[:-1]][0]
+            raise DataError(f"block {tuple(twice.tolist())} appears more than once")
         L = cfg.voxels_per_side
         n = len(self.block_indices)
         self.sdf = np.zeros((n, L, L, L), dtype=np.float64)
@@ -255,13 +259,13 @@ class SparseTsdf:
             raise DataError(f"{path}: {len(blob)} bytes do not hold the {n_blocks} blocks "
                             f"of {L}^3 voxels the header declares (truncated or padded)")
         blocks = np.frombuffer(blob, dtype=_block_dtype(L), count=n_blocks, offset=_HEADER.size)
-        order, starts, counts = group_rows(pack_index(blocks["index"]))  # ascending keys: slot order
-        if np.any(counts > 1):
-            twice = blocks["index"][order[starts[np.argmax(counts > 1)]]]
-            raise DataError(f"{path}: block {tuple(twice.tolist())} appears more than once")
-        out = cls(cfg, blocks["index"][order], (ox, oy, oz))
-        out.sdf[:] = blocks["pairs"][order, :, 0].reshape(-1, L, L, L)
-        out.weight[:] = blocks["pairs"][order, :, 1].reshape(-1, L, L, L)
+        try:
+            out = cls(cfg, blocks["index"], (ox, oy, oz))
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+        slots = find_rows(pack_index(out.block_indices), pack_index(blocks["index"]))
+        out.sdf[slots] = blocks["pairs"][..., 0].reshape(-1, L, L, L)
+        out.weight[slots] = blocks["pairs"][..., 1].reshape(-1, L, L, L)
         return out
 
 

@@ -234,6 +234,26 @@ GRAPH_NODES = {
 }
 
 
+class TestEmptyRows:
+    def test_segment_sum_of_no_rows_is_zero(self):
+        out = ad.segment_sum(np.zeros((0, 2)), [], 3)
+        assert out.shape == (3, 2) and np.array_equal(out, np.zeros((3, 2)))
+
+    def test_gather_rows_of_no_rows_backward(self):
+        a = ad.parameter(np.ones((3, 2)))
+        out = ad.gather_rows(a, [])
+        assert out.data.shape == (0, 2)
+        ad.tsum(out).backward()
+        assert np.array_equal(a.grad, np.zeros((3, 2)))
+
+    def test_scatter_add_rows_of_no_rows_backward(self):
+        a = ad.parameter(np.ones((0, 2)))
+        out = ad.scatter_add_rows(a, [], 3)
+        assert np.array_equal(out.data, np.zeros((3, 2)))
+        ad.tsum(out).backward()
+        assert a.grad.shape == (0, 2)
+
+
 class TestGraphNodeGate:
     @staticmethod
     def inputs(shapes, param=None):

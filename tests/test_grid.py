@@ -55,18 +55,17 @@ class TestGroupRows:
 
 
 class TestFindRows:
-    @pytest.mark.parametrize("missing", [-1, 10**6])
     @pytest.mark.parametrize("name", sorted(KEY_CASES))
-    def test_matches_dict_lookup(self, name, missing):
+    def test_matches_dict_lookup(self, name):
         sorted_keys = np.unique(KEY_CASES[name])
         table = {int(k): i for i, k in enumerate(sorted_keys)}
         # present keys, their neighbours (absent unless another key), far below
         # the first key and far above the last
         query = np.concatenate([sorted_keys, sorted_keys - 1, sorted_keys + 1,
                                 [-(1 << 62), 1 << 62, 0, -51, 51]]).astype(np.int64)
-        got = find_rows(sorted_keys, query, missing=missing)
+        got = find_rows(sorted_keys, query)
         assert got.dtype == np.int64
-        assert got.tolist() == [table.get(int(q), missing) for q in query]
+        assert got.tolist() == [table.get(int(q), -1) for q in query]
 
     @pytest.mark.parametrize("name", sorted(KEY_CASES))
     def test_empty_query(self, name):

@@ -37,6 +37,24 @@ class TestConfig:
         assert cfg.truncation == pytest.approx(0.024)
 
 
+class TestConstruction:
+    def test_blocks_sorted_by_key(self):
+        blocks = np.array([[1, 0, 0], [0, 0, 0], [0, -2, 5], [-3, 4, 0]])
+        tsdf = SparseTsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=4), blocks, np.zeros(3))
+        assert tsdf.block_indices.dtype == np.int64
+        assert tsdf.block_indices.tolist() == sorted(blocks.tolist())
+
+    def test_empty_block_set(self):
+        tsdf = SparseTsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=4), np.zeros((0, 3)), np.zeros(3))
+        assert tsdf.n_blocks == 0 and tsdf.sdf.shape == (0, 4, 4, 4)
+
+    def test_repeated_block_rejected(self):
+        # a repeated block would give band_grid repeated voxel indices
+        blocks = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        with pytest.raises(DataError, match=re.escape("block (0, 0, 0) appears more than once")):
+            SparseTsdf(TsdfConfig(voxel_size=0.004, voxels_per_side=4), blocks, np.zeros(3))
+
+
 class TestActivateBlocks:
     def test_single_point_dilates_to_27(self):
         cfg = TsdfConfig(voxel_size=0.002, voxels_per_side=16)
