@@ -120,14 +120,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data**2), b.data.shape))
-
-    return Tensor(a.data / b.data, parents=(a, b), backward=backward)
-
-
 def pow_const(a: Tensor, p: float) -> Tensor:
     def backward(g):
         _accumulate(a, g * p * a.data ** (p - 1.0))
@@ -185,18 +177,6 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n))
 
 
-def reduce_min(a: Tensor, axis: int) -> Tensor:
-    """Minimum along one axis; the gradient routes to the first argmin."""
-    arg = np.argmin(a.data, axis=axis)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
-        _accumulate(a, ga)
-
-    return Tensor(np.min(a.data, axis=axis), parents=(a,), backward=backward)
-
-
 def softmax_lastaxis(a: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -240,20 +220,6 @@ def concat(tensors, axis=0) -> Tensor:
             _accumulate(t, piece)
 
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors), backward=backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis (zero-padded gradient)."""
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[sl] = g
-        _accumulate(a, ga)
-
-    return Tensor(a.data[sl], parents=(a,), backward=backward)
 
 
 # -- row gather / scatter ----------------------------------------------------

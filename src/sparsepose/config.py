@@ -63,7 +63,6 @@ class PipelineConfig:
     lambda_t: float = 3.0
     lambda_rot: float = 1.0
     smooth_l1_delta: float = 0.01
-    chamfer_points: int = 256
 
     # [voting]
     dbscan_eps_mult: float = 2.5     # times theta
@@ -143,8 +142,7 @@ _SECTIONS = {
     "network": {"width": "[1, inf)", "roi_width": "[1, inf)", "heads": "[1, inf)",
                 "window_small": "[1, 1000]", "window_medium": "[1, 1000]", "scaled_attention": None},
     "loss": {"lambda_roi": "[0, inf)", "lambda_obj": "[0, inf)", "lambda_cls": "[0, inf)",
-             "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)",
-             "chamfer_points": "[1, 256]"},
+             "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)"},
     "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",
                "vote_top_fraction": "(0, 1]"},
     "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)",

@@ -6,9 +6,9 @@ background through a sigmoid soft-attention gate. Stage two scores fine
 voxels with a binary objectness target, focal loss and an adaptive topK
 cut, then classifies per voxel with a conditioned, weighted cross entropy.
 
-All loss functions return (scalar, gradient w.r.t. the prediction) so they
-can be checked against finite differences and plugged into the autodiff
-graph as custom nodes.
+All five task losses (these three and `voting`'s translation and rotation
+losses) return (scalar, gradient w.r.t. the prediction): each is checked
+against finite differences and enters the graph as one `from_loss_fn` node.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def recall_curve(errors, thresholds) -> np.ndarray:
     return (e[None, :] < th[:, None]).mean(axis=1)
 
 
-def match_poses(estimates, gt_class_ids, gt_rotations, gt_translations):
+def match_poses(estimates, gt_class_ids, gt_translations):
     """Greedy class-aware assignment of estimates to ground-truth objects.
 
     Estimates are consumed in descending confidence; each takes the nearest
@@ -129,7 +129,7 @@ def evaluate_scene(estimates, instances, models, camera=None) -> dict:
     gt_rot = np.asarray([inst.rotation for inst in instances]).reshape(-1, 3, 3)
     gt_tra = np.asarray([inst.translation for inst in instances]).reshape(-1, 3)
     gt_cls = np.asarray([inst.class_id for inst in instances], dtype=np.int64)
-    matched = match_poses(estimates, gt_cls, gt_rot, gt_tra)
+    matched = match_poses(estimates, gt_cls, gt_tra)
     per_object = []
     for gi in range(len(gt_cls)):
         model = models[int(gt_cls[gi])]

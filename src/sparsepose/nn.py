@@ -427,10 +427,8 @@ class PoseNet(Module):
 # Multi-task loss, optimizer, checkpoints
 # ---------------------------------------------------------------------------
 
-DEFAULT_LOSS_WEIGHTS = (1.0, 3.0, 2.0, 3.0, 1.0)
 
-
-def multitask_loss(parts, weights=DEFAULT_LOSS_WEIGHTS) -> Tensor:
+def multitask_loss(parts, weights) -> Tensor:
     """Weighted sum of the five task losses (RoI, objectness, class,
     translation, rotation)."""
     if len(parts) != 5 or len(weights) != 5:

@@ -33,7 +33,7 @@ from .tsdf import SparseTsdf, TsdfConfig, build_tsdf
 from .voting import (
     VoteSet,
     aggregate_votes,
-    chamfer_rot_loss_graph,
+    chamfer_rot_loss,
     dbscan,
     icp_refine,
     matrix_to_rot6d,
@@ -249,9 +249,9 @@ def staged_forward(
 
 def multi_class_chamfer(rot6d: Tensor, R_target: np.ndarray, labels: np.ndarray, models: dict,
                         n_pts: int) -> Tensor:
-    """Chamfer rotation loss across classes: per-class single-cloud losses
-    combined proportionally to their voxel counts (mean over the foreground
-    voxels, those whose class label is not 0).
+    """Chamfer rotation loss across classes as one graph node: per-class
+    single-cloud losses combined proportionally to their voxel counts (mean
+    over the foreground voxels, those whose class label is not 0; none gives a constant 0).
 
     The per-class chamfer is divided by the squared object diameter, making
     the rotation part dimensionless and commensurate with the other task
@@ -259,14 +259,19 @@ def multi_class_chamfer(rot6d: Tensor, R_target: np.ndarray, labels: np.ndarray,
     rotation head under a shared SGD step).
     """
     n_valid = int((labels > 0).sum())
-    total = None
-    for cid, n_c in zip(*np.unique(labels[labels > 0], return_counts=True)):
-        model = models[int(cid)]
-        part = chamfer_rot_loss_graph(rot6d, R_target, model.cloud, labels == cid, n_pts=n_pts)
-        scale = n_c / n_valid / model.diameter**2
-        term = ad.mul(part, ad.constant(scale))
-        total = term if total is None else ad.add(total, term)
-    return total if total is not None else ad.constant(0.0)
+    if n_valid == 0:
+        return ad.constant(0.0)
+
+    def loss(r6):
+        total, grad = 0.0, np.zeros_like(r6)
+        for cid, n_c in zip(*np.unique(labels[labels > 0], return_counts=True)):
+            model = models[int(cid)]
+            part, g = chamfer_rot_loss(r6, R_target, model.cloud, labels == cid, n_pts=n_pts)
+            scale = n_c / n_valid / model.diameter**2
+            total, grad = total + part * scale, grad + g * scale
+        return total, grad
+
+    return ad.from_loss_fn(rot6d, loss)
 
 
 @dataclass
@@ -285,7 +290,6 @@ def compute_losses(
     instance_rotations: np.ndarray,
     models: dict,
     cfg: PipelineConfig,
-    chamfer_points: int | None = None,
 ) -> tuple[Tensor, LossBreakdown, dict]:
     """All five task losses of one forward pass plus the Eq-style weighted
     total as a graph node.
@@ -308,8 +312,8 @@ def compute_losses(
     t_target, R_target, valid = pose_targets(out.selected_grid.centers(), out.owner[out.selected_rows], gt,
                                              instance_rotations)
     l_t = ad.from_loss_fn(out.offsets, lambda p: smooth_l1(p, t_target, valid, cfg.smooth_l1_delta))
-    n_pts = cfg.chamfer_points if chamfer_points is None else chamfer_points
-    l_rot = multi_class_chamfer(out.rot6d, R_target, labels[out.selected_rows], models, n_pts)
+    l_rot = multi_class_chamfer(out.rot6d, R_target, labels[out.selected_rows], models,
+                                cfg.train_chamfer_points)
 
     total = nn.multitask_loss([l_roi, l_obj, l_cls, l_t, l_rot], cfg.loss_weights)
     breakdown = LossBreakdown(
@@ -351,9 +355,7 @@ def train_toy(
     trace: list[LossBreakdown] = []
     for step in range(steps):
         out = staged_forward(model, scene, cfg, train=True)
-        total, breakdown, parts = compute_losses(
-            out, gt, instance_rotations, bundle.models, cfg, chamfer_points=cfg.train_chamfer_points
-        )
+        total, breakdown, parts = compute_losses(out, gt, instance_rotations, bundle.models, cfg)
         trace.append(breakdown)
         opt.zero_grad()
         if step < warmup:

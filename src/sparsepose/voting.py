@@ -15,8 +15,6 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .camera import check_rotation
 from .errors import DataError, NumericalError
 from .heatmap import SceneGroundTruth
@@ -152,34 +150,6 @@ def matrix_to_rot6d(R: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def rot6d_to_matrix_graph(r6: Tensor) -> Tensor:
-    """Differentiable Gram-Schmidt: (K, 6) -> (K, 3, 3), columns (b1, b2, b3)."""
-    a1 = ad.narrow(r6, 1, 0, 3)
-    a2 = ad.narrow(r6, 1, 3, 3)
-    n1 = ad.pow_const(ad.tsum(ad.mul(a1, a1), axis=1, keepdims=True), 0.5)
-    b1 = ad.div(a1, n1)
-    proj = ad.tsum(ad.mul(b1, a2), axis=1, keepdims=True)
-    u2 = ad.sub(a2, ad.mul(proj, b1))
-    n2 = ad.pow_const(ad.tsum(ad.mul(u2, u2), axis=1, keepdims=True), 0.5)
-    b2 = ad.div(u2, n2)
-    # cross product via coordinate slices
-    x1, y1, z1 = (ad.narrow(b1, 1, i, 1) for i in range(3))
-    x2, y2, z2 = (ad.narrow(b2, 1, i, 1) for i in range(3))
-    b3 = ad.concat(
-        [
-            ad.sub(ad.mul(y1, z2), ad.mul(z1, y2)),
-            ad.sub(ad.mul(z1, x2), ad.mul(x1, z2)),
-            ad.sub(ad.mul(x1, y2), ad.mul(y1, x2)),
-        ],
-        axis=1,
-    )
-    cols = ad.concat(
-        [ad.reshape(b, (-1, 3, 1)) for b in (b1, b2, b3)],
-        axis=2,
-    )
-    return cols
-
-
 def subsample_rows(points: np.ndarray, n: int) -> np.ndarray:
     """Deterministic subsample: evenly spaced rows of the canonical order."""
     pts = np.asarray(points, dtype=np.float64)
@@ -189,41 +159,55 @@ def subsample_rows(points: np.ndarray, n: int) -> np.ndarray:
     return pts[sel]
 
 
-def chamfer_rot_loss_graph(r6: Tensor, R_gt: np.ndarray, model_points: np.ndarray,
-                           mask: np.ndarray, n_pts: int = 256) -> Tensor:
-    """Symmetric squared chamfer distance between the predicted and ground
-    truth placements of the (translation-free) model cloud, mean over valid
-    voxels. Differentiable w.r.t. the 6D rotation encodings."""
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    pts = subsample_rows(model_points, n_pts)
-    if pts.shape[0] == 0:
-        raise DataError("chamfer loss needs a nonempty model cloud")
-    if not m.any():
-        return ad.constant(0.0)
-    rows = np.nonzero(m)[0]
-    r_sel = ad.gather_rows(r6, rows)
-    R_pred = rot6d_to_matrix_graph(r_sel)                       # (V, 3, 3)
-    A = ad.matmul(ad.constant(pts[None, :, :]), ad.transpose(R_pred, (0, 2, 1)))
-    B = np.einsum("vij,nj->vni", np.asarray(R_gt)[m], pts)      # (V, n, 3) constant
-    # pairwise squared distances via |a|^2 + |b|^2 - 2 a.b
-    a_sq = ad.tsum(ad.mul(A, A), axis=2, keepdims=True)          # (V, n, 1)
-    b_sq = np.sum(B * B, axis=2)[:, None, :]                      # (V, 1, n)
-    cross = ad.matmul(A, ad.constant(np.swapaxes(B, 1, 2)))      # (V, n, n)
-    d2 = ad.add(ad.sub(a_sq, ad.mul(cross, ad.constant(2.0))), ad.constant(b_sq))
-    fwd = ad.tmean(ad.reduce_min(d2, axis=2), axis=1)             # A -> B
-    bwd = ad.tmean(ad.reduce_min(d2, axis=1), axis=1)             # B -> A
-    per_voxel = ad.add(fwd, bwd)
-    return ad.tmean(per_voxel)
+def _rot6d_frames_vjp(r6: np.ndarray, R: np.ndarray, gR: np.ndarray) -> np.ndarray:
+    """Pull a gradient on the (K, 3, 3) frames R = rot6d_frames(r6) back to
+    the (K, 6) encodings (rows where the map is defined)."""
+    a1, a2 = r6[:, :3], r6[:, 3:]
+    b1, b2 = R[:, :, 0], R[:, :, 1]
+    g1 = gR[:, :, 0] + np.cross(b2, gR[:, :, 2])          # b3 = b1 x b2
+    g2 = gR[:, :, 1] + np.cross(gR[:, :, 2], b1)
+    n1 = np.linalg.norm(a1, axis=1, keepdims=True)
+    proj = np.sum(b1 * a2, axis=1, keepdims=True)
+    n2 = np.linalg.norm(a2 - proj * b1, axis=1, keepdims=True)
+    gu = (g2 - b2 * np.sum(b2 * g2, axis=1, keepdims=True)) / n2  # b2 = u2 / n2
+    bu = np.sum(b1 * gu, axis=1, keepdims=True)
+    g1 = g1 - proj * gu - bu * a2                          # u2 = a2 - (b1.a2) b1
+    ga1 = (g1 - b1 * np.sum(b1 * g1, axis=1, keepdims=True)) / n1  # b1 = a1 / n1
+    return np.concatenate([ga1, gu - bu * b1], axis=1)
 
 
 def chamfer_rot_loss(r6: np.ndarray, R_gt: np.ndarray, model_points: np.ndarray,
                      mask: np.ndarray, n_pts: int = 256):
-    """Numpy-facing wrapper: returns (loss, dloss/dr6)."""
-    t = Tensor(np.array(r6, dtype=np.float64), requires_grad=True)
-    out = chamfer_rot_loss_graph(t, R_gt, model_points, mask, n_pts=n_pts)
-    out.backward()
-    grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return float(out.data), grad
+    """Symmetric squared chamfer distance between the predicted and ground
+    truth placements of the (translation-free) model cloud, mean over valid
+    voxels. Returns (loss, dloss/dr6); each nearest-point term sends its
+    gradient to its first argmin, masked rows get none."""
+    r6 = np.asarray(r6, dtype=np.float64)
+    m = np.asarray(mask, dtype=bool).reshape(-1)
+    pts = subsample_rows(model_points, n_pts)
+    if pts.shape[0] == 0:
+        raise DataError("chamfer loss needs a nonempty model cloud")
+    grad = np.zeros_like(r6)
+    if not m.any():
+        return 0.0, grad
+    V, n = int(m.sum()), pts.shape[0]
+    R = rot6d_frames(r6[m])[0]                                    # (V, 3, 3)
+    A = pts[None, :, :] @ np.transpose(R, (0, 2, 1))              # (V, n, 3)
+    B = np.einsum("vij,nj->vni", np.asarray(R_gt)[m], pts)       # (V, n, 3)
+    # pairwise squared distances via |a|^2 + |b|^2 - 2 a.b
+    a_sq = np.sum(A * A, axis=2, keepdims=True)
+    b_sq = np.sum(B * B, axis=2)[:, None, :]
+    d2 = a_sq - (A @ np.swapaxes(B, 1, 2)) * 2.0 + b_sq           # (V, n, n)
+    fwd = np.sum(np.min(d2, axis=2), axis=1) * (1.0 / n)          # A -> B
+    bwd = np.sum(np.min(d2, axis=1), axis=1) * (1.0 / n)          # B -> A
+    loss = float(np.sum(fwd + bwd) * (1.0 / V))
+    v = np.arange(V)[:, None]
+    near_b, near_a = np.argmin(d2, axis=2), np.argmin(d2, axis=1)
+    gA = A - B[v, near_b]
+    np.add.at(gA, (v, near_a), A[v, near_a] - B)
+    gR = np.swapaxes(gA, 1, 2) @ pts * (2.0 / (V * n))            # A = pts R^T
+    grad[m] = _rot6d_frames_vjp(r6[m], R, gR)
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------

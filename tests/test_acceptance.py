@@ -184,16 +184,15 @@ def test_criterion_3_gradient_suite():
         mask = np.ones(v, dtype=bool)
         fd_against_analytic(lambda r: chamfer_rot_loss(r, R_gt, cloud, mask, n_pts=16), r6)
         checks += 1
-    # rot6d map standalone: contract the rotation with a fixed weight
+    # the same loss at near-degenerate encodings: a short first half, and a
+    # second half almost parallel to the first
     for v in (1, 3, 6):
-        w = rng.normal(size=(v, 3, 3))
-        from sparsepose.voting import rot6d_to_matrix_graph
-
-        finite_difference_check(
-            lambda r: ad.tsum(ad.mul(rot6d_to_matrix_graph(r), ad.constant(w))),
-            [matrix_to_rot6d(np.stack([rotation_about(rng.normal(size=3), 0.5)] * v))
-             + rng.normal(scale=0.2, size=(v, 6))],
-        )
+        R_gt = np.stack([rotation_about(rng.normal(size=3), 0.5) for _ in range(v)])
+        r6 = matrix_to_rot6d(R_gt) + rng.normal(scale=0.2, size=(v, 6))
+        r6[-1, 3:] = 1.3 * r6[-1, :3] + rng.normal(scale=0.05, size=3)
+        r6[0, :3] *= 0.05
+        mask = np.ones(v, dtype=bool)
+        fd_against_analytic(lambda r: chamfer_rot_loss(r, R_gt, cloud, mask, n_pts=16), r6)
         checks += 1
     # window attention including K_w = 1
     for kw, heads in ((1, 2), (5, 1), (9, 4)):

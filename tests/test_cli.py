@@ -210,6 +210,15 @@ class TestEstimateAndEval:
         assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == \
             "3e03093b907ec985f522876bf65a59d0fc4a4f0fc339ead7b8ca45e55a719b33"
 
+    def test_oracle_eval_sha_pinned(self, tiny_bundle_dir, tmp_path):
+        poses, metrics = tmp_path / "poses", tmp_path / "metrics"
+        assert run(["estimate", tiny_bundle_dir, "--oracle", "--out", poses]) == 0
+        assert run(["eval", tiny_bundle_dir, poses.with_suffix(".json"), "--out", metrics]) == 0
+        assert hashlib.sha256(metrics.with_suffix(".csv").read_bytes()).hexdigest() == \
+            "b62c76c2c943153289f6ae0dce1b84729790cb17f9fdfc6b11c02d12b9c40122"
+        assert hashlib.sha256(metrics.with_suffix(".json").read_bytes()).hexdigest() == \
+            "23c54ec2119d7e4f64415d1ad332e36bcb97cb7d2bbc6c1fe9dc1c4ff8ef4d01"
+
     def test_estimate_without_model_or_oracle_is_config_error(self, scene_dir):
         assert run(["estimate", scene_dir]) == 2
 
@@ -432,7 +441,6 @@ lambda_cls = 1.5
 lambda_t = 2.0
 lambda_rot = 0.75
 smooth_l1_delta = 0.02
-chamfer_points = 128
 
 [voting]
 dbscan_eps_mult = 3.0
@@ -473,8 +481,8 @@ class TestDumpConfig:
         assert out.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("text, sha256", [
-        ("", "4052d67467b0206c9c40ae04212766ca91983d095c77d7af1e700ffe5bacf11e"),
-        (_AWAY_FROM_DEFAULTS, "121fe7a8b437dd78861f1f6039817e62b7907f7ef6f789d1d3cb65d52493ddf7"),
+        ("", "16caa21b2981f7fd8ba05eb425400c55fd6fe8848c49b6537b477809ce197b42"),
+        (_AWAY_FROM_DEFAULTS, "97597f35aef98c78cdc9ea46d97459e01233f48c5bdd9333ec6171cc65e2db5c"),
     ], ids=["defaults", "every_key_away"])
     def test_dump_sha_pinned(self, tmp_path, text, sha256):
         # the config file format: section order, key order and value spelling
@@ -497,6 +505,18 @@ class TestDumpConfig:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[grid]\nmystery = 1\n")
         assert run(["dump-config", "--config", bad]) == 2
+
+    def test_removed_chamfer_points_key_rejected(self, scene_dir, tmp_path, capsys):
+        # [loss] chamfer_points, which no command read, is gone: like any unknown key
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[loss]\nchamfer_points = 128\n")
+        ckpt = tmp_path / "toy.ckpt"
+        for args in (["dump-config"], ["train-toy", scene_dir, "--steps", 1, "--out", ckpt]):
+            capsys.readouterr()
+            assert run(args + ["--config", bad]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and "chamfer_points" in err, err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("line", ["tsdf_voxels_per_side = 0", "tsdf_truncation_mult = -1.0",
                                       "tsdf_weight_cap = 0.0"])

@@ -20,9 +20,8 @@ _NUMERIC = [key for key, interval in _RANGES.items() if interval is not None]
 
 # The commands take the keys they read. Sizes without a finite upper bound
 # (width, roi_width, topk_max) and tsdf_voxels_per_side stay at their
-# defaults, so no run allocates arrays of a bound's size; the chamfer sizes,
-# bounded at 256, run in train-toy at every edge value (it reads
-# train_chamfer_points; chamfer_points, which no command reads, rides along).
+# defaults, so no run allocates arrays of a bound's size; the chamfer size
+# train_chamfer_points, bounded at 256, runs in train-toy at every edge value.
 # train-toy's --steps and --theta-mm override steps and theta.
 _ORACLE_KEYS = ["theta", "near", "far", "dbscan_eps_mult", "dbscan_min_pts", "vote_top_fraction",
                 "icp_iters", "icp_corr_mult", "icp_tol", "icp_trim", "seed"]
@@ -36,7 +35,7 @@ _COMMAND_KEYS = {
                   "topk_ratio", "topk_min", "heads", "window_small", "window_medium", "lambda_roi",
                   "lambda_obj", "lambda_cls", "lambda_t", "lambda_rot", "smooth_l1_delta", "seed",
                   "warmup_fraction", "lr", "momentum", "train_rot_lr_mult",
-                  "train_clip_norm", "chamfer_points", "train_chamfer_points"],
+                  "train_clip_norm", "train_chamfer_points"],
 }
 _COMMAND_CASES = [(command, key) for command, keys in _COMMAND_KEYS.items() for key in keys]
 
@@ -119,8 +118,6 @@ _REGRESSIONS = [
     ("theta", 1e300, "estimate-cloud", 2),
     # 10**300 once made train-toy's (V, n, n) chamfer array exhaust memory;
     # both edges must exit before any work
-    ("chamfer_points", 0, "train-toy", 2),
-    ("chamfer_points", 10**300, "train-toy", 2),
     ("train_chamfer_points", 0, "train-toy", 2),
     ("train_chamfer_points", 10**300, "train-toy", 2),
 ]

@@ -208,19 +208,18 @@ class TestRecallAndMatching:
 
     def test_match_poses_greedy_by_confidence(self):
         gt_cls = [1, 1]
-        gt_R = np.stack([np.eye(3)] * 2)
         gt_t = np.array([[0.0, 0, 0], [0.1, 0, 0]])
         est = [
             Pose(np.eye(3), np.array([0.001, 0, 0]), class_id=1, confidence=0.9),
             Pose(np.eye(3), np.array([0.099, 0, 0]), class_id=1, confidence=0.8),
         ]
-        matched = match_poses(est, gt_cls, gt_R, gt_t)
+        matched = match_poses(est, gt_cls, gt_t)
         assert list(matched) == [0, 1]
 
     def test_match_respects_class(self):
         gt_cls = [2]
         est = [Pose(np.eye(3), np.zeros(3), class_id=1, confidence=0.9)]
-        matched = match_poses(est, gt_cls, np.stack([np.eye(3)]), np.zeros((1, 3)))
+        matched = match_poses(est, gt_cls, np.zeros((1, 3)))
         assert list(matched) == [-1]
 
     def test_evaluate_scene_gt_vs_gt(self):

@@ -4,6 +4,7 @@ import pytest
 from sparsepose import autodiff as ad
 from sparsepose import nn
 from sparsepose.autodiff import Tensor, finite_difference_check
+from sparsepose.config import PipelineConfig
 from sparsepose.errors import DataError, NumericalError
 from sparsepose.grid import STENCIL, SparseVoxelGrid, coarsen, partition_indices
 
@@ -481,12 +482,12 @@ class TestToyNets:
 
 class TestMultitaskLoss:
     def test_all_zero(self):
-        out = nn.multitask_loss([0.0] * 5)
+        out = nn.multitask_loss([0.0] * 5, PipelineConfig().loss_weights)
         assert float(out.data) == 0.0
 
     def test_unit_parts_default_weights(self):
         # weights (1, 3, 2, 3, 1) sum to 10
-        out = nn.multitask_loss([1.0] * 5)
+        out = nn.multitask_loss([1.0] * 5, PipelineConfig().loss_weights)
         assert float(out.data) == pytest.approx(10.0)
 
     def test_weighted_sum_oracle(self):
@@ -498,14 +499,15 @@ class TestMultitaskLoss:
 
     def test_gradient_is_lambda(self):
         parts = [Tensor(np.float64(0.3), requires_grad=True) for _ in range(5)]
-        out = nn.multitask_loss(parts)
+        weights = PipelineConfig().loss_weights
+        out = nn.multitask_loss(parts, weights)
         out.backward()
-        for p, lam in zip(parts, nn.DEFAULT_LOSS_WEIGHTS):
+        for p, lam in zip(parts, weights):
             assert p.grad == pytest.approx(lam)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(DataError):
-            nn.multitask_loss([1.0] * 4)
+            nn.multitask_loss([1.0] * 4, PipelineConfig().loss_weights)
 
 
 class TestSGD:

@@ -35,7 +35,6 @@ def quick_config(**overrides):
         steps=40,
         warmup_fraction=0.25,
         train_chamfer_points=24,
-        chamfer_points=64,
     )
     base.update(overrides)
     return PipelineConfig(**base)

@@ -280,6 +280,96 @@ class TestChamferRotLoss:
         assert np.max(np.abs(grad[2])) == 0.0  # masked voxel gets no gradient
 
 
+def loop_chamfer(r6, R_gt, cloud, mask, n_pts):
+    """The chamfer rotation loss and its gradient point by point: each nearest
+    point is the first of the minimal distances; the 6D map's Jacobian is taken
+    by central differences of the rotation contracted with dloss/dR."""
+    pts = subsample_rows(cloud, n_pts)
+    n, rows = len(pts), np.nonzero(mask)[0]
+    loss, grad = 0.0, np.zeros_like(r6)
+    for k in rows:
+        a, b = pts @ rot6d_to_matrix(r6[k]).T, pts @ R_gt[k].T
+        g_a = np.zeros_like(a)
+        for i in range(n):
+            d = [np.sum((a[i] - b[j]) ** 2) for j in range(n)]
+            j = int(np.argmin(d))
+            loss += d[j] / n
+            g_a[i] += 2.0 * (a[i] - b[j]) / n
+        for j in range(n):
+            d = [np.sum((a[i] - b[j]) ** 2) for i in range(n)]
+            i = int(np.argmin(d))
+            loss += d[i] / n
+            g_a[i] += 2.0 * (a[i] - b[j]) / n
+        g_R = g_a.T @ pts
+        for c in range(6):
+            step = np.zeros(6)
+            step[c] = 1e-6
+            hi, lo = rot6d_to_matrix(r6[k] + step), rot6d_to_matrix(r6[k] - step)
+            grad[k, c] = np.sum((hi - lo) * g_R) / 2e-6
+    return loss / len(rows), grad / len(rows)
+
+
+def fd_gradient(fn, r6, eps=1e-6):
+    num = np.zeros_like(r6)
+    for idx in np.ndindex(*r6.shape):
+        orig = r6[idx]
+        r6[idx] = orig + eps
+        hi = fn(r6)
+        r6[idx] = orig - eps
+        lo = fn(r6)
+        r6[idx] = orig
+        num[idx] = (hi - lo) / (2 * eps)
+    return num
+
+
+class TestChamferAgainstLoops:
+    def check(self, r6, R_gt, cloud, mask, n_pts):
+        loss, grad = chamfer_rot_loss(r6, R_gt, cloud, mask, n_pts=n_pts)
+        ref_loss, ref_grad = loop_chamfer(r6, R_gt, cloud, mask, n_pts)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        scale = max(np.max(np.abs(ref_grad)), 1e-300)
+        assert np.max(np.abs(grad - ref_grad)) / scale < 1e-6
+        num = fd_gradient(lambda r: chamfer_rot_loss(r, R_gt, cloud, mask, n_pts=n_pts)[0], r6)
+        assert np.max(np.abs(grad - num)) / scale < 1e-4
+        assert np.all(grad[~mask] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_clouds(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        v, n_pts = 4, (8, 17, 24)[seed]
+        cloud = rng.uniform(-0.02, 0.02, size=(int(rng.integers(n_pts, 3 * n_pts)), 3))
+        R_gt = np.stack([rotation_about(rng.normal(size=3), rng.uniform(-2, 2)) for _ in range(v)])
+        r6 = matrix_to_rot6d(R_gt) + rng.normal(scale=0.3, size=(v, 6))
+        mask = np.array([True, False, True, True])
+        self.check(r6, R_gt, cloud, mask, n_pts)
+
+    def test_duplicate_points(self):
+        # exact ties in both directions: the loss takes the first nearest copy,
+        # as the reference does; the copies move together, so the gradient
+        # does not depend on which one it goes to
+        rng = np.random.default_rng(43)
+        base = rng.uniform(-0.02, 0.02, size=(6, 3))
+        cloud = np.vstack([base, base[[0, 0, 3]]])
+        R_gt = np.stack([rotation_about([1, 2, 0], 0.7), rotation_about([0, 1, 1], -0.4)])
+        r6 = matrix_to_rot6d(R_gt) + rng.normal(scale=0.2, size=(2, 6))
+        self.check(r6, R_gt, cloud, np.array([True, True]), 64)
+
+    def test_one_point_cloud(self):
+        p = np.array([[0.01, -0.02, 0.005]])
+        R_gt = rotation_about([0, 0, 1], 0.3)[None]
+        r6 = matrix_to_rot6d(rotation_about([1, 0, 0], 0.5))[None, :]
+        loss, _ = chamfer_rot_loss(r6, R_gt, p, np.array([True]), n_pts=256)
+        assert loss == pytest.approx(2.0 * np.sum((rot6d_to_matrix(r6[0]) @ p[0] - R_gt[0] @ p[0]) ** 2),
+                                     rel=1e-12)
+        self.check(r6, R_gt, p, np.array([True]), 256)
+
+    def test_all_false_mask(self):
+        r6 = np.tile(matrix_to_rot6d(np.eye(3)), (3, 1))
+        loss, grad = chamfer_rot_loss(r6, np.tile(np.eye(3), (3, 1, 1)), np.ones((5, 3)),
+                                      np.zeros(3, dtype=bool))
+        assert loss == 0.0 and grad.shape == (3, 6) and np.all(grad == 0.0)
+
+
 class TestDbscan:
     def test_two_blobs(self):
         rng = np.random.default_rng(8)
