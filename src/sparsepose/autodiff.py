@@ -128,7 +128,10 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    val = 1.0 / (1.0 + np.exp(-a.data))
+    # exp(-x) overflows to inf for x below about -709, and 1 / inf is the
+    # exact 0.0; ignoring that overflow keeps every other value's bits
+    with np.errstate(over="ignore"):
+        val = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
         _accumulate(a, g * val * (1.0 - val))

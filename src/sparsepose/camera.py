@@ -9,7 +9,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ioutil import atomic_write_bytes, atomic_write_text, json_document, read_file
+from .ioutil import atomic_write_bytes, json_document, read_file, write_json
 
 # Default depth validity range in meters.
 DEFAULT_NEAR = 0.05
@@ -311,7 +310,7 @@ def save_camera_json(path, intr: CameraIntrinsics, extr: CameraExtrinsics, depth
         "cam_to_world": [float(x) for x in extr.matrix().reshape(-1)],
         "depth_scale": depth_scale,
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics, float]:

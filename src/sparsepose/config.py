@@ -13,9 +13,6 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .ioutil import read_file
 
-_BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 @dataclass
 class PipelineConfig:
     # [grid]
@@ -39,7 +36,6 @@ class PipelineConfig:
     suppress_beta: float = 10.0
     suppress_epsilon: float = 0.3
     suppress_kappa: float = 0.5
-    attention_reweight: bool = False
 
     # [objectness]
     obj_gamma: float = 2.0
@@ -54,7 +50,6 @@ class PipelineConfig:
     heads: int = 4
     window_small: int = 4
     window_medium: int = 8
-    scaled_attention: bool = True
 
     # [loss]
     lambda_roi: float = 1.0
@@ -73,9 +68,6 @@ class PipelineConfig:
     icp_iters: int = 30
     icp_corr_mult: float = 4.0       # times theta
     icp_tol: float = 1e-5
-    icp_trim: float = 1.0
-    icp_reciprocal: bool = True
-    icp_use_pbar: bool = False
 
     # [train]
     seed: int = 0
@@ -84,8 +76,6 @@ class PipelineConfig:
     lr: float = 0.003
     momentum: float = 0.9
     train_chamfer_points: int = 24
-    train_keep_union_gt: bool = True
-    train_topk_union_gt: bool = True
     train_rot_lr_mult: float = 30.0
     train_clip_norm: float = 10.0
 
@@ -99,7 +89,7 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         for key, interval in _RANGES.items():
             value = getattr(self, key)
-            if interval is not None and not _in_range(value, interval):
+            if not _in_range(value, interval):
                 raise ConfigError(f"{key} must lie in {interval}, got {value}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width must be a multiple of heads, got {self.width} and {self.heads}")
@@ -127,8 +117,8 @@ class PipelineConfig:
 
 # Every key once: its section, its place in the dump and its valid range as an
 # interval, where a parenthesis excludes the bound and a bracket includes it.
-# Booleans have no range. Lengths and spreads have finite upper bounds: past them an
-# index or a square overflows, or one TSDF block or the (V, n, n) chamfer fills memory.
+# Lengths and spreads have finite upper bounds: past them an index or a square
+# overflows, or one TSDF block or the (V, n, n) chamfer fills memory.
 _SECTIONS = {
     "grid": {"theta": "(0, 1]", "coarse_factor": "[2, 1000]"},
     "camera": {"near": "[0, inf)", "far": "(0, inf)"},
@@ -136,20 +126,18 @@ _SECTIONS = {
              "tsdf_weight_cap": "(0, inf)"},
     "heatmap": {"sigma_c": "[0.1, 1000]", "sigma_b": "[0.1, 1000]", "focal_alpha": "[0, inf)",
                 "focal_gamma": "[0, inf)", "suppress_beta": "(0, inf)", "suppress_epsilon": "[0, 1]",
-                "suppress_kappa": "(0, 1)", "attention_reweight": None},
+                "suppress_kappa": "(0, 1)"},
     "objectness": {"obj_gamma": "[0, inf)", "obj_alpha": "[0, 1]", "topk_ratio": "(0, 1]",
                    "topk_min": "[1, inf)", "topk_max": "[1, inf)"},
     "network": {"width": "[1, inf)", "roi_width": "[1, inf)", "heads": "[1, inf)",
-                "window_small": "[1, 1000]", "window_medium": "[1, 1000]", "scaled_attention": None},
+                "window_small": "[1, 1000]", "window_medium": "[1, 1000]"},
     "loss": {"lambda_roi": "[0, inf)", "lambda_obj": "[0, inf)", "lambda_cls": "[0, inf)",
              "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)"},
     "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",
                "vote_top_fraction": "(0, 1]"},
-    "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)",
-            "icp_trim": "(0, 1]", "icp_reciprocal": None, "icp_use_pbar": None},
+    "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)"},
     "train": {"seed": "[0, inf)", "steps": "[0, inf)", "warmup_fraction": "[0, 1]",
               "lr": "(0, inf)", "momentum": "[0, 1)", "train_chamfer_points": "[1, 256]",
-              "train_keep_union_gt": None, "train_topk_union_gt": None,
               "train_rot_lr_mult": "(0, inf)", "train_clip_norm": "(0, inf)"},
 }
 
@@ -167,8 +155,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -177,11 +163,6 @@ def _format_value(value) -> str:
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     try:
-        if kind == "bool":
-            key = raw.strip().lower()
-            if key not in _BOOLS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOLS[key]
         if kind == "int":
             return int(raw)
         if kind == "float":

@@ -114,8 +114,7 @@ def soft_suppress(pred: np.ndarray, beta: float, epsilon: float,
     """Sigmoid soft-attention gate over heatmap scores.
 
     a_i = sigmoid(beta * (h_i - epsilon)); returns (a, kept rows with
-    a > kappa). The attention weights are also usable for optional feature
-    re-weighting.
+    a > kappa).
     """
     h = np.asarray(pred, dtype=np.float64)
     a = 1.0 / (1.0 + np.exp(-beta * (h - epsilon)))

@@ -50,6 +50,12 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def write_json(path, doc) -> None:
+    """`doc` as JSON (indent 2, sorted keys, trailing newline), written
+    atomically: the one form of every JSON file the package writes."""
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def atomic_write_bytes(path, blob: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")

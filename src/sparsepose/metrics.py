@@ -7,14 +7,12 @@ distances.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraExtrinsics, CameraIntrinsics, project
 from .errors import DataError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, write_json
 
 # Recall threshold grids (BOP-style conventions).
 MSSD_REL_THRESHOLDS = np.arange(0.05, 0.501, 0.05)          # fractions of the object diameter
@@ -206,4 +204,4 @@ def write_metric_json(path, report: dict, seed: int | None = None) -> None:
         {k: (None if isinstance(v, float) and not np.isfinite(v) else v) for k, v in entry.items()}
         for entry in report["per_object"]
     ]
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

@@ -96,19 +96,15 @@ class LayerNorm(Module):
 class WindowAttention(Module):
     """Multi-head self-attention inside each window of a jagged partition:
     q/k/v projections, per-head scaled dot product, head concat, output
-    projection C -> C.
-
-    `scaled` divides the logits by sqrt(head dim); switching it off restores
-    the plain dot product.
+    projection C -> C. The logits are divided by sqrt(head dim).
     """
 
-    def __init__(self, channels: int, heads: int, rng: np.random.Generator, scaled: bool = True):
+    def __init__(self, channels: int, heads: int, rng: np.random.Generator):
         if channels % heads != 0:
             raise DataError(f"channels {channels} not divisible by heads {heads}")
         self.channels = channels
         self.heads = heads
         self.head_dim = channels // heads
-        self.scaled = scaled
         self.proj_q = Linear(channels, channels, rng)
         self.proj_k = Linear(channels, channels, rng)
         self.proj_v = Linear(channels, channels, rng)
@@ -121,9 +117,7 @@ class WindowAttention(Module):
         q = ad.transpose(ad.reshape(self.proj_q(f), (kw, h, d)), (1, 0, 2))
         k = ad.transpose(ad.reshape(self.proj_k(f), (kw, h, d)), (1, 0, 2))
         v = ad.transpose(ad.reshape(self.proj_v(f), (kw, h, d)), (1, 0, 2))
-        logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
-        if self.scaled:
-            logits = ad.mul(logits, ad.constant(1.0 / np.sqrt(d)))
+        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), ad.constant(1.0 / np.sqrt(d)))
         z = ad.matmul(ad.softmax_lastaxis(logits), v)  # (h, kw, d)
         return self.proj_out(ad.reshape(ad.transpose(z, (1, 0, 2)), (kw, h * d)))
 
@@ -143,7 +137,7 @@ class WindowAttention(Module):
             by_size.setdefault(len(rows), []).append(rows)
         groups = [np.stack(by_size[kw]) for kw in sorted(by_size)]
         z = _window_attention(self.proj_q(features), self.proj_k(features), self.proj_v(features),
-                              groups, self.heads, 1.0 / np.sqrt(self.head_dim) if self.scaled else 1.0)
+                              groups, self.heads, 1.0 / np.sqrt(self.head_dim))
         return self.proj_out(z)
 
 
@@ -191,9 +185,9 @@ class DualBranchBlock(Module):
     """Two window-attention branches (small and medium windows) fused by a
     linear 2C -> C projection, residual add and layer norm."""
 
-    def __init__(self, channels: int, heads: int, rng: np.random.Generator, scaled: bool = True):
-        self.small = WindowAttention(channels, heads, rng, scaled=scaled)
-        self.medium = WindowAttention(channels, heads, rng, scaled=scaled)
+    def __init__(self, channels: int, heads: int, rng: np.random.Generator):
+        self.small = WindowAttention(channels, heads, rng)
+        self.medium = WindowAttention(channels, heads, rng)
         self.fuse = Linear(2 * channels, channels, rng)
         self.norm = LayerNorm(channels)
 
@@ -399,12 +393,12 @@ class PoseNet(Module):
     Zero-initialized heads, so an untrained net predicts zero offsets and the
     identity rotation."""
 
-    def __init__(self, in_dim: int, width: int, heads: int, rng: np.random.Generator, scaled: bool = True):
+    def __init__(self, in_dim: int, width: int, heads: int, rng: np.random.Generator):
         self.in_proj = Linear(in_dim, width, rng)
         self.conv1 = SubmanifoldConv3(width, width, rng)
-        self.block1 = DualBranchBlock(width, heads, rng, scaled=scaled)
+        self.block1 = DualBranchBlock(width, heads, rng)
         self.conv2 = SubmanifoldConv3(width, width, rng)
-        self.block2 = DualBranchBlock(width, heads, rng, scaled=scaled)
+        self.block2 = DualBranchBlock(width, heads, rng)
         self.t_head = Linear(width, 3, rng, zero_init=True)
         self.r_head = Linear(width, 6, rng, zero_init=True)
         self.width = width
@@ -507,7 +501,7 @@ def save_checkpoint(path, params: "OrderedDict[str, Tensor]") -> None:
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     """Read a checkpoint written by `save_checkpoint`; a missing, truncated
-    or otherwise malformed file raises DataError."""
+    or otherwise malformed file, or a non-finite parameter, raises DataError."""
     return read_file(path, "checkpoint", lambda blob: _parse_checkpoint(path, blob))
 
 
@@ -538,6 +532,8 @@ def _parse_checkpoint(path, blob: bytes) -> "OrderedDict[str, np.ndarray]":
             raise DataError(f"{path}: negative dimension in shape {shape} of '{name}'")
         payload = take(8 * math.prod(shape))
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(out[name]).all():
+            raise DataError(f"{path}: parameter '{name}' has a non-finite value")
     if pos != len(blob):
         raise DataError(f"{path}: {len(blob) - pos} trailing bytes after the last parameter")
     return out

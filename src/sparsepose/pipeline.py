@@ -4,7 +4,6 @@ pass, the toy training loop and the voting-based pose estimation path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .heatmap import (
     voxel_object_assignment,
     weighted_cross_entropy,
 )
-from .ioutil import atomic_write_text, json_document, read_file
+from .ioutil import json_document, read_file, write_json
 from .synthetic import SceneBundle
 from .tsdf import SparseTsdf, TsdfConfig, build_tsdf
 from .voting import (
@@ -89,14 +88,14 @@ def build_model(cfg: PipelineConfig, representation: str, seed: int | None = Non
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     roi = nn.RoiUNet(in_channels, cfg.roi_width, rng)
     obj = nn.ObjectnessNet(in_channels + cfg.roi_width, cfg.width, N_CLASSES, rng)
-    pose = nn.PoseNet(cfg.width, cfg.width, cfg.heads, rng, scaled=cfg.scaled_attention)
+    pose = nn.PoseNet(cfg.width, cfg.width, cfg.heads, rng)
     return PipelineModel(roi, obj, pose, in_channels, representation)
 
 
 def save_model(path, model: PipelineModel) -> None:
     nn.save_checkpoint(path, model.parameters())
     meta = {"in_channels": model.in_channels, "representation": model.representation}
-    atomic_write_text(str(path) + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(str(path) + ".json", meta)
 
 
 def load_model(path, cfg: PipelineConfig) -> PipelineModel:
@@ -191,8 +190,8 @@ def staged_forward(
     own targets, and `gt` is not read. The lifted and selected sets are row
     subsets of the fine grid, so their kernel maps derive from the fine one.
 
-    In training mode the keep- and topK-selections are optionally unioned
-    with ground-truth foreground so the downstream heads always see
+    In training mode the keep- and topK-selections are unioned with
+    ground-truth foreground so the downstream heads always see
     supervision while the heatmaps are still warming up. Training also
     stores the RoI target and the lifted grid's ownership table, the one
     source of every per-voxel target.
@@ -202,7 +201,7 @@ def staged_forward(
     roi_scores, roi_trunk = model.roi(coarse, scene.coarse_pairs, scene.pool_row, scene.pool_pairs)
     _, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
     target = scene.roi_target if train else None
-    if target is not None and cfg.train_keep_union_gt:
+    if target is not None:
         kept = np.union1d(kept, np.nonzero(target > cfg.suppress_kappa)[0])
     keep_mask = np.zeros(len(coarse), dtype=bool)
     keep_mask[kept] = True
@@ -215,16 +214,11 @@ def staged_forward(
         [ad.constant(fine.features[fine_rows]), ad.gather_rows(roi_trunk, parent_row[fine_rows])],
         axis=1,
     )
-    if cfg.attention_reweight:
-        gate = ad.sigmoid(ad.mul(ad.sub(roi_scores, ad.constant(cfg.suppress_epsilon)),
-                                 ad.constant(cfg.suppress_beta)))
-        gate_rows = ad.reshape(ad.gather_rows(gate, parent_row[fine_rows]), (len(fine_rows), 1))
-        lifted_feats = ad.mul(lifted_feats, gate_rows)
     lifted_pairs = scene.fine_pairs.subset(fine_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_pairs, lifted_feats)
     owner = scene.owner[fine_rows] if train and scene.owner is not None else None
     selected, _ = adaptive_topk(obj_scores.data, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
-    if owner is not None and cfg.train_topk_union_gt:
+    if owner is not None:
         selected = np.union1d(selected, np.nonzero(owner >= 0)[0])
     selected_idx = lifted_idx[selected]
     selected_feats = ad.gather_rows(obj_trunk, selected)
@@ -470,8 +464,7 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
             tree = full_tree
         out, _ = icp_refine(pose, models[pose.class_id].cloud, tree,
                             iters=cfg.icp_iters, corr_dist=cfg.icp_corr_dist,
-                            tol=cfg.icp_tol, trim=cfg.icp_trim,
-                            reciprocal=cfg.icp_reciprocal)
+                            tol=cfg.icp_tol)
         refined.append(out)
     return refined
 
@@ -485,7 +478,7 @@ def estimate_poses(
 ):
     """Full inference: fuse, stage the heatmaps (or take oracle votes),
     cluster and refine. Returns (pose list, vote count)."""
-    fine, cloud, tsdf = build_input_grid(bundle, cfg, representation)
+    fine, cloud, _ = build_input_grid(bundle, cfg, representation)
     if len(fine) == 0:
         return [], 0
     if oracle:
@@ -496,13 +489,6 @@ def estimate_poses(
             raise DataError("estimate needs a trained model or oracle mode")
         out = staged_forward(model, fine, cfg, train=False)
         votes = predicted_votes(out)
-    scene_points = cloud
-    if cfg.icp_use_pbar and tsdf is not None:
-        # near-zero-crossing band voxels stand in for the observed surface
-        pts = tsdf.extract_pbar()
-        near = pts[np.abs(pts[:, 3]) < 0.25]
-        if len(near) >= 100:
-            scene_points = near[:, :3]
-    poses = votes_to_poses(votes, scene_points, bundle.models, cfg,
+    poses = votes_to_poses(votes, cloud, bundle.models, cfg,
                            origin=bundle.workspace.min_corner)
     return poses, len(votes)

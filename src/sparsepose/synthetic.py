@@ -13,7 +13,6 @@ bundle:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +24,7 @@ from .camera import (CameraExtrinsics, CameraIntrinsics, DepthImage, check_rotat
 from .errors import DataError
 from .fusion import Workspace, read_ply, write_ply_mesh
 from .heatmap import SceneGroundTruth
-from .ioutil import atomic_write_text, json_document, read_file
+from .ioutil import json_document, read_file, write_json
 
 CLOUD_POINTS = 2048
 _CLOUD_SEED_BASE = 1000
@@ -600,7 +599,7 @@ def export_scene_bundle(spec: SceneSpec, library: dict[str, ObjectModel], out_di
             for inst in spec.instances
         ],
     }
-    atomic_write_text(os.path.join(out_dir, "scene.json"), json.dumps(scene_doc, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "scene.json"), scene_doc)
     gt = scene_ground_truth(spec, library)
     gt_doc = {
         "objects": [
@@ -613,7 +612,7 @@ def export_scene_bundle(spec: SceneSpec, library: dict[str, ObjectModel], out_di
             for cid, centroid, inst in zip(gt.class_ids, gt.centroids, spec.instances)
         ]
     }
-    atomic_write_text(os.path.join(out_dir, "gt.json"), json.dumps(gt_doc, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "gt.json"), gt_doc)
     for i, (intr, extr) in enumerate(spec.cameras):
         save_camera_json(os.path.join(out_dir, f"cam_{i:02d}.json"), intr, extr, spec.depth_scale)
         depth = render_depth(spec, library, i)

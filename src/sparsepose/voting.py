@@ -8,7 +8,6 @@ a final point-to-point ICP against the scene cloud polishes every pose.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from scipy.spatial import cKDTree
 from .camera import check_rotation
 from .errors import DataError, NumericalError
 from .heatmap import SceneGroundTruth
-from .ioutil import atomic_write_text, json_document, read_file
+from .ioutil import atomic_write_text, json_document, read_file, write_json
 
 
 @dataclass(frozen=True)
@@ -371,20 +370,17 @@ def icp_refine(
     corr_dist: float = 0.01,
     tol: float = 1e-5,
     n_model: int = 512,
-    trim: float = 1.0,
-    reciprocal: bool = True,
 ) -> tuple[Pose, list[float]]:
     """Point-to-point ICP of one object against the scene cloud.
 
     Alternates nearest-neighbor correspondences and a Kabsch update; stops at
     the iteration cap or when the relative RMSE change drops below tol.
 
-    Correspondence rejection: matches beyond corr_dist are dropped, and by
-    default a reciprocal check keeps a match only when the scene point's
-    nearest model point is the matcher. Partial views leave many model points
-    (hidden faces, inner walls) without a true counterpart; their one-sided
-    matches otherwise drag an already-correct pose sideways. An optional
-    `trim` additionally keeps only the closest fraction.
+    Correspondence rejection: matches beyond corr_dist are dropped, and a
+    reciprocal check keeps a match only when the scene point's nearest model
+    point is the matcher. Partial views leave many model points (hidden
+    faces, inner walls) without a true counterpart; their one-sided matches
+    otherwise drag an already-correct pose sideways.
 
     The reciprocal check uses one KD-tree over the model subsample, built
     once per call in the model frame: the moved model is a rigid image of
@@ -395,10 +391,8 @@ def icp_refine(
     Fewer than 3 correspondences leaves the pose unrefined (refined=False).
     Returns the pose and the per-iteration RMSE trace over the kept set.
     """
-    if not (0.0 < trim <= 1.0):
-        raise DataError("icp trim fraction must lie in (0, 1]")
     pts = subsample_rows(model_points, n_model)
-    model_tree = cKDTree(pts) if reciprocal else None
+    model_tree = cKDTree(pts)
     R, t = pose.rotation.copy(), pose.translation.copy()
     trace: list[float] = []
     refined = False
@@ -406,13 +400,9 @@ def icp_refine(
         moved = pts @ R.T + t
         dist, idx = scene_tree.query(moved, distance_upper_bound=corr_dist)
         ok = np.nonzero(np.isfinite(dist))[0]
-        if reciprocal and ok.size:
+        if ok.size:
             back = model_tree.query((scene_tree.data[idx[ok]] - t) @ R)[1]
             ok = ok[back == ok]
-        if trim < 1.0 and ok.size:
-            keep = max(3, int(np.ceil(trim * ok.size)))
-            order = np.argsort(dist[ok], kind="stable")
-            ok = ok[np.sort(order[:keep])]
         if ok.size < 3:
             break
         src = moved[ok]
@@ -471,7 +461,7 @@ def write_pose_json(path, poses: list[Pose], seed: int | None = None) -> None:
             for i, p in enumerate(poses)
         ],
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_pose_json(path) -> list[Pose]:

@@ -6,8 +6,7 @@ from sparsepose.cli import main
 from sparsepose.config import _SECTIONS, PipelineConfig, _in_range, dump_config, load_config, parse_config
 from sparsepose.errors import ConfigError
 
-_RANGED = [(key, interval) for keys in _SECTIONS.values() for key, interval in keys.items()
-           if interval is not None]
+_RANGED = [(key, interval) for keys in _SECTIONS.values() for key, interval in keys.items()]
 
 
 def _outside(key, interval):
@@ -56,13 +55,8 @@ class TestValidation:
         placed = [key for keys in _SECTIONS.values() for key in keys]
         assert sorted(placed) == sorted(f.name for f in fields(PipelineConfig))
         default = PipelineConfig()
-        for keys in _SECTIONS.values():
-            for key, interval in keys.items():
-                if isinstance(getattr(default, key), bool):
-                    assert interval is None, key
-                else:
-                    assert interval is not None, key
-                    assert _in_range(getattr(default, key), interval), key
+        for key, interval in _RANGED:
+            assert _in_range(getattr(default, key), interval), key
 
     @pytest.mark.parametrize("key, interval", _RANGED, ids=[key for key, _ in _RANGED])
     def test_each_range_rejects_values_outside(self, key, interval):
@@ -104,11 +98,11 @@ class TestRoundTrip:
         assert (tmp_path / "again.cfg").read_bytes() == path.read_bytes()
 
     def test_values_survive(self):
-        cfg = PipelineConfig(sigma_c=5.25, scaled_attention=False, train_keep_union_gt=False)
+        cfg = PipelineConfig(sigma_c=5.25, window_medium=12, icp_tol=1e-7)
         loaded = parse_config(dump_config(cfg))
         assert loaded.sigma_c == 5.25
-        assert loaded.scaled_attention is False
-        assert loaded.train_keep_union_gt is False
+        assert loaded.window_medium == 12
+        assert loaded.icp_tol == 1e-7
 
 
 class TestParsing:

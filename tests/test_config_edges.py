@@ -16,7 +16,7 @@ from sparsepose.synthetic import export_scene_bundle
 
 _DEFAULT = PipelineConfig()
 _SECTION_OF = {key: section for section, keys in _SECTIONS.items() for key in keys}
-_NUMERIC = [key for key, interval in _RANGES.items() if interval is not None]
+_NUMERIC = list(_RANGES)
 
 # The commands take the keys they read. Sizes without a finite upper bound
 # (width, roi_width, topk_max) and tsdf_voxels_per_side stay at their
@@ -24,7 +24,7 @@ _NUMERIC = [key for key, interval in _RANGES.items() if interval is not None]
 # train_chamfer_points, bounded at 256, runs in train-toy at every edge value.
 # train-toy's --steps and --theta-mm override steps and theta.
 _ORACLE_KEYS = ["theta", "near", "far", "dbscan_eps_mult", "dbscan_min_pts", "vote_top_fraction",
-                "icp_iters", "icp_corr_mult", "icp_tol", "icp_trim", "seed"]
+                "icp_iters", "icp_corr_mult", "icp_tol", "seed"]
 _COMMAND_KEYS = {
     "estimate-cloud": _ORACLE_KEYS,
     "estimate-tsdf": _ORACLE_KEYS + ["tsdf_truncation_mult", "tsdf_weight_cap"],

@@ -73,14 +73,6 @@ class TestWindowAttention:
             expected = naive_window_attention(f, *attention_params(attn), heads, True)
             assert np.max(np.abs(out.data - expected)) < 1e-10
 
-    def test_unscaled_flag_restores_plain_dot_product(self):
-        rng = np.random.default_rng(6)
-        attn = nn.WindowAttention(8, 2, rng, scaled=False)
-        f = rng.normal(size=(5, 8))
-        out = attn.attend_window(Tensor(f))
-        expected = naive_window_attention(f, *attention_params(attn), 2, False)
-        assert np.max(np.abs(out.data - expected)) < 1e-10
-
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         attn = nn.WindowAttention(8, 2, rng)
@@ -141,10 +133,9 @@ class TestWindowedApply:
         assert sorted(len(rows) for _, rows in windows) == [1, 2, 2, 5]
         return windows
 
-    @pytest.mark.parametrize("scaled", [True, False])
-    def test_matches_per_window_reference(self, scaled):
+    def test_matches_per_window_reference(self):
         rng = np.random.default_rng(45)
-        attn = nn.WindowAttention(8, 2, rng, scaled=scaled)
+        attn = nn.WindowAttention(8, 2, rng)
         windows = self.windows(rng)
         f = rng.normal(size=(len(self.INDICES), 8))
         out = attn(Tensor(f), windows).data

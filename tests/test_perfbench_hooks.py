@@ -1,16 +1,22 @@
-"""The benchmark's traced pass wraps package functions and methods by name
-from outside the package (`perfbench/layers.py`), so deleting or renaming one
-of them crashes the benchmark. Install every hook, then take them off."""
+"""The benchmark calls the package from outside it: its workloads call the
+pipeline (`perfbench/workloads.py`) and its traced pass wraps package
+functions and methods by name (`perfbench/layers.py`). Deleting or renaming
+one of them, or changing a signature they call, crashes the benchmark."""
 
 import importlib
 import pathlib
 
+import pytest
+
 import sparsepose.nn as nn
 import sparsepose.pipeline as pipeline
 
+_PERFBENCH = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+
 
 def test_every_wrapped_name_exists(monkeypatch):
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    # install every hook, then take them off
+    monkeypatch.syspath_prepend(_PERFBENCH)
     layers = importlib.import_module("layers")
     tracer = importlib.import_module("tracer").Tracer()
     forward, conv_pairs = pipeline.staged_forward, nn.ConvPairs.__dict__["__init__"]
@@ -22,3 +28,18 @@ def test_every_wrapped_name_exists(monkeypatch):
         tracer.unpatch()
     assert pipeline.staged_forward is forward
     assert nn.ConvPairs.__dict__["__init__"] is conv_pairs
+
+
+_WORKLOADS = ["train_toy", "oracle_estimate", "fuse_tsdf"]
+
+
+@pytest.mark.parametrize("name", _WORKLOADS)
+def test_workload_entry_points_run(monkeypatch, small_bundle_dir, tmp_path, name):
+    # set-up and warm-up of every workload, on one small bundle
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    assert sorted(workloads.WORKLOADS) == sorted(_WORKLOADS)
+    work = workloads.WORKLOADS[name]([str(small_bundle_dir)], str(tmp_path))
+    work.setup()
+    work.warmup()
+    assert work.failed == 0, work.failures

@@ -99,21 +99,6 @@ class TestStagedForward:
         y_lift = objectness_target(out.lifted_grid, small_bundle.gt)
         assert y_sel.sum() == y_lift.sum()  # every positive voxel was selected
 
-    def test_attention_reweight_flag(self, small_bundle):
-        # gating-only is the default; the flag additionally rescales lifted
-        # features by the soft attention and still trains end to end
-        cfg = quick_config(attention_reweight=True)
-        model = build_model(cfg, "cloud", seed=0)
-        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        total, breakdown, _ = compute_losses(out, small_bundle.gt, rotations,
-                                             small_bundle.models, cfg)
-        total.backward()
-        assert np.isfinite(breakdown.total)
-        grads = [p.grad for p in model.parameters().values() if p.grad is not None]
-        assert grads and all(np.all(np.isfinite(g)) for g in grads)
-
 
 class TestLosses:
     def test_breakdown_finite_and_composite(self, small_bundle):
@@ -234,10 +219,12 @@ class TestSceneStructure:
                 assert np.array_equal(a.roi_target, b.roi_target) and np.array_equal(a.owner, b.owner)
 
     def test_training_owner_gathers_lifted_rows(self, small_bundle, monkeypatch):
-        # a lifted set that is a strict subset of the fine grid
-        cfg = quick_config(train_keep_union_gt=False)
+        # a lifted set that is a strict subset of the fine grid: a zero RoI
+        # target adds no coarse voxel to the keep-set
+        cfg = quick_config()
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
         scene = scene_structure(fine, cfg, small_bundle.gt)
+        scene.roi_target = np.zeros_like(scene.roi_target)
         kept = np.arange(0, len(scene.coarse), 2)
         monkeypatch.setattr(pipeline, "soft_suppress", lambda scores, *gate: (np.zeros(len(scores)), kept))
         out = staged_forward(build_model(cfg, "cloud", seed=0), scene, cfg, train=True)
@@ -307,6 +294,20 @@ class TestOraclePath:
             assert err < 0.002
             matched.add(gi)
         assert len(matched) == small_bundle.gt.n_objects
+
+    def test_oracle_estimate_on_tsdf_band(self, small_bundle):
+        # the TSDF band grid carries the votes; ICP refines against the fused cloud
+        cfg = quick_config(theta=0.002)
+        poses, n_votes = estimate_poses(small_bundle, cfg, oracle=True, representation="tsdf")
+        assert n_votes > 0
+        assert len(poses) >= small_bundle.gt.n_objects
+        for inst in small_bundle.instances:
+            model = small_bundle.models[inst.class_id]
+            cands = [p for p in poses if p.class_id == inst.class_id]
+            assert cands
+            best = min(add_s(p.rotation, p.translation, inst.rotation, inst.translation, model.cloud)
+                       for p in cands)
+            assert best < 0.003, f"{model.name}: ADD-S {best*1000:.2f} mm on the TSDF band"
 
     @pytest.mark.parametrize("bad_rot6d, bad_class", [(np.zeros(6), None), (None, 9)])
     def test_unusable_vote_dropped(self, small_bundle, bad_rot6d, bad_class):
@@ -488,6 +489,8 @@ class TestModelIO:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "869b5014d0888e4b895f0b94775c324d6a24c1d68e8f2c8bdd207f24caa05052"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.json"]
+        sidecar = hashlib.sha256((tmp_path / "m.ckpt.json").read_bytes()).hexdigest()
+        assert sidecar == "230eaf3a01d6ea656378a327059bb2541f7d4b94ceaded0a2c6fbb492517adc2"
 
     def test_checkpoint_files_get_umask_mode(self, tmp_path):
         # the atomic temp-file path must leave the mode a plain open() gives
