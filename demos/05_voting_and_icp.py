@@ -26,8 +26,7 @@ bundle = load_scene_bundle(bundle_dir)
 
 cfg = PipelineConfig(theta=0.002)
 fine, cloud, _ = build_input_grid(bundle, cfg, "cloud")
-rotations = np.asarray([inst.rotation for inst in bundle.instances])
-votes = oracle_votes(fine, bundle.gt, rotations)
+votes = oracle_votes(fine, bundle.gt)
 print(f"{len(votes)} votes from foreground voxels of {bundle.gt.n_objects} objects")
 
 centers = votes.predicted_centers()

@@ -51,13 +51,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise DataError(f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}")
 
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
-
 
 @dataclass(frozen=True)
 class CameraExtrinsics:
@@ -103,14 +96,6 @@ class DepthImage:
         if np.any(v < 0):
             raise DataError("depth image contains negative values")
         object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
     def valid_mask(self) -> np.ndarray:
         """Boolean mask of the image domain (pixels with depth > 0)."""

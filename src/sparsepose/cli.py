@@ -24,9 +24,9 @@ import numpy as np
 
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, DataError, NumericalError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, write_csv
 from .fusion import write_ply_points
-from .grid import coarsen, occupancy_csv, occupancy_stats
+from .grid import coarsen, occupancy_stats, occupancy_table
 from .heatmap import objectness_target, roi_target, soft_suppress
 from .metrics import evaluate_scene, write_metric_csv, write_metric_json
 from .pipeline import (
@@ -37,7 +37,6 @@ from .pipeline import (
     load_model,
     save_model,
     train_toy,
-    trace_csv,
 )
 from .synthetic import export_scene_bundle, load_scene_bundle, make_primitives, sample_scene
 from .voting import read_pose_json, write_pose_csv, write_pose_json
@@ -104,14 +103,10 @@ def cmd_targets(args) -> int:
     y = objectness_target(fine, bundle.gt)
     out_dir = args.out or args.scene
     os.makedirs(out_dir, exist_ok=True)
-    lines = [f"# seed={cfg.seed}", "vx,vy,vz,H,attention"]
-    for idx, h, a in zip(coarse.indices, H, attention):
-        lines.append(f"{idx[0]},{idx[1]},{idx[2]},{h:.9g},{a:.9g}")
-    atomic_write_text(os.path.join(out_dir, "targets_coarse.csv"), "\n".join(lines) + "\n")
-    lines = [f"# seed={cfg.seed}", "vx,vy,vz,objectness"]
-    for idx, v in zip(fine.indices, y):
-        lines.append(f"{idx[0]},{idx[1]},{idx[2]},{v:.0f}")
-    atomic_write_text(os.path.join(out_dir, "targets_fine.csv"), "\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, "targets_coarse.csv"), cfg.seed, "vx,vy,vz,H,attention",
+              (f"{i},{j},{k},{h:.9g},{a:.9g}" for (i, j, k), h, a in zip(coarse.indices, H, attention)))
+    write_csv(os.path.join(out_dir, "targets_fine.csv"), cfg.seed, "vx,vy,vz,objectness",
+              (f"{i},{j},{k},{v:.0f}" for (i, j, k), v in zip(fine.indices, y)))
     print(f"targets written to {out_dir}: {len(coarse)} coarse voxels, {len(fine)} fine voxels (seed={cfg.seed})")
     return 0
 
@@ -122,7 +117,9 @@ def cmd_train_toy(args) -> int:
     model, trace = train_toy(bundle, cfg, representation=args.repr, log_every=args.log_every)
     out = args.out or os.path.join(args.scene, "toy.ckpt")
     save_model(out, model)
-    atomic_write_text(os.path.splitext(out)[0] + "_trace.csv", trace_csv(trace, cfg.seed))
+    write_csv(os.path.splitext(out)[0] + "_trace.csv", cfg.seed, "step,total,roi,obj,cls,t,rot",
+              (f"{i},{b.total:.9g},{b.roi:.9g},{b.obj:.9g},{b.cls:.9g},{b.t:.9g},{b.rot:.9g}"
+               for i, b in enumerate(trace)))
     if trace:
         print(f"trained {cfg.steps} steps: total loss {trace[0].total:.4f} -> {trace[-1].total:.4f} (seed={cfg.seed})")
     else:
@@ -175,7 +172,7 @@ def cmd_stats(args) -> int:
     thetas = [t / 1000.0 for t in args.thetas]
     rows = occupancy_stats(cloud - bundle.workspace.min_corner, bundle.workspace.extent, thetas)
     out = args.out or os.path.join(args.scene, "occupancy.csv")
-    atomic_write_text(out, f"# seed={cfg.seed}\n" + occupancy_csv(rows))
+    write_csv(out, cfg.seed, *occupancy_table(rows))
     for r in rows:
         print(f"theta {r['theta_mm']:6.2f} mm: sparse {r['sparse']:9d}  dense {r['dense']:12d}  ratio {r['ratio']:.5f}")
     print(f"occupancy table -> {out} (seed={cfg.seed})")

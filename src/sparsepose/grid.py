@@ -231,12 +231,16 @@ def occupancy_stats(points: np.ndarray, workspace_extent, resolutions) -> list[d
     return rows
 
 
+def occupancy_table(rows: list[dict]) -> tuple[str, list[str]]:
+    """Occupancy statistics as a CSV header and one line per resolution."""
+    return "theta_mm,sparse,dense,ratio", [f"{r['theta_mm']:.6g},{r['sparse']},{r['dense']},{r['ratio']:.9g}"
+                                           for r in rows]
+
+
 def occupancy_csv(rows: list[dict]) -> str:
-    """CSV text for occupancy statistics (columns theta_mm,sparse,dense,ratio)."""
-    lines = ["theta_mm,sparse,dense,ratio"]
-    for r in rows:
-        lines.append(f"{r['theta_mm']:.6g},{r['sparse']},{r['dense']},{r['ratio']:.9g}")
-    return "\n".join(lines) + "\n"
+    """CSV text for occupancy statistics: `occupancy_table` as lines."""
+    header, lines = occupancy_table(rows)
+    return "\n".join([header, *lines]) + "\n"
 
 
 def loglog_slope(x, y) -> float:

@@ -26,19 +26,23 @@ _CLAMP = 1e-6
 
 @dataclass(frozen=True)
 class SceneGroundTruth:
-    """Ground truth for one scene: object centroids, world-frame model
-    clouds and class ids (0 is reserved for background)."""
+    """The one per-object record of a scene: centroids, world-frame model
+    clouds, class ids (0 is background) and the poses x_world = R x + t."""
 
     centroids: np.ndarray                 # (m, 3) meters
     object_clouds: list[np.ndarray]       # m clouds, world frame
     class_ids: np.ndarray                 # (m,) int, >= 1
+    rotations: np.ndarray                 # (m, 3, 3)
+    translations: np.ndarray              # (m, 3) meters
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64).reshape(-1, 3)
         ids = np.asarray(self.class_ids, dtype=np.int64).reshape(-1)
         clouds = [np.asarray(o, dtype=np.float64).reshape(-1, 3) for o in self.object_clouds]
-        if not (len(clouds) == c.shape[0] == ids.shape[0]):
-            raise DataError("centroids / clouds / class ids count mismatch")
+        R = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 3, 3)
+        t = np.asarray(self.translations, dtype=np.float64).reshape(-1, 3)
+        if not (len(clouds) == c.shape[0] == ids.shape[0] == R.shape[0] == t.shape[0]):
+            raise DataError("centroids / clouds / class ids / poses count mismatch")
         for o in clouds:
             if o.shape[0] == 0:
                 raise DataError("object clouds must be nonempty")
@@ -47,6 +51,8 @@ class SceneGroundTruth:
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "object_clouds", clouds)
         object.__setattr__(self, "class_ids", ids)
+        object.__setattr__(self, "rotations", R)
+        object.__setattr__(self, "translations", t)
 
     @property
     def n_objects(self) -> int:

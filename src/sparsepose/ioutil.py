@@ -56,6 +56,13 @@ def write_json(path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def write_csv(path, seed: int, header: str, rows) -> None:
+    """A `# seed=` line, the `header` line and one line per row of `rows`
+    (each row already comma-joined), written atomically: the one form of
+    every CSV file the package writes."""
+    atomic_write_text(path, "\n".join([f"# seed={seed}", header, *rows]) + "\n")
+
+
 def atomic_write_bytes(path, blob: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")

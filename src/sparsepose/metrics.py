@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from .camera import CameraExtrinsics, CameraIntrinsics, project
 from .errors import DataError
-from .ioutil import atomic_write_text, write_json
+from .ioutil import write_csv, write_json
 
 # Recall threshold grids (BOP-style conventions).
 MSSD_REL_THRESHOLDS = np.arange(0.05, 0.501, 0.05)          # fractions of the object diameter
@@ -124,15 +124,14 @@ def evaluate_scene(estimates, instances, models, camera=None) -> dict:
     ObjectModel. Unmatched objects contribute +inf errors (so AUC and
     recalls drop).
     """
-    gt_rot = np.asarray([inst.rotation for inst in instances]).reshape(-1, 3, 3)
-    gt_tra = np.asarray([inst.translation for inst in instances]).reshape(-1, 3)
-    gt_cls = np.asarray([inst.class_id for inst in instances], dtype=np.int64)
-    matched = match_poses(estimates, gt_cls, gt_tra)
+    matched = match_poses(estimates, [inst.class_id for inst in instances],
+                          [inst.translation for inst in instances])
     per_object = []
-    for gi in range(len(gt_cls)):
-        model = models[int(gt_cls[gi])]
+    for gi, inst in enumerate(instances):
+        model = models[int(inst.class_id)]
+        R, t = inst.rotation, inst.translation
         entry = {
-            "class_id": int(gt_cls[gi]),
+            "class_id": int(inst.class_id),
             "matched": int(matched[gi]),
             "add": np.inf,
             "add_s": np.inf,
@@ -142,12 +141,11 @@ def evaluate_scene(estimates, instances, models, camera=None) -> dict:
         }
         if matched[gi] >= 0:
             est = estimates[int(matched[gi])]
-            entry["add"] = add(est.rotation, est.translation, gt_rot[gi], gt_tra[gi], model.cloud)
-            entry["add_s"] = add_s(est.rotation, est.translation, gt_rot[gi], gt_tra[gi], model.cloud)
-            entry["mssd"] = mssd(est.rotation, est.translation, gt_rot[gi], gt_tra[gi],
-                                 model.mesh.vertices, model.symmetries)
+            entry["add"] = add(est.rotation, est.translation, R, t, model.cloud)
+            entry["add_s"] = add_s(est.rotation, est.translation, R, t, model.cloud)
+            entry["mssd"] = mssd(est.rotation, est.translation, R, t, model.mesh.vertices, model.symmetries)
             if camera is not None:
-                entry["mspd"] = mspd(est.rotation, est.translation, gt_rot[gi], gt_tra[gi],
+                entry["mspd"] = mspd(est.rotation, est.translation, R, t,
                                      model.mesh.vertices, model.symmetries, camera[0], camera[1])
         per_object.append(entry)
     adds = np.array([p["add"] for p in per_object])
@@ -188,13 +186,10 @@ def evaluate_scene(estimates, instances, models, camera=None) -> dict:
     return report
 
 
-def write_metric_csv(path, report: dict, seed: int | None = None) -> None:
-    lines = [] if seed is None else [f"# seed={seed}"]
-    lines.append("object_id,class_id,matched,add_m,add_s_m,mssd_m,mspd_px")
-    for i, e in enumerate(report["per_object"]):
-        lines.append(f"{i},{e['class_id']},{e['matched']},{e['add']:.9g},{e['add_s']:.9g},"
-                     f"{e['mssd']:.9g},{e['mspd']:.9g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_metric_csv(path, report: dict, seed: int) -> None:
+    write_csv(path, seed, "object_id,class_id,matched,add_m,add_s_m,mssd_m,mspd_px", (
+        f"{i},{e['class_id']},{e['matched']},{e['add']:.9g},{e['add_s']:.9g},{e['mssd']:.9g},{e['mspd']:.9g}"
+        for i, e in enumerate(report["per_object"])))
 
 
 def write_metric_json(path, report: dict, seed: int | None = None) -> None:

@@ -112,8 +112,8 @@ class SceneStructure:
     fine grid and its kernel map; the coarse grid, each fine voxel's coarse
     row (`parent_row`) and its kernel map; `RoiUNet`'s pooling of the coarse
     grid (`pool_row`) and the pooled grid's kernel map. Built with ground
-    truth it also holds the training targets: the coarse RoI target and the
-    fine grid's ownership table.
+    truth it is the one home of the training targets: it keeps `gt`, the
+    coarse RoI target and the fine grid's ownership table.
 
     Hold it only for the calls on one scene (a training run, one estimate):
     the fine kernel map alone is 27 int64 per voxel.
@@ -126,6 +126,7 @@ class SceneStructure:
     coarse_pairs: nn.ConvPairs
     pool_row: np.ndarray
     pool_pairs: nn.ConvPairs
+    gt: SceneGroundTruth | None = None
     roi_target: np.ndarray | None = None
     owner: np.ndarray | None = None
 
@@ -146,6 +147,7 @@ def scene_structure(fine: SparseVoxelGrid, cfg: PipelineConfig,
         coarse_pairs=nn.ConvPairs(coarse.indices),
         pool_row=pool_row,
         pool_pairs=nn.ConvPairs(pooled.indices),
+        gt=gt,
         roi_target=None if gt is None else roi_target(coarse, gt, cfg.sigma_c, cfg.sigma_b),
         owner=None if gt is None else voxel_object_assignment(fine, gt),
     )
@@ -153,7 +155,8 @@ def scene_structure(fine: SparseVoxelGrid, cfg: PipelineConfig,
 
 @dataclass
 class StagedOutput:
-    """Everything the losses and the voting head need from one forward pass."""
+    """The predictions of one forward pass; the targets stay on the
+    `SceneStructure`."""
 
     coarse: SparseVoxelGrid
     roi_scores: Tensor
@@ -166,8 +169,6 @@ class StagedOutput:
     selected_grid: SparseVoxelGrid
     offsets: Tensor
     rot6d: Tensor
-    roi_target: np.ndarray | None = None  # coarse-grid RoI target when computed in training
-    owner: np.ndarray | None = None       # lifted-grid ownership when computed in training
 
 
 def _light_grid(reference: SparseVoxelGrid, indices: np.ndarray) -> SparseVoxelGrid:
@@ -179,30 +180,27 @@ def staged_forward(
     model: PipelineModel,
     fine: SparseVoxelGrid | SceneStructure,
     cfg: PipelineConfig,
-    gt: SceneGroundTruth | None = None,
     train: bool = False,
 ) -> StagedOutput:
     """RoI scoring on the coarse grid, soft suppression, feature lifting,
     objectness scoring + adaptive topK, pose regression on the survivors.
 
-    `fine` is a grid or its `SceneStructure`. A grid gets its structure built
-    here, with the targets when training with `gt`; a structure brings its
-    own targets, and `gt` is not read. The lifted and selected sets are row
-    subsets of the fine grid, so their kernel maps derive from the fine one.
+    `fine` is a grid or its `SceneStructure`; a grid gets a structure without
+    targets. The lifted and selected sets are row subsets of the fine grid,
+    so their kernel maps derive from the fine one.
 
-    In training mode the keep- and topK-selections are unioned with
-    ground-truth foreground so the downstream heads always see
-    supervision while the heatmaps are still warming up. Training also
-    stores the RoI target and the lifted grid's ownership table, the one
-    source of every per-voxel target.
+    With `train` on a structure built with ground truth, the keep- and
+    topK-selections are unioned with ground-truth foreground so the
+    downstream heads always see supervision while the heatmaps are still
+    warming up.
     """
-    scene = fine if isinstance(fine, SceneStructure) else scene_structure(fine, cfg, gt if train else None)
+    scene = fine if isinstance(fine, SceneStructure) else scene_structure(fine, cfg)
     fine, coarse, parent_row = scene.fine, scene.coarse, scene.parent_row
     roi_scores, roi_trunk = model.roi(coarse, scene.coarse_pairs, scene.pool_row, scene.pool_pairs)
     _, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
-    target = scene.roi_target if train else None
-    if target is not None:
-        kept = np.union1d(kept, np.nonzero(target > cfg.suppress_kappa)[0])
+    train = train and scene.gt is not None
+    if train:
+        kept = np.union1d(kept, np.nonzero(scene.roi_target > cfg.suppress_kappa)[0])
     keep_mask = np.zeros(len(coarse), dtype=bool)
     keep_mask[kept] = True
     fine_rows = np.nonzero(keep_mask[parent_row])[0]
@@ -216,10 +214,9 @@ def staged_forward(
     )
     lifted_pairs = scene.fine_pairs.subset(fine_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_pairs, lifted_feats)
-    owner = scene.owner[fine_rows] if train and scene.owner is not None else None
     selected, _ = adaptive_topk(obj_scores.data, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
-    if owner is not None:
-        selected = np.union1d(selected, np.nonzero(owner >= 0)[0])
+    if train:
+        selected = np.union1d(selected, np.nonzero(scene.owner[fine_rows] >= 0)[0])
     selected_idx = lifted_idx[selected]
     selected_feats = ad.gather_rows(obj_trunk, selected)
     offsets, rot6d = model.pose(selected_idx, lifted_pairs.subset(selected), selected_feats,
@@ -236,8 +233,6 @@ def staged_forward(
         selected_grid=_light_grid(fine, selected_idx),
         offsets=offsets,
         rot6d=rot6d,
-        roi_target=target,
-        owner=owner,
     )
 
 
@@ -280,31 +275,29 @@ class LossBreakdown:
 
 def compute_losses(
     out: StagedOutput,
-    gt: SceneGroundTruth,
-    instance_rotations: np.ndarray,
+    scene: SceneStructure,
     models: dict,
     cfg: PipelineConfig,
 ) -> tuple[Tensor, LossBreakdown, dict]:
     """All five task losses of one forward pass plus the Eq-style weighted
     total as a graph node.
 
-    `out` must come from `staged_forward(..., gt=gt, train=True)`: the RoI
-    target and the ownership table are read from `out.roi_target` and
-    `out.owner`, computed there from the same `gt`. Objectness, class labels
-    (0 = background) and the selected rows' pose targets are row gathers of
-    that one table.
+    `out` must come from `staged_forward(model, scene, cfg, train=True)` on
+    a `scene` built with ground truth, which holds every target: the RoI
+    target, and the ownership table whose row gathers give objectness, class
+    labels (0 = background) and the selected rows' pose targets.
     """
-    H = out.roi_target
+    H = scene.roi_target
     l_roi = ad.from_loss_fn(out.roi_scores, lambda p: gaussian_focal_loss(p, H, cfg.focal_alpha, cfg.focal_gamma))
 
-    y = (out.owner >= 0).astype(np.float64)
+    owner = scene.owner[out.lifted_fine_rows]
+    y = (owner >= 0).astype(np.float64)
     l_obj = ad.from_loss_fn(out.obj_scores, lambda p: focal_loss(p, y, cfg.obj_gamma, cfg.obj_alpha))
 
-    labels = np.r_[0, gt.class_ids][out.owner + 1]  # owner -1 gathers class 0, background
+    labels = np.r_[0, scene.gt.class_ids][owner + 1]  # owner -1 gathers class 0, background
     l_cls = ad.from_loss_fn(out.cls_logits, lambda z: weighted_cross_entropy(z, labels))
 
-    t_target, R_target, valid = pose_targets(out.selected_grid.centers(), out.owner[out.selected_rows], gt,
-                                             instance_rotations)
+    t_target, R_target, valid = pose_targets(out.selected_grid.centers(), owner[out.selected_rows], scene.gt)
     l_t = ad.from_loss_fn(out.offsets, lambda p: smooth_l1(p, t_target, valid, cfg.smooth_l1_delta))
     l_rot = multi_class_chamfer(out.rot6d, R_target, labels[out.selected_rows], models,
                                 cfg.train_chamfer_points)
@@ -338,9 +331,7 @@ def train_toy(
     steps = cfg.steps if steps is None else steps
     model = build_model(cfg, representation, seed=cfg.seed)
     fine, _, _ = build_input_grid(bundle, cfg, representation)
-    gt = bundle.gt
-    scene = scene_structure(fine, cfg, gt)
-    instance_rotations = np.asarray([inst.rotation for inst in bundle.instances]).reshape(-1, 3, 3)
+    scene = scene_structure(fine, cfg, bundle.gt)
     params = model.parameters()
     opt = nn.SGD(params, lr=cfg.lr, momentum=cfg.momentum,
                  lr_scales={"pose.r_head": cfg.train_rot_lr_mult},
@@ -349,7 +340,7 @@ def train_toy(
     trace: list[LossBreakdown] = []
     for step in range(steps):
         out = staged_forward(model, scene, cfg, train=True)
-        total, breakdown, parts = compute_losses(out, gt, instance_rotations, bundle.models, cfg)
+        total, breakdown, parts = compute_losses(out, scene, bundle.models, cfg)
         trace.append(breakdown)
         opt.zero_grad()
         if step < warmup:
@@ -364,20 +355,13 @@ def train_toy(
     return model, trace
 
 
-def trace_csv(trace: list[LossBreakdown], seed: int) -> str:
-    lines = [f"# seed={seed}", "step,total,roi,obj,cls,t,rot"]
-    for i, b in enumerate(trace):
-        lines.append(f"{i},{b.total:.9g},{b.roi:.9g},{b.obj:.9g},{b.cls:.9g},{b.t:.9g},{b.rot:.9g}")
-    return "\n".join(lines) + "\n"
-
-
-def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth, instance_rotations: np.ndarray) -> VoteSet:
+def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth) -> VoteSet:
     """Ground-truth targets dressed up as predictions: every foreground voxel
     votes its exact offset and rotation with confidence 1."""
     owner = voxel_object_assignment(fine, gt)
     rows = np.nonzero(owner >= 0)[0]
     centers = fine.centers()[rows]
-    offsets, R, _ = pose_targets(centers, owner[rows], gt, instance_rotations)
+    offsets, R, _ = pose_targets(centers, owner[rows], gt)
     return VoteSet(
         voxel_centers=centers,
         offsets=offsets,
@@ -388,21 +372,16 @@ def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth, instance_rotations
 
 
 def predicted_votes(out: StagedOutput) -> VoteSet:
-    """Votes from a trained forward pass; class = argmax over foreground
-    class logits, confidence = objectness score. A vote whose offset,
-    rotation or confidence is not finite is dropped, so one degenerate
-    output row costs that vote, not the scene."""
+    """Votes from a forward pass, one per selected row; class = argmax over
+    foreground class logits, confidence = objectness score. Rows a degenerate
+    output spoils are dropped later, by `votes_to_poses`."""
     logits = out.cls_logits.data[out.selected_rows]
-    class_ids = 1 + np.argmax(logits[:, 1:], axis=1)
-    offsets, rot6d = out.offsets.data, out.rot6d.data
-    confidence = out.obj_scores.data[out.selected_rows]
-    finite = np.isfinite(offsets).all(axis=1) & np.isfinite(rot6d).all(axis=1) & np.isfinite(confidence)
     return VoteSet(
-        voxel_centers=out.selected_grid.centers()[finite],
-        offsets=offsets[finite],
-        rot6d=rot6d[finite],
-        confidence=confidence[finite],
-        class_ids=class_ids[finite],
+        voxel_centers=out.selected_grid.centers(),
+        offsets=out.offsets.data,
+        rot6d=out.rot6d.data,
+        confidence=out.obj_scores.data[out.selected_rows],
+        class_ids=1 + np.argmax(logits[:, 1:], axis=1),
     )
 
 
@@ -424,10 +403,14 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     the matching runs, sorted, are the scene points inside those voxels in
     scene order. A voxel shared by two clusters goes to both.
 
-    Votes that cannot make a pose are dropped before clustering: a class
-    with no model in `models`, or a rotation rot6d_to_matrix rejects.
+    This is the one place that judges a vote. Votes that cannot make a pose
+    are dropped before clustering: a non-finite offset or confidence, a
+    class with no model in `models`, or a rotation rot6d_to_matrix rejects
+    (non-finite included). So a degenerate output row costs that vote, not
+    the scene.
     """
-    usable = np.isin(votes.class_ids, list(models)) & rot6d_frames(votes.rot6d)[1]
+    usable = (np.isfinite(votes.offsets).all(axis=1) & np.isfinite(votes.confidence)
+              & np.isin(votes.class_ids, list(models)) & rot6d_frames(votes.rot6d)[1])
     if not usable.all():
         votes = VoteSet(votes.voxel_centers[usable], votes.offsets[usable], votes.rot6d[usable],
                         votes.confidence[usable], votes.class_ids[usable])
@@ -482,12 +465,13 @@ def estimate_poses(
     if len(fine) == 0:
         return [], 0
     if oracle:
-        rotations = np.asarray([inst.rotation for inst in bundle.instances]).reshape(-1, 3, 3)
-        votes = oracle_votes(fine, bundle.gt, rotations)
+        votes = oracle_votes(fine, bundle.gt)
     else:
         if model is None:
             raise DataError("estimate needs a trained model or oracle mode")
-        out = staged_forward(model, fine, cfg, train=False)
+        # a degenerate model's overflow leaves non-finite rows; votes_to_poses drops them
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = staged_forward(model, fine, cfg, train=False)
         votes = predicted_votes(out)
     poses = votes_to_poses(votes, cloud, bundle.models, cfg,
                            origin=bundle.workspace.min_corner)

@@ -546,18 +546,17 @@ def render_depth(spec: SceneSpec, library: dict[str, ObjectModel], view: int) ->
 
 
 def scene_ground_truth(spec: SceneSpec, library: dict[str, ObjectModel]) -> SceneGroundTruth:
-    """Exact ground truth: transformed surface centroids and model clouds."""
-    centroids, clouds, class_ids = [], [], []
+    """Exact ground truth: transformed surface centroids and model clouds,
+    and the instance poses."""
+    centroids, clouds, class_ids, rotations, translations = [], [], [], [], []
     for inst in spec.instances:
         model = library[inst.name]
         centroids.append(inst.rotation @ model.mesh.surface_centroid() + inst.translation)
         clouds.append(model.cloud @ inst.rotation.T + inst.translation)
         class_ids.append(inst.class_id)
-    return SceneGroundTruth(
-        centroids=np.asarray(centroids).reshape(-1, 3),
-        object_clouds=clouds,
-        class_ids=np.asarray(class_ids, dtype=np.int64),
-    )
+        rotations.append(inst.rotation)
+        translations.append(inst.translation)
+    return SceneGroundTruth(centroids, clouds, class_ids, rotations, translations)
 
 
 def export_scene_bundle(spec: SceneSpec, library: dict[str, ObjectModel], out_dir) -> None:
@@ -630,7 +629,12 @@ class SceneBundle:
     models: dict            # class id -> ObjectModel
     seed: int
     depth_scale: float
-    instances: list
+
+    @property
+    def instances(self) -> list[Instance]:
+        """The ground-truth objects as instances, built from `gt` and `models`."""
+        return [Instance(int(cid), self.models[int(cid)].name, R, t)
+                for cid, R, t in zip(self.gt.class_ids, self.gt.rotations, self.gt.translations)]
 
 
 def load_scene_bundle(path) -> SceneBundle:
@@ -656,7 +660,7 @@ def load_scene_bundle(path) -> SceneBundle:
             cameras.append((intr, extr))
         gt_path = os.path.join(path, "gt.json")
         gt_doc = read_file(gt_path, "ground truth", json_document)
-        centroids, clouds, class_ids, instances = [], [], [], []
+        centroids, clouds, class_ids, rotations, translations = [], [], [], [], []
         for i, obj in enumerate(gt_doc["objects"]):
             cid = int(obj["class_id"])
             R = check_rotation(obj["rotation"], f"{gt_path}: object {i} rotation")
@@ -666,12 +670,9 @@ def load_scene_bundle(path) -> SceneBundle:
             centroids.append(np.asarray(obj["centroid"], dtype=np.float64))
             clouds.append(models[cid].cloud @ R.T + t)
             class_ids.append(cid)
-            instances.append(Instance(cid, models[cid].name, R, t))
-        gt = SceneGroundTruth(
-            centroids=np.asarray(centroids).reshape(-1, 3) if centroids else np.zeros((0, 3)),
-            object_clouds=clouds,
-            class_ids=np.asarray(class_ids, dtype=np.int64),
-        )
+            rotations.append(R)
+            translations.append(t)
+        gt = SceneGroundTruth(centroids, clouds, class_ids, rotations, translations)
         workspace = Workspace(
             np.asarray(scene_doc["workspace_min"], dtype=np.float64),
             np.asarray(scene_doc["workspace_max"], dtype=np.float64),
@@ -684,7 +685,6 @@ def load_scene_bundle(path) -> SceneBundle:
             models=models,
             seed=int(scene_doc["seed"]),
             depth_scale=depth_scale,
-            instances=instances,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # a missing or mistyped field in scene.json or gt.json

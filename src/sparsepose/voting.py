@@ -16,8 +16,9 @@ from scipy.spatial import cKDTree
 
 from .camera import check_rotation
 from .errors import DataError, NumericalError
+from .grid import lattice_index
 from .heatmap import SceneGroundTruth
-from .ioutil import atomic_write_text, json_document, read_file, write_json
+from .ioutil import json_document, read_file, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class VoteSet:
         n = c.shape[0]
         if not (t.shape[0] == r.shape[0] == conf.shape[0] == cls.shape[0] == n):
             raise DataError("vote arrays must have consistent row counts")
-        if not np.all(np.isfinite(t)):
-            raise DataError("vote offsets must be finite")
         for name, arr in (("voxel_centers", c), ("offsets", t), ("rot6d", r),
                           ("confidence", conf), ("class_ids", cls)):
             object.__setattr__(self, name, arr)
@@ -71,7 +70,7 @@ class Pose:
             raise DataError("pose translation must be finite")
 
 
-def pose_targets(centers: np.ndarray, owner: np.ndarray, gt: SceneGroundTruth, rotations: np.ndarray):
+def pose_targets(centers: np.ndarray, owner: np.ndarray, gt: SceneGroundTruth):
     """Per-voxel supervision from an ownership table (`owner[i]` is the
     object owning the voxel centered at `centers[i]`, -1 for background): the
     offset to the owner's centroid, the owner's rotation and a validity mask
@@ -81,7 +80,7 @@ def pose_targets(centers: np.ndarray, owner: np.ndarray, gt: SceneGroundTruth, r
     t = np.zeros((len(owner), 3))
     R = np.tile(np.eye(3), (len(owner), 1, 1))
     t[valid] = gt.centroids[owner[valid]] - centers[valid]
-    R[valid] = rotations[owner[valid]]
+    R[valid] = gt.rotations[owner[valid]]
     return t, R, valid
 
 
@@ -111,16 +110,18 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, mask: np.ndarray, delta: flo
 
 def rot6d_frames(r6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt map of (K, 6) encodings to (K, 3, 3) rotations, plus the
-    (K,) mask of rows where it is defined: |a1| >= 1e-9 and |u2| >= 1e-9,
-    u2 = a2 - (b1.a2) b1 (non-finite rows fail). Other rows are meaningless."""
+    (K,) mask of rows where it is defined: |a1| and |u2| finite and >= 1e-9,
+    u2 = a2 - (b1.a2) b1 (non-finite rows, and rows whose norm overflows,
+    fail). Other rows are meaningless."""
     a1, a2 = r6[:, :3], r6[:, 3:]
-    n1 = np.linalg.norm(a1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n1 = np.linalg.norm(a1, axis=1)
         b1 = a1 / n1[:, None]
         u2 = a2 - np.sum(b1 * a2, axis=1, keepdims=True) * b1
         n2 = np.linalg.norm(u2, axis=1)
         b2 = u2 / n2[:, None]
-    return np.stack([b1, b2, np.cross(b1, b2)], axis=2), (n1 >= 1e-9) & (n2 >= 1e-9)
+        b3 = np.cross(b1, b2)
+    return np.stack([b1, b2, b3], axis=2), (n1 >= 1e-9) & (n2 >= 1e-9) & np.isfinite(n1 + n2)
 
 
 def rot6d_to_matrix(r6: np.ndarray) -> np.ndarray:
@@ -241,7 +242,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
 
     cpts = pts[core_rows]
-    cells, cell_of_pt = np.unique(np.floor(cpts / eps).astype(np.int64), axis=0, return_inverse=True)
+    cells, cell_of_pt = np.unique(lattice_index(cpts, 0.0, eps), axis=0, return_inverse=True)
     order = np.argsort(cell_of_pt, axis=None, kind="stable")  # rows ascending within a cell
     starts = np.searchsorted(cell_of_pt.reshape(-1)[order], np.arange(len(cells)))
     members = np.split(order, starts[1:])
@@ -325,8 +326,6 @@ def aggregate_votes(votes: VoteSet, labels: np.ndarray, top_fraction: float = 0.
         rows = np.nonzero(labels == cluster)[0]
         order = rows[np.argsort(-votes.confidence[rows], kind="stable")]
         keep = order[: max(1, int(np.ceil(top_fraction * len(order))))]
-        if keep.size == 0:
-            continue
         t = centers[keep].mean(axis=0)
         R = chordal_mean(rot6d_to_matrix(votes.rot6d[keep]))
         cls_ids = votes.class_ids[keep]
@@ -434,15 +433,11 @@ POSE_CSV_COLUMNS = (
 )
 
 
-def write_pose_csv(path, poses: list[Pose], seed: int | None = None) -> None:
-    lines = [] if seed is None else [f"# seed={seed}"]
-    lines.append(POSE_CSV_COLUMNS)
-    for i, p in enumerate(poses):
-        cells = [str(i), str(p.class_id), f"{p.confidence:.9g}"]
-        cells += [f"{x:.17g}" for x in p.rotation.reshape(-1)]
-        cells += [f"{x:.17g}" for x in p.translation]
-        lines.append(",".join(cells + [str(int(p.refined))]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_pose_csv(path, poses: list[Pose], seed: int) -> None:
+    write_csv(path, seed, POSE_CSV_COLUMNS, (
+        f"{i},{p.class_id},{p.confidence:.9g},"
+        + ",".join(f"{x:.17g}" for x in np.r_[p.rotation.reshape(-1), p.translation]) + f",{int(p.refined)}"
+        for i, p in enumerate(poses)))
 
 
 def write_pose_json(path, poses: list[Pose], seed: int | None = None) -> None:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from sparsepose.heatmap import SceneGroundTruth
 from sparsepose.synthetic import default_camera_ring, default_intrinsics, export_scene_bundle, load_scene_bundle, make_primitives, sample_scene
 
 
@@ -14,6 +16,14 @@ def small_scene_spec(seed=21, n_objects=3, bin_half=0.07, bin_height=0.05,
                         n_objects=n_objects, seed=seed, cameras=cams,
                         noise_sigma=noise_sigma, dropout=dropout)
     return spec, lib
+
+
+def scene_gt(centroids, clouds, class_ids, rotations=None):
+    """Ground truth whose objects are translated to their centroids, with
+    identity rotations unless `rotations` is given."""
+    c = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+    return SceneGroundTruth(c, clouds, class_ids,
+                            np.tile(np.eye(3), (len(c), 1, 1)) if rotations is None else rotations, c)
 
 
 @pytest.fixture(scope="session")

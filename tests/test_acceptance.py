@@ -276,7 +276,7 @@ def test_criterion_5_analytic_loss_values():
     grid = SparseVoxelGrid(0.02, np.zeros(3), np.array([[0, 0, 0]]), np.ones((1, 1)))
     center = grid.centers()[0]
     boundary = center + np.array([2 * 0.02, 0.0, 0.0])
-    gt = SceneGroundTruth(center[None, :], [boundary[None, :]], np.array([1]))
+    gt = SceneGroundTruth(center[None, :], [boundary[None, :]], np.array([1]), np.eye(3)[None], center[None, :])
     H = roi_target(grid, gt, sigma_c=6.0, sigma_b=4.0)
     assert abs(H[0] - 0.5 * (1.0 + np.exp(-0.25))) < 1e-9
     assert abs(H[0] - 0.8894) < 5e-5

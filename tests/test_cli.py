@@ -291,6 +291,22 @@ class TestStats:
         assert 1.6 <= slope <= 2.4
 
 
+def test_csv_bytes_pinned(tiny_bundle_dir, tmp_path):
+    # the targets, training-trace and occupancy CSVs: seed line, header, rows
+    assert run(["targets", tiny_bundle_dir, "--out", tmp_path / "t", "--theta-mm", 4.0, "--seed", 2]) == 0
+    assert run(["train-toy", tiny_bundle_dir, "--steps", 2, "--out", tmp_path / "toy.ckpt",
+                "--theta-mm", 4.0]) == 0
+    assert run(["stats", tiny_bundle_dir, "--thetas", 8.0, 4.0, "--out", tmp_path / "occ.csv"]) == 0
+    digests = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
+               for p in ("t/targets_coarse.csv", "t/targets_fine.csv", "toy_trace.csv", "occ.csv")}
+    assert digests == {
+        "t/targets_coarse.csv": "036ed722a781e6f2e43ca6c372fe918488039139b07986d93147d5fdc2566b21",
+        "t/targets_fine.csv": "5309269fc0856a118951009225af8fb7022d5b99015905df4424cb5ce0205979",
+        "toy_trace.csv": "6adb0c9a3360a4f8816efa3a796bbb1ef45b65083a3d4539ddfffa53ac0f449a",
+        "occ.csv": "efe9a5f76b782d4222421ae68b4d5ccc6742cae5b67454861d6b65e0e4ee34a2",
+    }
+
+
 class TestTrainToyCli:
     def test_zero_steps_writes_init_checkpoint(self, scene_dir, tmp_path):
         ckpt = tmp_path / "toy.ckpt"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import scene_gt
 from sparsepose.errors import DataError
 from sparsepose.grid import SparseVoxelGrid, voxelize
 from sparsepose.heatmap import (
-    SceneGroundTruth,
     adaptive_topk,
     class_weights,
     focal_loss,
@@ -40,14 +40,14 @@ def fd_gradient(fn, x, eps=1e-6):
 class TestRoiTarget:
     def test_empty_gt_all_zero(self):
         grid = grid_from_indices([[0, 0, 0], [1, 1, 1]])
-        gt = SceneGroundTruth(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64))
+        gt = scene_gt(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64))
         H = roi_target(grid, gt, 6.0, 4.0)
         assert np.array_equal(H, np.zeros(2))
 
     def test_voxel_on_centroid_and_surface_scores_one(self):
         grid = grid_from_indices([[0, 0, 0]])
         center = grid.centers()[0]
-        gt = SceneGroundTruth(center[None, :], [center[None, :]], np.array([1]))
+        gt = scene_gt(center[None, :], [center[None, :]], np.array([1]))
         H = roi_target(grid, gt, 6.0, 4.0)
         assert H[0] == pytest.approx(1.0)
 
@@ -57,7 +57,7 @@ class TestRoiTarget:
         grid = grid_from_indices([[0, 0, 0]], theta=0.02)
         center = grid.centers()[0]
         boundary = center + np.array([2 * 0.02, 0.0, 0.0])
-        gt = SceneGroundTruth(center[None, :], [boundary[None, :]], np.array([1]))
+        gt = scene_gt(center[None, :], [boundary[None, :]], np.array([1]))
         H = roi_target(grid, gt, sigma_c=6.0, sigma_b=4.0)
         expected = 0.5 * (1.0 + np.exp(-4.0 / 16.0))
         assert H[0] == pytest.approx(expected, abs=1e-9)
@@ -68,7 +68,7 @@ class TestRoiTarget:
         grid = grid_from_indices(rng.integers(-10, 10, size=(100, 3)))
         c = rng.uniform(-0.1, 0.1, size=(2, 3))
         clouds = [rng.uniform(-0.1, 0.1, size=(50, 3)) for _ in range(2)]
-        gt = SceneGroundTruth(c, clouds, np.array([1, 2]))
+        gt = scene_gt(c, clouds, np.array([1, 2]))
         sigma_c, sigma_b = 6.0, 4.0
         H = roi_target(grid, gt, sigma_c, sigma_b)
         assert np.all((H >= 0) & (H <= 1))
@@ -136,13 +136,13 @@ class TestSoftSuppress:
 class TestObjectnessTarget:
     def test_empty_gt(self):
         grid = grid_from_indices([[0, 0, 0]])
-        gt = SceneGroundTruth(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64))
+        gt = scene_gt(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64))
         assert np.array_equal(objectness_target(grid, gt), np.zeros(1))
 
     def test_voxel_with_model_point(self):
         grid = grid_from_indices([[0, 0, 0], [5, 5, 5]], theta=0.02)
         pt = grid.centers()[0]
-        gt = SceneGroundTruth(pt[None, :], [pt[None, :]], np.array([1]))
+        gt = scene_gt(pt[None, :], [pt[None, :]], np.array([1]))
         y = objectness_target(grid, gt)
         assert y[0] == 1.0 and y[1] == 0.0
 
@@ -151,7 +151,7 @@ class TestObjectnessTarget:
         pts = rng.uniform(-0.1, 0.1, size=(300, 3))
         fine = voxelize(pts, 0.01, np.array([-0.12] * 3))
         cloud = rng.uniform(-0.1, 0.1, size=(80, 3))
-        gt = SceneGroundTruth(cloud.mean(axis=0, keepdims=True), [cloud], np.array([1]))
+        gt = scene_gt(cloud.mean(axis=0, keepdims=True), [cloud], np.array([1]))
         y = objectness_target(fine, gt)
         occupied = {tuple(v) for v in np.floor((cloud + 0.12) / 0.01).astype(np.int64)}
         brute = np.array([1.0 if tuple(v) in occupied else 0.0 for v in fine.indices])
@@ -279,14 +279,14 @@ class TestVoxelObjectAssignment:
         # object 0 has 1 point in the voxel, object 1 has 3
         c0 = center[None, :]
         c1 = np.tile(center, (3, 1)) + np.array([[0.001, 0, 0], [0, 0.001, 0], [0, 0, 0.001]])
-        gt = SceneGroundTruth(np.stack([center + 1.0, center]), [c0, c1], np.array([1, 2]))
+        gt = scene_gt(np.stack([center + 1.0, center]), [c0, c1], np.array([1, 2]))
         owner = voxel_object_assignment(grid, gt)
         assert owner[0] == 1
 
     def test_background_unassigned(self):
         grid = grid_from_indices([[0, 0, 0], [50, 50, 50]], theta=0.01)
         pt = grid.centers()[0]
-        gt = SceneGroundTruth(pt[None, :], [pt[None, :]], np.array([1]))
+        gt = scene_gt(pt[None, :], [pt[None, :]], np.array([1]))
         owner = voxel_object_assignment(grid, gt)
         assert owner[1] == -1
 
@@ -327,7 +327,7 @@ class TestVoxelObjectAssignment:
                 clouds[0] = np.vstack([clouds[0], tie])
                 clouds[1] = np.vstack([clouds[1], tie])
             centroids = np.stack([c.mean(axis=0) for c in clouds])
-            yield grid, SceneGroundTruth(centroids, clouds, rng.integers(1, 5, size=m))
+            yield grid, scene_gt(centroids, clouds, rng.integers(1, 5, size=m))
 
     def test_matches_per_object_reference(self):
         for trial, (grid, gt) in enumerate(self.random_scenes()):

@@ -5,7 +5,8 @@ from scipy.spatial.transform import Rotation
 from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
 from sparsepose.grid import SparseVoxelGrid, pack_index
-from sparsepose.heatmap import SceneGroundTruth, objectness_target, voxel_object_assignment
+from conftest import scene_gt
+from sparsepose.heatmap import objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
 from sparsepose import pipeline
 from sparsepose.voting import VoteSet, dbscan, matrix_to_rot6d
@@ -94,7 +95,7 @@ class TestStagedForward:
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
+        out = staged_forward(model, scene_structure(fine, cfg, small_bundle.gt), cfg, train=True)
         y_sel = objectness_target(out.selected_grid, small_bundle.gt)
         y_lift = objectness_target(out.lifted_grid, small_bundle.gt)
         assert y_sel.sum() == y_lift.sum()  # every positive voxel was selected
@@ -105,10 +106,9 @@ class TestLosses:
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        total, breakdown, parts = compute_losses(out, small_bundle.gt, rotations,
-                                                 small_bundle.models, cfg)
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        out = staged_forward(model, scene, cfg, train=True)
+        total, breakdown, parts = compute_losses(out, scene, small_bundle.models, cfg)
         assert np.isfinite(breakdown.total)
         lam = cfg.loss_weights
         expected = (lam[0] * breakdown.roi + lam[1] * breakdown.obj + lam[2] * breakdown.cls
@@ -128,12 +128,11 @@ class TestLosses:
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        compute_losses(out, small_bundle.gt, rotations, small_bundle.models, cfg)
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        compute_losses(staged_forward(model, scene, cfg, train=True), scene, small_bundle.models, cfg)
         assert len(calls) == 1
-        expected = heatmap.roi_target(out.coarse, small_bundle.gt, cfg.sigma_c, cfg.sigma_b)
-        assert np.array_equal(out.roi_target, expected)
+        expected = heatmap.roi_target(scene.coarse, small_bundle.gt, cfg.sigma_c, cfg.sigma_b)
+        assert np.array_equal(scene.roi_target, expected)
 
     def test_ownership_computed_once_per_step(self, small_bundle, monkeypatch):
         # the top-K union, the objectness, class and pose targets all read one
@@ -153,19 +152,19 @@ class TestLosses:
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        compute_losses(out, small_bundle.gt, rotations, small_bundle.models, cfg)
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        out = staged_forward(model, scene, cfg, train=True)
+        compute_losses(out, scene, small_bundle.models, cfg)
         assert len(calls) == 1
-        assert np.array_equal(out.owner, original(out.lifted_grid, small_bundle.gt))
+        assert np.array_equal(scene.owner[out.lifted_fine_rows], original(out.lifted_grid, small_bundle.gt))
 
     def test_backward_reaches_all_heads(self, small_bundle):
         cfg = quick_config()
         model = build_model(cfg, "cloud", seed=0)
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        out = staged_forward(model, fine, cfg, gt=small_bundle.gt, train=True)
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        total, _, _ = compute_losses(out, small_bundle.gt, rotations, small_bundle.models, cfg)
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        total, _, _ = compute_losses(staged_forward(model, scene, cfg, train=True), scene,
+                                     small_bundle.models, cfg)
         total.backward()
         params = model.parameters()
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
@@ -208,15 +207,20 @@ class TestSceneStructure:
     def test_structure_matches_bare_grid(self, small_bundle):
         cfg = quick_config()
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        scene = scene_structure(fine, cfg, small_bundle.gt)
         for train in (False, True):
-            a = staged_forward(build_model(cfg, "cloud", seed=0), fine, cfg, gt=small_bundle.gt, train=train)
-            b = staged_forward(build_model(cfg, "cloud", seed=0), scene, cfg, train=train)
+            a = staged_forward(build_model(cfg, "cloud", seed=0), fine, cfg, train=train)
+            b = staged_forward(build_model(cfg, "cloud", seed=0), scene_structure(fine, cfg), cfg, train=train)
             for name in ("roi_scores", "obj_scores", "cls_logits", "offsets", "rot6d"):
                 assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
             assert np.array_equal(a.selected_rows, b.selected_rows)
-            if train:
-                assert np.array_equal(a.roi_target, b.roi_target) and np.array_equal(a.owner, b.owner)
+        # the targets live only on a structure built with ground truth
+        from sparsepose import heatmap
+
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        assert scene.gt is small_bundle.gt
+        assert np.array_equal(scene.roi_target,
+                              heatmap.roi_target(scene.coarse, small_bundle.gt, cfg.sigma_c, cfg.sigma_b))
+        assert np.array_equal(scene.owner, voxel_object_assignment(fine, small_bundle.gt))
 
     def test_training_owner_gathers_lifted_rows(self, small_bundle, monkeypatch):
         # a lifted set that is a strict subset of the fine grid: a zero RoI
@@ -229,16 +233,16 @@ class TestSceneStructure:
         monkeypatch.setattr(pipeline, "soft_suppress", lambda scores, *gate: (np.zeros(len(scores)), kept))
         out = staged_forward(build_model(cfg, "cloud", seed=0), scene, cfg, train=True)
         assert 0 < len(out.lifted_grid) < len(fine)
-        assert (out.owner >= 0).any()
-        assert np.array_equal(out.owner, voxel_object_assignment(out.lifted_grid, small_bundle.gt))
+        owner = scene.owner[out.lifted_fine_rows]
+        assert (owner >= 0).any()
+        assert np.array_equal(owner, voxel_object_assignment(out.lifted_grid, small_bundle.gt))
 
 
 class TestOraclePath:
     def test_oracle_votes_collapse_to_centroids(self, small_bundle):
         cfg = quick_config(theta=0.002)
         fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        votes = oracle_votes(fine, small_bundle.gt, rotations)
+        votes = oracle_votes(fine, small_bundle.gt)
         assert len(votes) > 0
         centers = votes.predicted_centers()
         d = np.linalg.norm(centers[:, None, :] - small_bundle.gt.centroids[None], axis=2).min(axis=1)
@@ -256,9 +260,9 @@ class TestOraclePath:
         clouds = [np.vstack([centers[0] + jitter, centers[1] + jitter[:1]]),
                   np.vstack([centers[0] - jitter[:1], centers[1] - jitter[1:], centers[2] + jitter])]
         centroids = np.stack([centers[1] + [0.0, 0.007, 0.0], centers[1] + [0.0, -0.004, 0.0]])
-        gt = SceneGroundTruth(centroids, clouds, np.array([3, 1]))
         rotations = Rotation.from_rotvec([[0.0, 0.0, 0.4], [-0.7, -0.7, 0.0]]).as_matrix()
-        votes = oracle_votes(fine, gt, rotations)
+        gt = scene_gt(centroids, clouds, np.array([3, 1]), rotations)
+        votes = oracle_votes(fine, gt)
 
         rows, owners = [], []
         for i, v in enumerate(idx):
@@ -315,8 +319,7 @@ class TestOraclePath:
         # without a model must neither abort the scene nor change the poses
         cfg = quick_config(theta=0.002)
         fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        votes = oracle_votes(fine, small_bundle.gt, rotations)
+        votes = oracle_votes(fine, small_bundle.gt)
         extra = VoteSet(
             np.vstack([votes.voxel_centers, votes.voxel_centers[:1]]),
             np.vstack([votes.offsets, votes.offsets[:1]]),
@@ -397,17 +400,17 @@ def _voting_output(fine, gt, votes, keep):
 class TestPredictedVotes:
     @pytest.mark.parametrize("field", ["offsets", "rot6d", "obj_scores"])
     def test_non_finite_row_costs_one_vote(self, small_bundle, field):
-        # one NaN output row must give the poses of the same output without it
+        # predicted_votes keeps every row; votes_to_poses drops the NaN one and
+        # gives the poses of the same output without it
         cfg = quick_config()
         fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
-        rotations = np.asarray([inst.rotation for inst in small_bundle.instances])
-        votes = oracle_votes(fine, small_bundle.gt, rotations)
+        votes = oracle_votes(fine, small_bundle.gt)
         bad_row = len(votes) // 2
         out = _voting_output(fine, small_bundle.gt, votes, np.arange(len(votes)))
         getattr(out, field).data[bad_row] = np.nan
         clean = _voting_output(fine, small_bundle.gt, votes, np.delete(np.arange(len(votes)), bad_row))
         kept = predicted_votes(out)
-        assert len(kept) == len(votes) - 1
+        assert len(kept) == len(votes)
         origin = small_bundle.workspace.min_corner
         got = votes_to_poses(kept, cloud, small_bundle.models, cfg, origin=origin)
         base = votes_to_poses(predicted_votes(clean), cloud, small_bundle.models, cfg, origin=origin)

@@ -4,7 +4,8 @@ from scipy.spatial import cKDTree
 
 from sparsepose.errors import DataError, NumericalError
 from sparsepose.grid import SparseVoxelGrid
-from sparsepose.heatmap import SceneGroundTruth, voxel_object_assignment
+from conftest import scene_gt
+from sparsepose.heatmap import voxel_object_assignment
 from sparsepose.voting import (
     NOISE,
     Pose,
@@ -68,18 +69,15 @@ class TestPoseTargets:
         idx = np.array([[0, 0, 0], [4, 4, 4], [9, 9, 9]])
         grid = SparseVoxelGrid(0.01, np.zeros(3), idx, np.ones((3, 1)))
         centers = grid.centers()
-        gt = SceneGroundTruth(
-            centroids=np.stack([centers[0], centers[1] + 0.004]),
-            object_clouds=[centers[0][None, :], centers[1][None, :]],
-            class_ids=np.array([1, 2]),
-        )
         rotations = np.stack([rotation_about([0, 0, 1], 0.3), rotation_about([1, 0, 0], 0.5)])
+        gt = scene_gt(np.stack([centers[0], centers[1] + 0.004]), [centers[0][None, :], centers[1][None, :]],
+                      np.array([1, 2]), rotations)
         return grid, gt, centers, rotations
 
     def test_offset_zero_at_centroid(self):
         grid, gt, centers, rotations = self.make_scene()
         owner = voxel_object_assignment(grid, gt)
-        t, R, valid = pose_targets(centers, owner, gt, rotations)
+        t, R, valid = pose_targets(centers, owner, gt)
         assert valid[0] and valid[1] and not valid[2]
         assert np.allclose(t[0], 0.0, atol=1e-15)
         assert np.allclose(t[1], 0.004, atol=1e-12)
@@ -87,7 +85,7 @@ class TestPoseTargets:
     def test_background_masked(self):
         grid, gt, centers, rotations = self.make_scene()
         owner = voxel_object_assignment(grid, gt)
-        t, R, valid = pose_targets(centers, owner, gt, rotations)
+        t, R, valid = pose_targets(centers, owner, gt)
         assert owner[2] == -1 and not valid[2]
         assert np.array_equal(t[2], np.zeros(3)) and np.array_equal(R[2], np.eye(3))
 
@@ -96,9 +94,9 @@ class TestPoseTargets:
         idx = np.unique(rng.integers(0, 15, size=(60, 3)), axis=0)
         grid = SparseVoxelGrid(0.01, np.zeros(3), idx, np.ones((len(idx), 1)))
         clouds = [rng.uniform(0, 0.15, size=(40, 3)) for _ in range(3)]
-        gt = SceneGroundTruth(np.stack([c.mean(axis=0) for c in clouds]), clouds, np.array([1, 2, 3]))
+        gt = scene_gt(np.stack([c.mean(axis=0) for c in clouds]), clouds, np.array([1, 2, 3]))
         owner = voxel_object_assignment(grid, gt)
-        t, _, valid = pose_targets(grid.centers(), owner, gt, np.tile(np.eye(3), (3, 1, 1)))
+        t, _, valid = pose_targets(grid.centers(), owner, gt)
         # brute force: voxel owned by the object owning most contained points
         for i, v in enumerate(idx):
             counts = []
@@ -115,7 +113,7 @@ class TestPoseTargets:
 
     def test_rotation_of_owner(self):
         grid, gt, centers, rotations = self.make_scene()
-        _, R, valid = pose_targets(centers, np.array([1, -1, 0]), gt, rotations)
+        _, R, valid = pose_targets(centers, np.array([1, -1, 0]), gt)
         assert np.array_equal(valid, [True, False, True])
         assert np.allclose(R[0], rotations[1])
         assert np.allclose(R[1], np.eye(3))
