@@ -12,7 +12,8 @@ scores them. The scene and config are those of criterion 7.
 the spread: each object's median and range of ADD-S, how many seeds pass
 criterion 7's rule (two of three objects under 5 mm) and the final-loss
 range. One seed of 500 steps takes about a minute on two cores. Training
-bits depend on the BLAS thread count, so it is printed with the table.
+bits depend on the BLAS thread count and on the dtype the networks compute
+in, so both are printed with the table.
 """
 
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from sparsepose.config import PipelineConfig
 from sparsepose.metrics import add_s
-from sparsepose.pipeline import estimate_poses, train_toy
+from sparsepose.pipeline import NET_DTYPE, estimate_poses, train_toy
 from sparsepose.synthetic import default_camera_ring, default_intrinsics, export_scene_bundle, load_scene_bundle, make_primitives, sample_scene
 
 steps = int(sys.argv[1]) if len(sys.argv) > 1 else 120
@@ -74,4 +75,5 @@ for gi, inst in enumerate(objects):
           f"range {col.min():.2f}-{col.max():.2f} mm")
 print(f"{passes}/{n_seeds} seeds pass (>= 2 of {len(objects)} objects < 5 mm); "
       f"final loss {min(losses):.3f}-{max(losses):.3f}; "
-      f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+      f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}; "
+      f"networks in {np.dtype(NET_DTYPE).name}")

@@ -4,9 +4,13 @@ A Tensor wraps a float array plus an on-demand gradient. Every op computes
 its value, defines a backward closure that accumulates into its parents and
 returns one `Tensor(value, parents, backward)` node; the constructor keeps
 parents and closure only when some parent requires a gradient, so constant
-inputs build no graph. Everything runs in float64. Gradients of disjoint
-graph regions accumulate in a fixed topological order, so results are
-deterministic.
+inputs build no graph. Every op computes in the dtype of its input, and
+every buffer and constant it makes follows that dtype. Parameters are
+float64 and enter a float32 graph through `cast`, whose backward returns a
+float64 gradient, so the optimizer and checkpoints stay in float64 while
+the networks run in float32. Gradients of disjoint graph regions accumulate
+in a fixed topological order, so results are deterministic for a fixed BLAS
+setup.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
-        self.data = np.asarray(data, dtype=np.float64) if not isinstance(data, np.ndarray) else data
+        # a numpy scalar (a full reduction's result) keeps its dtype
+        self.data = np.asarray(data)
         if not np.issubdtype(self.data.dtype, np.floating):
             self.data = self.data.astype(np.float64)
         self.grad = None
@@ -35,6 +40,10 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
@@ -64,8 +73,8 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def constant(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def constant(x, dtype=np.float64) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def parameter(data, name=None) -> Tensor:
@@ -91,6 +100,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def cast(a: Tensor, dtype) -> Tensor:
+    """`a` in `dtype`; the gradient flows back in `a`'s own dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def backward(g):
+        _accumulate(a, g.astype(a.data.dtype))
+
+    return Tensor(a.data.astype(dtype), parents=(a,), backward=backward)
 
 
 # -- elementwise arithmetic --------------------------------------------------
@@ -177,7 +197,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n))
+    return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n, a.dtype))
 
 
 def softmax_lastaxis(a: Tensor) -> Tensor:
@@ -259,13 +279,15 @@ def scatter_add_rows(a: Tensor, rows, n_rows: int) -> Tensor:
 
 
 def from_loss_fn(pred: Tensor, fn) -> Tensor:
-    """Wrap a numpy loss `fn(values) -> (scalar, grad)` as a graph node."""
-    loss, grad = fn(pred.data)
+    """Wrap a numpy loss `fn(values) -> (scalar, grad)` as a float64 graph
+    node. The loss sees float64 values; its gradient flows back in `pred`'s
+    dtype."""
+    loss, grad = fn(pred.data.astype(np.float64, copy=False))
     if not np.isfinite(loss):
         raise NumericalError(f"loss function returned non-finite value {loss}")
 
     def backward(g):
-        _accumulate(pred, g * grad)
+        _accumulate(pred, (g * grad).astype(pred.dtype, copy=False))
 
     return Tensor(np.float64(loss), parents=(pred,), backward=backward)
 

@@ -24,6 +24,11 @@ STENCIL = np.array(
 )
 
 
+# Cells lattice_index accepts per axis: +-PACK_RANGE, what pack_index's
+# default 21 bits hold.
+PACK_RANGE = 1 << 20
+
+
 def pack_index(indices: np.ndarray, bits: int = 21) -> np.ndarray:
     """Bit-pack integer 3D indices into one int64 key per row.
 
@@ -44,7 +49,7 @@ def lattice_index(points: np.ndarray, origin, size: float) -> np.ndarray:
     `size` anchored at `origin`. An index outside the packable range (+-2^20)
     raises DataError before the cast, which would otherwise wrap it."""
     offset = np.asarray(points, dtype=np.float64).reshape(-1, 3) - origin
-    if offset.size and not np.abs(offset).max() < (1 << 20) * size:
+    if offset.size and not np.abs(offset).max() < PACK_RANGE * size:
         raise DataError(f"cell size {size} puts an index outside the packable range (+-2^20)")
     return np.floor(offset / size).astype(np.int64)
 

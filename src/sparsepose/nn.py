@@ -13,6 +13,10 @@ with 27 times the input. Window attention projects q/k/v once over all rows,
 then one node attends inside every window of a jagged partition (never
 padded), batching windows of equal population, so the whole stack stays
 fully sparse.
+
+Parameters are float64 (the optimizer, checkpoints and gradient checks
+work on them); every layer computes in the dtype of its input, casting each
+parameter to it on use.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import STENCIL, SparseVoxelGrid, find_rows, pack_index, partition_indices
+from .grid import STENCIL, find_rows, pack_index, partition_indices
 from .ioutil import atomic_write_bytes, read_file
 
 
@@ -68,9 +72,9 @@ class Linear(Module):
         self.bias = ad.parameter(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.weight)
+        out = ad.matmul(x, ad.cast(self.weight, x.dtype))
         if self.bias is not None:
-            out = ad.add(out, self.bias)
+            out = ad.add(out, ad.cast(self.bias, x.dtype))
         return out
 
 
@@ -84,8 +88,9 @@ class LayerNorm(Module):
         m = ad.tmean(x, axis=-1, keepdims=True)
         centered = ad.sub(x, m)
         var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-        inv = ad.pow_const(ad.add(var, ad.constant(self.eps)), -0.5)
-        return ad.add(ad.mul(ad.mul(centered, inv), self.gamma), self.beta)
+        inv = ad.pow_const(ad.add(var, ad.constant(self.eps, x.dtype)), -0.5)
+        scaled = ad.mul(ad.mul(centered, inv), ad.cast(self.gamma, x.dtype))
+        return ad.add(scaled, ad.cast(self.beta, x.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +122,7 @@ class WindowAttention(Module):
         q = ad.transpose(ad.reshape(self.proj_q(f), (kw, h, d)), (1, 0, 2))
         k = ad.transpose(ad.reshape(self.proj_k(f), (kw, h, d)), (1, 0, 2))
         v = ad.transpose(ad.reshape(self.proj_v(f), (kw, h, d)), (1, 0, 2))
-        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), ad.constant(1.0 / np.sqrt(d)))
+        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), ad.constant(1.0 / math.sqrt(d), f.dtype))
         z = ad.matmul(ad.softmax_lastaxis(logits), v)  # (h, kw, d)
         return self.proj_out(ad.reshape(ad.transpose(z, (1, 0, 2)), (kw, h * d)))
 
@@ -137,15 +142,15 @@ class WindowAttention(Module):
             by_size.setdefault(len(rows), []).append(rows)
         groups = [np.stack(by_size[kw]) for kw in sorted(by_size)]
         z = _window_attention(self.proj_q(features), self.proj_k(features), self.proj_v(features),
-                              groups, self.heads, 1.0 / np.sqrt(self.head_dim))
+                              groups, self.heads, 1.0 / math.sqrt(self.head_dim))
         return self.proj_out(z)
 
 
 def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale: float) -> Tensor:
     """Softmax attention of projected rows (n, C) inside windows, as one
     graph node. `groups` holds (G, K_w) row tables of equal-population
-    windows that together cover every row once; `scale` multiplies the
-    logits."""
+    windows that together cover every row once; `scale`, a Python float so
+    that it takes the rows' dtype, multiplies the logits."""
     n, c = q.data.shape
     d = c // heads
 
@@ -156,7 +161,7 @@ def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale
         into[rows.reshape(-1)] = values.transpose(0, 2, 1, 3).reshape(-1, c)
 
     saved = []
-    z = np.zeros((n, c))
+    z = np.zeros((n, c), dtype=q.dtype)
     for rows in groups:
         qg, kg, vg = split(q.data, rows), split(k.data, rows), split(v.data, rows)
         logits = (qg @ kg.transpose(0, 1, 3, 2)) * scale
@@ -166,7 +171,7 @@ def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale
         saved.append((rows, qg, kg, vg, attn))
 
     def backward(g):
-        dq, dk, dv = np.zeros((n, c)), np.zeros((n, c)), np.zeros((n, c))
+        dq, dk, dv = (np.zeros((n, c), dtype=g.dtype) for _ in range(3))
         for rows, qg, kg, vg, attn in saved:
             gz = split(g, rows)
             merge(attn.transpose(0, 1, 3, 2) @ gz, rows, dv)
@@ -247,7 +252,7 @@ _CHUNK_ROWS = 256
 
 def _pad(values: np.ndarray) -> np.ndarray:
     """(n, C) rows plus the all-zero row n that inactive neighbors read."""
-    return np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
+    return np.concatenate([values, np.zeros((1, values.shape[1]), dtype=values.dtype)], axis=0)
 
 
 def _gather_cols(padded: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -279,11 +284,11 @@ class SubmanifoldConv3(Module):
         self.out_dim = out_dim
 
     def __call__(self, x: Tensor, pairs: ConvPairs) -> Tensor:
-        kernel, bias, nbr = self.kernel, self.bias, pairs.nbr
+        kernel, bias, nbr = ad.cast(self.kernel, x.dtype), ad.cast(self.bias, x.dtype), pairs.nbr
         n, c_in, c_out = nbr.shape[0], self.in_dim, self.out_dim
         padded = _pad(x.data)
         weights = kernel.data.reshape(-1, c_out)
-        value = np.empty((n, c_out))
+        value = np.empty((n, c_out), dtype=x.dtype)
         for s in range(0, n, _CHUNK_ROWS):
             value[s : s + _CHUNK_ROWS] = _gather_cols(padded, nbr[s : s + _CHUNK_ROWS]) @ weights
         value += bias.data
@@ -291,8 +296,8 @@ class SubmanifoldConv3(Module):
         def backward(g):
             padded = _pad(g)
             mirrored = kernel.data[::-1].transpose(0, 2, 1).reshape(-1, c_in)
-            dx = np.empty((n, c_in))
-            dk = np.zeros((c_in, 27 * c_out))
+            dx = np.empty((n, c_in), dtype=g.dtype)
+            dk = np.zeros((c_in, 27 * c_out), dtype=g.dtype)
             for s in range(0, n, _CHUNK_ROWS):
                 gcols = _gather_cols(padded, nbr[s : s + _CHUNK_ROWS])
                 dx[s : s + _CHUNK_ROWS] = gcols @ mirrored
@@ -314,7 +319,7 @@ class SubmanifoldConv3(Module):
 def mean_pool(x: Tensor, parent_row: np.ndarray, n_parents: int) -> Tensor:
     counts = np.bincount(parent_row, minlength=n_parents).astype(np.float64)
     summed = ad.scatter_add_rows(x, parent_row, n_parents)
-    return ad.mul(summed, ad.constant(1.0 / np.maximum(counts, 1.0)[:, None]))
+    return ad.mul(summed, ad.constant(1.0 / np.maximum(counts, 1.0)[:, None], x.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +333,10 @@ class RoiUNet(Module):
     lifted downstream. Zero-initialized head, so an untrained net scores
     exactly 0.5 everywhere.
 
-    The caller passes the grid's kernel map `pairs`, and the structure of
-    its coarsening by `pool_factor`: the pooled row of each grid voxel
-    (`pool_row`) and the pooled grid's kernel map (`pool_pairs`)."""
+    The caller passes the grid's features, its kernel map `pairs`, and the
+    structure of its coarsening by `pool_factor`: the pooled row of each
+    grid voxel (`pool_row`) and the pooled grid's kernel map
+    (`pool_pairs`)."""
 
     pool_factor = 2
 
@@ -344,9 +350,9 @@ class RoiUNet(Module):
         self.head = Linear(width, 1, rng, zero_init=True)
         self.width = width
 
-    def __call__(self, grid: SparseVoxelGrid, pairs: ConvPairs, pool_row: np.ndarray,
+    def __call__(self, features: Tensor, pairs: ConvPairs, pool_row: np.ndarray,
                  pool_pairs: ConvPairs) -> tuple[Tensor, Tensor]:
-        x = self.in_proj(Tensor(grid.features))
+        x = self.in_proj(features)
         x = ad.relu(self.conv1(x, pairs))
         x = ad.add(x, ad.relu(self.conv2(x, pairs)))
         down = mean_pool(x, pool_row, len(pool_pairs))
@@ -354,7 +360,7 @@ class RoiUNet(Module):
         up = ad.gather_rows(down, pool_row)
         x = ad.add(x, self.up_fuse(ad.concat([x, up], axis=1)))
         x = ad.add(x, ad.relu(self.out_conv(x, pairs)))
-        scores = ad.sigmoid(ad.reshape(self.head(x), (len(grid),)))
+        scores = ad.sigmoid(ad.reshape(self.head(x), (len(pairs),)))
         return scores, x
 
 
@@ -413,7 +419,7 @@ class PoseNet(Module):
         x = ad.add(x, ad.relu(self.conv2(x, pairs)))
         x = self.block2(x, windows_small, windows_medium)
         offsets = self.t_head(x)
-        rot6d = ad.add(self.r_head(x), ad.constant(ROT6D_IDENTITY))
+        rot6d = ad.add(self.r_head(x), ad.constant(ROT6D_IDENTITY, x.dtype))
         return offsets, rot6d
 
 

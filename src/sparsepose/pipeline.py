@@ -15,7 +15,7 @@ from .autodiff import Tensor
 from .config import PipelineConfig
 from .errors import DataError
 from .fusion import fuse_views
-from .grid import SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, voxelize
+from .grid import PACK_RANGE, SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, voxelize
 from .heatmap import (
     SceneGroundTruth,
     adaptive_topk,
@@ -42,6 +42,11 @@ from .voting import (
 )
 
 N_CLASSES = 4  # part library size; background is class 0
+
+# The dtype the three networks compute in. Their convolutions are BLAS-bound,
+# and float32 halves that work; parameters, checkpoints, losses, targets and
+# votes stay float64.
+NET_DTYPE = np.float32
 
 
 def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
@@ -184,6 +189,8 @@ def staged_forward(
 ) -> StagedOutput:
     """RoI scoring on the coarse grid, soft suppression, feature lifting,
     objectness scoring + adaptive topK, pose regression on the survivors.
+    The networks compute in NET_DTYPE: the grid features are cast to it on
+    the way in.
 
     `fine` is a grid or its `SceneStructure`; a grid gets a structure without
     targets. The lifted and selected sets are row subsets of the fine grid,
@@ -196,7 +203,8 @@ def staged_forward(
     """
     scene = fine if isinstance(fine, SceneStructure) else scene_structure(fine, cfg)
     fine, coarse, parent_row = scene.fine, scene.coarse, scene.parent_row
-    roi_scores, roi_trunk = model.roi(coarse, scene.coarse_pairs, scene.pool_row, scene.pool_pairs)
+    roi_scores, roi_trunk = model.roi(ad.constant(coarse.features, NET_DTYPE), scene.coarse_pairs,
+                                      scene.pool_row, scene.pool_pairs)
     _, kept = soft_suppress(roi_scores.data, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
     train = train and scene.gt is not None
     if train:
@@ -208,10 +216,8 @@ def staged_forward(
         # degenerate suppression: keep everything rather than fail
         fine_rows = np.arange(len(fine))
     lifted_idx = fine.indices[fine_rows]
-    lifted_feats = ad.concat(
-        [ad.constant(fine.features[fine_rows]), ad.gather_rows(roi_trunk, parent_row[fine_rows])],
-        axis=1,
-    )
+    lifted_feats = ad.concat([ad.constant(fine.features[fine_rows], NET_DTYPE),
+                              ad.gather_rows(roi_trunk, parent_row[fine_rows])], axis=1)
     lifted_pairs = scene.fine_pairs.subset(fine_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_pairs, lifted_feats)
     selected, _ = adaptive_topk(obj_scores.data, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
@@ -373,7 +379,8 @@ def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth) -> VoteSet:
 
 def predicted_votes(out: StagedOutput) -> VoteSet:
     """Votes from a forward pass, one per selected row; class = argmax over
-    foreground class logits, confidence = objectness score. Rows a degenerate
+    foreground class logits, confidence = objectness score. `VoteSet` holds
+    them in float64 whatever dtype the networks ran in. Rows a degenerate
     output spoils are dropped later, by `votes_to_poses`."""
     logits = out.cls_logits.data[out.selected_rows]
     return VoteSet(
@@ -404,12 +411,14 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     scene order. A voxel shared by two clusters goes to both.
 
     This is the one place that judges a vote. Votes that cannot make a pose
-    are dropped before clustering: a non-finite offset or confidence, a
-    class with no model in `models`, or a rotation rot6d_to_matrix rejects
-    (non-finite included). So a degenerate output row costs that vote, not
-    the scene.
+    are dropped before clustering: a predicted center outside the range
+    DBSCAN's lattice of eps cells can pack (non-finite included), a
+    non-finite confidence, a class with no model in `models`, or a rotation
+    rot6d_to_matrix rejects (non-finite included). So a degenerate output
+    row costs that vote, not the scene.
     """
-    usable = (np.isfinite(votes.offsets).all(axis=1) & np.isfinite(votes.confidence)
+    packable = (np.abs(votes.predicted_centers()) < PACK_RANGE * cfg.dbscan_eps).all(axis=1)
+    usable = (packable & np.isfinite(votes.confidence)
               & np.isin(votes.class_ids, list(models)) & rot6d_frames(votes.rot6d)[1])
     if not usable.all():
         votes = VoteSet(votes.voxel_centers[usable], votes.offsets[usable], votes.rot6d[usable],

@@ -302,7 +302,7 @@ def test_csv_bytes_pinned(tiny_bundle_dir, tmp_path):
     assert digests == {
         "t/targets_coarse.csv": "036ed722a781e6f2e43ca6c372fe918488039139b07986d93147d5fdc2566b21",
         "t/targets_fine.csv": "5309269fc0856a118951009225af8fb7022d5b99015905df4424cb5ce0205979",
-        "toy_trace.csv": "6adb0c9a3360a4f8816efa3a796bbb1ef45b65083a3d4539ddfffa53ac0f449a",
+        "toy_trace.csv": "b041d61e8e9d0daf3c8020f6076d440f1b05bccc43f037a18aad45b6c21e9290",
         "occ.csv": "efe9a5f76b782d4222421ae68b4d5ccc6742cae5b67454861d6b65e0e4ee34a2",
     }
 

@@ -11,6 +11,7 @@ import pytest
 from sparsepose.cli import main
 from sparsepose.config import PipelineConfig
 from sparsepose.pipeline import load_model, save_model
+from sparsepose.voting import read_pose_json
 
 _NETWORKS = ["roi", "obj", "pose"]
 _HEAD_BIASES = ["roi.head.bias", "obj.obj_head.bias", "obj.cls_out.bias", "pose.t_head.bias",
@@ -50,3 +51,19 @@ def test_degenerate_checkpoint_costs_votes(target, edit, trained_checkpoint, tin
     assert code == 0 or (code == 3 and len(err.strip().splitlines()) == 1), (code, err)
     if code == 0:
         assert err == ""
+
+
+def test_far_vote_offsets_cost_every_vote(trained_checkpoint, tiny_bundle_dir, tmp_path, capsys):
+    # 1e30 m is finite in float32 too, but it is outside the range DBSCAN's
+    # lattice of eps cells can pack: every vote is dropped, the scene is not
+    model = load_model(trained_checkpoint, PipelineConfig())
+    model.pose.t_head.bias.data[...] = 1e30
+    ckpt = tmp_path / "edited.ckpt"
+    save_model(ckpt, model)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["estimate", tiny_bundle_dir, "--checkpoint", ckpt, "--theta-mm", 4,
+                    "--out", tmp_path / "poses"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert read_pose_json(tmp_path / "poses.json") == []

@@ -47,7 +47,7 @@ def test_train_toy_demo_seed_sweep(tmp_path):
     # 2 steps, seeds 0 and 1: one line per seed, then the spread summary
     out = run_demo(ROOT / "demos" / "07_train_toy.py", tmp_path, "2", "2")
     assert "seed 0:" in out and "seed 1:" in out
-    assert "/2 seeds pass" in out and "OPENBLAS_NUM_THREADS=" in out
+    assert "/2 seeds pass" in out and "OPENBLAS_NUM_THREADS=" in out and "networks in float32" in out
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

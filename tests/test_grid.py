@@ -225,8 +225,8 @@ class TestLiftAndFilter:
         seen = {}
         roi, obj = model.roi, model.obj
 
-        def roi_spy(coarse, *structure):
-            scores, trunk = roi(coarse, *structure)
+        def roi_spy(features, *structure):
+            scores, trunk = roi(features, *structure)
             seen["trunk"] = trunk.data
             return scores, trunk
 
@@ -269,7 +269,8 @@ class TestLiftAndFilter:
         kept = np.arange(0, len(coarse), 2)
         out, seen = self.lift(monkeypatch, fine, kept)
         rows = out.lifted_fine_rows
-        assert np.array_equal(seen["feats"][:, :4], fine.features[rows])
+        # the networks see the fine features cast to their compute dtype
+        assert np.array_equal(seen["feats"][:, :4], fine.features[rows].astype(pipeline.NET_DTYPE))
         assert np.array_equal(seen["feats"][:, 4:], seen["trunk"][parent[rows]])
 
 

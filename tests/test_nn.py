@@ -441,7 +441,7 @@ class TestToyNets:
     def test_roi_unet_zero_init_head_scores_half(self):
         grid = self.make_grid()
         net = nn.RoiUNet(4, 16, np.random.default_rng(20))
-        scores, trunk = net(grid, *self.roi_structure(grid))
+        scores, trunk = net(Tensor(grid.features), *self.roi_structure(grid))
         assert np.allclose(scores.data, 0.5)
         assert trunk.data.shape == (len(grid), 16)
 
@@ -466,8 +466,8 @@ class TestToyNets:
         grid = self.make_grid()
         a = nn.RoiUNet(4, 16, np.random.default_rng(23))
         b = nn.RoiUNet(4, 16, np.random.default_rng(23))
-        sa, _ = a(grid, *self.roi_structure(grid))
-        sb, _ = b(grid, *self.roi_structure(grid))
+        sa, _ = a(Tensor(grid.features), *self.roi_structure(grid))
+        sb, _ = b(Tensor(grid.features), *self.roi_structure(grid))
         assert np.array_equal(sa.data, sb.data)
 
 

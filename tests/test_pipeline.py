@@ -101,6 +101,50 @@ class TestStagedForward:
         assert y_sel.sum() == y_lift.sum()  # every positive voxel was selected
 
 
+class TestNetworkDtype:
+    """The networks compute in float32 (`pipeline.NET_DTYPE`); parameters and
+    their gradients stay float64."""
+
+    def training_step(self, model, bundle, cfg):
+        """Selected rows and the flattened parameter gradients of one joint
+        training step."""
+        fine, _, _ = build_input_grid(bundle, cfg, "cloud")
+        scene = scene_structure(fine, cfg, bundle.gt)
+        params = model.parameters()
+        for p in params.values():
+            p.grad = None
+        out = staged_forward(model, scene, cfg, train=True)
+        total, _, _ = compute_losses(out, scene, bundle.models, cfg)
+        total.backward()
+        return out, params
+
+    def test_training_outputs_float32_gradients_float64(self, small_bundle):
+        # a float64 input anywhere in the forward pass (such as float64
+        # RoiUNet features concatenated into the lifted set) would upcast
+        # the rest of the pass and silently lose the float32 speed
+        model = build_model(quick_config(), "cloud", seed=0)
+        out, params = self.training_step(model, small_bundle, quick_config())
+        for t in (out.roi_scores, out.obj_scores, out.cls_logits, out.offsets, out.rot6d):
+            assert t.dtype == np.float32
+        assert all(p.grad is not None and p.grad.dtype == np.float64 for p in params.values())
+
+    def test_float32_gradients_match_float64(self, small_bundle, monkeypatch):
+        # the gradient check of the float32 path: the float64 path, whose ops
+        # the finite-difference tests check, is its reference. A six-step
+        # model, because the untrained heads are zero and pass no gradient
+        # to the trunks. Measured: 4.8e-7; a broken backward gives order 1.
+        cfg = quick_config(steps=6)
+        model, _ = train_toy(small_bundle, cfg, steps=6)
+        rows, grads = [], []
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(pipeline, "NET_DTYPE", dtype)
+            out, params = self.training_step(model, small_bundle, cfg)
+            rows.append(out.selected_rows)
+            grads.append(np.concatenate([p.grad.ravel() for p in params.values()]))
+        assert np.array_equal(rows[0], rows[1])  # the same rows, so the same loss terms
+        assert np.linalg.norm(grads[0] - grads[1]) / np.linalg.norm(grads[1]) < 1e-3
+
+
 class TestLosses:
     def test_breakdown_finite_and_composite(self, small_bundle):
         cfg = quick_config()
@@ -442,21 +486,21 @@ class TestTrainToy:
         assert [b.total for b in trace_a] == [b.total for b in trace_b]
 
     def test_six_step_losses_pinned(self, small_bundle):
-        # every loss part of a six-step run (one warm-up step), recorded
-        # before the targets were read from one ownership table per step
+        # every loss part of a six-step run (one warm-up step), recorded with
+        # the networks computing in float32 at the default BLAS thread count
         expected = [
             (5.917724842018119, 0.1589423234137575, 1.722952358217466, 0.24576683487656106,
              0.011258655250084501, 0.06461580844858833),
-            (5.9174370414149635, 0.15865452281060188, 1.722952358217466, 0.24576683487656106,
+            (5.917437046396632, 0.15865452779227093, 1.722952358217466, 0.24576683487656106,
              0.011258655250084501, 0.06461580844858833),
-            (5.705712891951677, 0.15821714960653493, 1.593885110052544, 0.24574726414962492,
-             0.06995259591796334, 0.06448809613437054),
-            (5.229259617894169, 0.1577193076296862, 1.4222478493951092, 0.24571816109038072,
-             0.08307662655131358, 0.06413056024445297),
-            (4.778426954668413, 0.15716830484454275, 1.231772304730381, 0.2456805822406632,
-             0.12381772592890923, 0.06312739336467262),
-            (4.368010815874734, 0.15655339969245882, 1.0332938052629228, 0.24563317245325378,
-             0.18627520050224264, 0.061484053980270764),
+            (5.705712864220461, 0.15821715132593542, 1.5938851036716366, 0.2457472642644759,
+             0.0699525924130432, 0.06448809611153497),
+            (5.229259578713123, 0.15771930975627033, 1.4222478406915844, 0.2457181613132281,
+             0.08307662135366013, 0.06413056019466139),
+            (4.7784270118077545, 0.1571683053775168, 1.2317722994903963, 0.24568058248425842,
+             0.12381774993311682, 0.0631273931911819),
+            (4.368010925229088, 0.15655339546020527, 1.0332938286841316, 0.24563317278364802,
+             0.1862752147405077, 0.061484053927668786),
         ]
         _, trace = train_toy(small_bundle, quick_config(steps=6), steps=6)
         got = [(b.total, b.roi, b.obj, b.cls, b.t, b.rot) for b in trace]
