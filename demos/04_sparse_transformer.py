@@ -21,11 +21,13 @@ n = len(indices)
 channels, heads = 16, 4
 features = rng.normal(size=(n, channels))
 
+# each partition comes as batches: one (windows, population) row table per population
 windows_small = partition_indices(indices, 4)
 windows_medium = partition_indices(indices, 8)
-sizes_small = sorted(len(rows) for _, rows in windows_small)
-print(f"{n} voxels -> {len(windows_small)} small windows (populations {sizes_small[:6]}...) "
-      f"and {len(windows_medium)} medium windows")
+small_rows = [rows for table in windows_small for rows in table]
+sizes_small = [len(rows) for rows in small_rows]
+print(f"{n} voxels -> {len(small_rows)} small windows (populations {sizes_small[:6]}...) "
+      f"and {sum(len(table) for table in windows_medium)} medium windows")
 
 block = nn.DualBranchBlock(channels, heads, rng)
 out = block(Tensor(features), windows_small, windows_medium)
@@ -48,10 +50,10 @@ def dense_attention(attn, f):
     return z @ attn.proj_out.weight.data
 
 worst = 0.0
-for _, rows in windows_small:
+for rows in small_rows:
     got = block.small.attend_window(Tensor(features[rows])).data
     worst = max(worst, np.abs(got - dense_attention(block.small, features[rows])).max())
-print(f"windowed attention vs dense oracle over {len(windows_small)} windows: "
+print(f"windowed attention vs dense oracle over {len(small_rows)} windows: "
       f"max deviation {worst:.2e}")
 
 # -- singleton window: attention collapses to the value path ------------------

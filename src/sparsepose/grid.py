@@ -4,7 +4,8 @@ partitioning and occupancy statistics.
 Voxel indices are int64 triples with floor quantization (lower-inclusive),
 kept unique and lexicographically sorted so that every downstream selection
 is deterministic. Their packed int64 keys are grouped into runs by
-`group_rows` and looked up by `find_rows`, the one copy of each rule.
+`group_rows` (rows gathered by `run_rows`), looked up by `find_rows` and
+given their 27 `STENCIL` neighbours by `neighbor_rows`: one copy of each rule.
 """
 
 from __future__ import annotations
@@ -124,6 +125,27 @@ def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, np.diff(starts, append=s.size)
 
 
+def run_rows(order: np.ndarray, starts: np.ndarray, counts: np.ndarray, runs) -> np.ndarray:
+    """Rows of the chosen runs of a `group_rows` result, run after run:
+    order[starts[r] : starts[r] + counts[r]] for r in `runs`, repeats allowed."""
+    lo, run = starts[runs], counts[runs]
+    first = np.cumsum(run) - run
+    return order[np.arange(run.sum()) + np.repeat(lo - first, run)]
+
+
+def neighbor_rows(indices: np.ndarray) -> np.ndarray:
+    """(n, 27) rows of the unique index set `indices` (any order): [i, o] is
+    the row of `indices[i] + STENCIL[o]`, or n where absent; so [i, o] == j
+    exactly when [j, 26 - o] == i."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+    n = idx.shape[0]
+    keys = pack_index(idx)
+    order = np.argsort(keys)
+    wanted = pack_index((idx[:, None, :] + STENCIL[None, :, :]).reshape(-1, 3))
+    # an absent neighbor (-1) reads the last entry of the appended order: n
+    return np.append(order, n)[find_rows(keys[order], wanted)].reshape(n, 27)
+
+
 def find_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Position of each query key in the ascending `sorted_keys`, or -1
     where the key is absent."""
@@ -194,23 +216,19 @@ def coarsen(grid: SparseVoxelGrid, factor: int = 10) -> tuple[SparseVoxelGrid, n
     return coarse, parent_row
 
 
-def partition_indices(indices: np.ndarray, window: int) -> list[tuple[tuple[int, int, int], np.ndarray]]:
+def partition_indices(indices: np.ndarray, window: int) -> list[np.ndarray]:
     """Partition voxel indices into non-overlapping cubic windows of `window`
-    voxels.
-
-    Window id = floor(v / window). Returns (window id, member rows) pairs in
-    lexicographic window order; member rows stay index-sorted. Every voxel
-    lands in exactly one window and window populations are dynamic.
+    voxels (window of v = floor(v / window)), batched by population: one
+    (G, K_w) table of member rows per population K_w, in ascending K_w, its
+    windows in lexicographic order and each row ascending. Every voxel lands
+    in exactly one window and window populations are dynamic.
     """
     if int(window) != window or window < 1:
         raise DataError(f"window size must be an integer >= 1, got {window}")
     indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-    if indices.shape[0] == 0:
-        return []
-    keys = pack_index(np.floor_divide(indices, int(window)))
-    order, starts, _ = group_rows(keys)
-    ids = [tuple(int(v) for v in row) for row in unpack_index(keys[order[starts]])]
-    return list(zip(ids, np.split(order, starts[1:])))
+    order, starts, counts = group_rows(pack_index(np.floor_divide(indices, int(window))))
+    return [run_rows(order, starts, counts, runs).reshape(runs.size, -1)
+            for runs in (np.flatnonzero(counts == kw) for kw in np.unique(counts))]
 
 
 def occupancy_stats(points: np.ndarray, workspace_extent, resolutions) -> list[dict]:

@@ -4,8 +4,8 @@ submanifold sparse convolution, the three toy task networks, SGD and
 checkpoint I/O.
 
 The networks never build a kernel map: the caller hands each one the
-`ConvPairs` of its index sets, built once per scene by `ConvPairs(indices)`
-and derived for row subsets by `ConvPairs.subset`.
+`ConvPairs` of its index sets (`grid.neighbor_rows`), built once per scene by
+`ConvPairs(indices)` and derived for row subsets by `ConvPairs.subset`.
 
 Two layers are hand-written graph nodes. Submanifold convolution walks its
 kernel map in blocks of _CHUNK_ROWS voxels, so its memory does not grow
@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericalError
-from .grid import STENCIL, find_rows, pack_index, partition_indices
+from .grid import neighbor_rows, partition_indices
 from .ioutil import atomic_write_bytes, read_file
 
 
@@ -127,22 +127,19 @@ class WindowAttention(Module):
         return self.proj_out(ad.reshape(ad.transpose(z, (1, 0, 2)), (kw, h * d)))
 
     def __call__(self, features: Tensor, windows) -> Tensor:
-        """Apply per-window attention over a jagged window partition (every
-        row in exactly one window); rows keep their order.
+        """Apply per-window attention over the `grid.partition_indices`
+        batches `windows`, (G, K_w) row tables of equal-population windows
+        (every row in exactly one window); rows keep their order.
 
         The q/k/v projections run once over all rows. One graph node then
-        attends inside every window: windows of equal population are stacked
-        and handled as one batch in plain numpy, never padded, and the
-        backward pass applies the softmax-attention gradient per batch.
+        attends inside every window, one batch at a time in plain numpy,
+        never padded; the backward pass applies the softmax-attention
+        gradient per batch.
         """
         if not windows:
             return features
-        by_size: dict[int, list] = {}
-        for _, rows in windows:
-            by_size.setdefault(len(rows), []).append(rows)
-        groups = [np.stack(by_size[kw]) for kw in sorted(by_size)]
         z = _window_attention(self.proj_q(features), self.proj_k(features), self.proj_v(features),
-                              groups, self.heads, 1.0 / math.sqrt(self.head_dim))
+                              windows, self.heads, 1.0 / math.sqrt(self.head_dim))
         return self.proj_out(z)
 
 
@@ -211,22 +208,14 @@ class DualBranchBlock(Module):
 class ConvPairs:
     """Kernel map of a 3x3x3 stencil over a fixed sparse index set.
 
-    `nbr[i, o]` is the row of the active voxel at `indices[i] + STENCIL[o]`,
-    or `n` when that neighbor is inactive; row `n` of a padded feature matrix
-    is all zeros, so one fancy-index gather reads every tap of every voxel.
-    Offset `o` and offset `26 - o` are mirror images, so `nbr[i, o] == j`
-    exactly when `nbr[j, 26 - o] == i`. Reusable across layers on the same
+    `nbr = grid.neighbor_rows(indices)`, `n` where a neighbor is inactive:
+    row `n` of a padded feature matrix is all zeros, so one fancy-index
+    gather reads every tap of every voxel. Reusable across layers on the same
     index set; `subset` derives the map of a row subset without a search.
     """
 
     def __init__(self, indices: np.ndarray):
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-        n = idx.shape[0]
-        keys = pack_index(idx)
-        order = np.argsort(keys)
-        wanted = pack_index((idx[:, None, :] + STENCIL[None, :, :]).reshape(-1, 3))
-        # an absent neighbor (-1) reads the last entry of the appended order: the zero row n
-        self.nbr = np.append(order, n)[find_rows(keys[order], wanted)].reshape(n, 27)
+        self.nbr = neighbor_rows(indices)
 
     def __len__(self) -> int:
         return self.nbr.shape[0]

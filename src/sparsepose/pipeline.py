@@ -14,8 +14,8 @@ from . import nn
 from .autodiff import Tensor
 from .config import PipelineConfig
 from .errors import DataError
-from .fusion import fuse_views
-from .grid import PACK_RANGE, SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, voxelize
+from .fusion import Workspace, fuse_views
+from .grid import SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, run_rows, voxelize
 from .heatmap import (
     SceneGroundTruth,
     adaptive_topk,
@@ -393,7 +393,7 @@ def predicted_votes(out: StagedOutput) -> VoteSet:
 
 
 def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: PipelineConfig,
-                   origin=None):
+                   workspace: Workspace):
     """Cluster, aggregate and ICP-refine a vote set into a pose list.
 
     Votes point at object centers; the canonical-frame translation is
@@ -405,20 +405,19 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     objects and bin walls cannot capture correspondences. Clusters too small
     to carve a stable target fall back to the full cloud.
 
-    The targets are carved from one stable sort of the scene's voxel keys:
-    each cluster's voxel keys are binary-searched into it and the rows of
-    the matching runs, sorted, are the scene points inside those voxels in
-    scene order. A voxel shared by two clusters goes to both.
+    The targets are carved from the runs of the scene's voxel keys (theta
+    voxels anchored at the workspace corner): each cluster's voxel keys are
+    binary-searched into them and the rows of the matching runs, sorted, are
+    the scene points inside those voxels in scene order. A voxel shared by
+    two clusters goes to both.
 
     This is the one place that judges a vote. Votes that cannot make a pose
-    are dropped before clustering: a predicted center outside the range
-    DBSCAN's lattice of eps cells can pack (non-finite included), a
-    non-finite confidence, a class with no model in `models`, or a rotation
-    rot6d_to_matrix rejects (non-finite included). So a degenerate output
-    row costs that vote, not the scene.
+    are dropped before clustering: a predicted center outside the
+    `workspace` (non-finite included), a non-finite confidence, a class with
+    no model in `models`, or a rotation rot6d_to_matrix rejects (non-finite
+    included). So a degenerate output row costs that vote, not the scene.
     """
-    packable = (np.abs(votes.predicted_centers()) < PACK_RANGE * cfg.dbscan_eps).all(axis=1)
-    usable = (packable & np.isfinite(votes.confidence)
+    usable = (workspace.contains(votes.predicted_centers()) & np.isfinite(votes.confidence)
               & np.isin(votes.class_ids, list(models)) & rot6d_frames(votes.rot6d)[1])
     if not usable.all():
         votes = VoteSet(votes.voxel_centers[usable], votes.offsets[usable], votes.rot6d[usable],
@@ -434,20 +433,16 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     scene = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
     if len(scene) == 0:
         return poses
-    base = np.zeros(3) if origin is None else np.asarray(origin, dtype=np.float64)
-    scene_keys = pack_index(lattice_index(scene, base, cfg.theta))
+    scene_keys = pack_index(lattice_index(scene, workspace.min_corner, cfg.theta))
     order, starts, counts = group_rows(scene_keys)
     run_keys = scene_keys[order[starts]]
-    vote_keys = pack_index(lattice_index(votes.voxel_centers, base, cfg.theta))
+    vote_keys = pack_index(lattice_index(votes.voxel_centers, workspace.min_corner, cfg.theta))
     cluster_ids = np.unique(labels[labels >= 0])
     refined: list = []
     full_tree = None
     for pose, cid in zip(poses, cluster_ids):
         hit = find_rows(run_keys, np.unique(vote_keys[labels == cid]))
-        lo, run = starts[hit[hit >= 0]], counts[hit[hit >= 0]]
-        # rows of every run lo[k] .. lo[k] + run[k], back in scene order
-        first = np.cumsum(run) - run
-        target = scene[np.sort(order[np.arange(run.sum()) + np.repeat(lo - first, run)])]
+        target = scene[np.sort(run_rows(order, starts, counts, hit[hit >= 0]))]
         if len(target) >= 50:
             tree = cKDTree(target)
         else:
@@ -482,6 +477,5 @@ def estimate_poses(
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = staged_forward(model, fine, cfg, train=False)
         votes = predicted_votes(out)
-    poses = votes_to_poses(votes, cloud, bundle.models, cfg,
-                           origin=bundle.workspace.min_corner)
+    poses = votes_to_poses(votes, cloud, bundle.models, cfg, bundle.workspace)
     return poses, len(votes)

@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .camera import check_rotation
 from .errors import DataError, NumericalError
-from .grid import lattice_index
+from .grid import PACK_RANGE, group_rows, lattice_index, neighbor_rows, pack_index, run_rows
 from .heatmap import SceneGroundTruth
 from .ioutil import json_document, read_file, write_csv, write_json
 
@@ -226,10 +226,10 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     smallest core row; border points join the lowest-numbered cluster with a
     core point in range. Deterministic given the canonical point ordering.
 
-    Core-core edges are collected cell-wise (cell edge = eps): a pair of
-    neighbouring cells whose joint span is within eps is linked by a star
-    instead of all its pairs, so heaps of near-duplicate points (vote blobs)
-    stay cheap.
+    Core-core edges are collected cell-wise: every cell of core points is
+    tested with itself and its `grid.neighbor_rows` cells at once. A pair
+    whose joint span is within eps is linked by a star instead of all its
+    pairs, so heaps of near-duplicate points (vote blobs) stay cheap.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if eps <= 0 or min_pts < 1:
@@ -242,31 +242,29 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
 
     cpts = pts[core_rows]
-    cells, cell_of_pt = np.unique(lattice_index(cpts, 0.0, eps), axis=0, return_inverse=True)
-    order = np.argsort(cell_of_pt, axis=None, kind="stable")  # rows ascending within a cell
-    starts = np.searchsorted(cell_of_pt.reshape(-1)[order], np.arange(len(cells)))
-    members = np.split(order, starts[1:])
+    # cells of edge eps anchored at the points, wider only where their extent
+    # would not pack: every pair within eps still lies in neighbouring cells
+    size = max(eps, float(np.ptp(cpts, axis=0).max()) / (PACK_RANGE - 2))
+    cell_idx = lattice_index(cpts, cpts.min(axis=0), size)
+    order, starts, sizes = group_rows(pack_index(cell_idx))  # rows ascending within a cell
     lo_of = np.minimum.reduceat(cpts[order], starts, axis=0)  # per-cell bounding boxes
     hi_of = np.maximum.reduceat(cpts[order], starts, axis=0)
-    cell_of = {tuple(c): k for k, c in enumerate(cells)}
-    src, dst = [], []
-    for k, cell in enumerate(cells):
-        for off in np.ndindex(3, 3, 3):
-            o = cell_of.get(tuple(cell + off - 1))
-            if o is None or o < k:
-                continue
-            gap = np.maximum(np.maximum(lo_of[k], lo_of[o]) - np.minimum(hi_of[k], hi_of[o]), 0.0)
-            if np.dot(gap, gap) > eps * eps:
-                continue
-            a, b = members[k], members[o]
-            span = np.maximum(hi_of[k], hi_of[o]) - np.minimum(lo_of[k], lo_of[o])
-            if np.dot(span, span) <= eps * eps:  # every pair within eps: a star suffices
-                src.append(np.full(a.size + b.size, a[0]))
-                dst.append(np.concatenate([a, b]))
-                continue
-            ii, jj = np.nonzero(np.sum((cpts[a][:, None] - cpts[b][None]) ** 2, axis=2) <= eps * eps)
-            src.append(a[ii])
-            dst.append(b[jj])
+    nbr = neighbor_rows(cell_idx[order[starts]])
+    # every neighbouring cell pair (k, o) once, with o >= k: a cell pairs with itself
+    k, tap = np.nonzero((nbr >= np.arange(len(starts))[:, None]) & (nbr < len(starts)))
+    o = nbr[k, tap]
+    gap = np.maximum(np.maximum(lo_of[k], lo_of[o]) - np.minimum(hi_of[k], hi_of[o]), 0.0)
+    near = np.sum(gap * gap, axis=1) <= eps * eps
+    k, o = k[near], o[near]
+    span = np.maximum(hi_of[k], hi_of[o]) - np.minimum(lo_of[k], lo_of[o])
+    star = np.sum(span * span, axis=1) <= eps * eps  # every pair within eps: a star suffices
+    src = [np.repeat(order[starts[k[star]]], sizes[k[star]] + sizes[o[star]])]
+    dst = [run_rows(order, starts, sizes, np.stack([k[star], o[star]], axis=1).reshape(-1))]
+    for ka, kb in zip(k[~star], o[~star]):
+        a, b = (order[starts[c]:starts[c] + sizes[c]] for c in (ka, kb))
+        ii, jj = np.nonzero(np.sum((cpts[a][:, None] - cpts[b][None]) ** 2, axis=2) <= eps * eps)
+        src.append(a[ii])
+        dst.append(b[jj])
     m = len(cpts)
     src, dst = np.concatenate(src), np.concatenate(dst)
     from scipy.sparse.csgraph import connected_components  # deferred: keeps package import light

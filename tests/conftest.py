@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsepose.grid import STENCIL
 from sparsepose.heatmap import SceneGroundTruth
 from sparsepose.synthetic import default_camera_ring, default_intrinsics, export_scene_bundle, load_scene_bundle, make_primitives, sample_scene
 
@@ -24,6 +25,14 @@ def scene_gt(centroids, clouds, class_ids, rotations=None):
     c = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
     return SceneGroundTruth(c, clouds, class_ids,
                             np.tile(np.eye(3), (len(c), 1, 1)) if rotations is None else rotations, c)
+
+
+def dict_neighbor_rows(indices):
+    """Oracle of grid.neighbor_rows: a dict lookup of every stencil offset,
+    n where the neighbour is absent."""
+    idx_map = {tuple(v): i for i, v in enumerate(indices)}
+    return np.array([[idx_map.get(tuple(v + off), len(indices)) for off in STENCIL] for v in indices],
+                    dtype=np.int64).reshape(len(indices), 27)
 
 
 @pytest.fixture(scope="session")

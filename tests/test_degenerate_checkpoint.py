@@ -53,11 +53,12 @@ def test_degenerate_checkpoint_costs_votes(target, edit, trained_checkpoint, tin
         assert err == ""
 
 
-def test_far_vote_offsets_cost_every_vote(trained_checkpoint, tiny_bundle_dir, tmp_path, capsys):
-    # 1e30 m is finite in float32 too, but it is outside the range DBSCAN's
-    # lattice of eps cells can pack: every vote is dropped, the scene is not
+@pytest.mark.parametrize("offset", [800.0, 1e30])
+def test_far_vote_offsets_cost_every_vote(offset, trained_checkpoint, tiny_bundle_dir, tmp_path, capsys):
+    # every predicted center lands far outside the bundle's workspace (1e30 m
+    # is finite in float32 too): every vote is dropped, the scene is not
     model = load_model(trained_checkpoint, PipelineConfig())
-    model.pose.t_head.bias.data[...] = 1e30
+    model.pose.t_head.bias.data[...] = offset
     ckpt = tmp_path / "edited.ckpt"
     save_model(ckpt, model)
     capsys.readouterr()

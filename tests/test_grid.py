@@ -4,16 +4,19 @@ import pytest
 from sparsepose import pipeline
 from sparsepose.config import PipelineConfig
 from sparsepose.errors import DataError
+from conftest import dict_neighbor_rows
 from sparsepose.grid import (
     SparseVoxelGrid,
     coarsen,
     find_rows,
     group_rows,
     loglog_slope,
+    neighbor_rows,
     occupancy_csv,
     occupancy_stats,
     pack_index,
     partition_indices,
+    run_rows,
     unpack_index,
     voxelize,
 )
@@ -278,31 +281,74 @@ class TestPartitionWindows:
     def test_window_one_isolates_voxels(self):
         g = SparseVoxelGrid(0.002, np.zeros(3), np.array([[0, 0, 0], [1, 0, 0]]), np.ones((2, 1)))
         parts = partition_indices(g.indices, 1)
-        assert len(parts) == 2
-        assert all(len(rows) == 1 for _, rows in parts)
+        assert len(parts) == 1
+        assert np.array_equal(parts[0], [[0], [1]])
 
     def test_same_window(self):
         g = SparseVoxelGrid(0.002, np.zeros(3), np.array([[0, 0, 0], [3, 3, 3]]), np.ones((2, 1)))
         parts = partition_indices(g.indices, 4)
         assert len(parts) == 1
-        assert np.array_equal(parts[0][1], [0, 1])
+        assert np.array_equal(parts[0], [[0, 1]])
 
     def test_is_partition(self):
         rng = np.random.default_rng(8)
         idx = np.unique(rng.integers(-20, 20, size=(300, 3)), axis=0)
         g = SparseVoxelGrid(0.002, np.zeros(3), idx, np.ones((len(idx), 1)))
         parts = partition_indices(g.indices, 4)
-        all_rows = np.concatenate([rows for _, rows in parts])
+        all_rows = np.concatenate([table.reshape(-1) for table in parts])
         assert len(all_rows) == len(g)
         assert len(np.unique(all_rows)) == len(g)
 
     def test_membership_matches_floor_division(self):
+        # each window is one floor(v / 5) cell, whole; tables come in ascending
+        # population, windows in lexicographic order, rows ascending
         rng = np.random.default_rng(9)
         idx = np.unique(rng.integers(-20, 20, size=(200, 3)), axis=0)
-        g = SparseVoxelGrid(0.002, np.zeros(3), idx, np.ones((len(idx), 1)))
-        for wid, rows in partition_indices(g.indices, 5):
-            for r in rows:
-                assert tuple(np.floor_divide(g.indices[r], 5)) == wid
+        idx = idx[rng.permutation(len(idx))]
+        parts = partition_indices(idx, 5)
+        cell = np.floor_divide(idx, 5)
+        assert [t.shape[1] for t in parts] == sorted({t.shape[1] for t in parts})
+        for table in parts:
+            wids = [tuple(cell[rows[0]]) for rows in table]
+            assert wids == sorted(wids)
+            for rows, wid in zip(table, wids):
+                assert np.all(np.diff(rows) > 0)
+                assert np.array_equal(rows, np.flatnonzero((cell == wid).all(axis=1)))
+
+    def test_empty(self):
+        assert partition_indices(np.zeros((0, 3), dtype=np.int64), 4) == []
+
+
+class TestNeighborRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dict_lookup(self, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.unique(rng.integers(-4, 3, size=(120, 3)), axis=0)
+        idx = idx[rng.permutation(len(idx))]
+        got = neighbor_rows(idx)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dict_neighbor_rows(idx))
+
+    def test_empty(self):
+        got = neighbor_rows(np.zeros((0, 3), dtype=np.int64))
+        assert got.shape == (0, 27)
+
+
+class TestRunRows:
+    @pytest.mark.parametrize("name", sorted(KEY_CASES))
+    def test_matches_concatenated_slices(self, name):
+        order, starts, counts = group_rows(KEY_CASES[name])
+        rng = np.random.default_rng(5)
+        picks = [np.zeros(0, dtype=np.int64)]
+        if len(starts):
+            picks += [rng.permutation(len(starts))[: rng.integers(1, len(starts) + 1)] for _ in range(3)]
+            picks += [np.array([len(starts) - 1, 0, len(starts) - 1])]  # a run chosen twice
+        for runs in picks:
+            expected = np.concatenate([order[starts[r]:starts[r] + counts[r]] for r in runs]
+                                      + [np.zeros(0, dtype=np.int64)])
+            got = run_rows(order, starts, counts, runs)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
 
 
 class TestOccupancyStats:

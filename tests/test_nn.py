@@ -6,7 +6,8 @@ from sparsepose import nn
 from sparsepose.autodiff import Tensor, finite_difference_check
 from sparsepose.config import PipelineConfig
 from sparsepose.errors import DataError, NumericalError
-from sparsepose.grid import STENCIL, SparseVoxelGrid, coarsen, partition_indices
+from sparsepose.grid import SparseVoxelGrid, coarsen, partition_indices
+from conftest import dict_neighbor_rows
 
 
 def naive_window_attention(f, Wq, bq, Wk, bk, Wv, bv, Wo, heads, scaled):
@@ -130,7 +131,7 @@ class TestWindowedApply:
     def windows(self, rng):
         perm = rng.permutation(len(self.INDICES))
         windows = partition_indices(self.INDICES[perm], 4)
-        assert sorted(len(rows) for _, rows in windows) == [1, 2, 2, 5]
+        assert [table.shape for table in windows] == [(1, 1), (2, 2), (1, 5)]
         return windows
 
     def test_matches_per_window_reference(self):
@@ -139,9 +140,10 @@ class TestWindowedApply:
         windows = self.windows(rng)
         f = rng.normal(size=(len(self.INDICES), 8))
         out = attn(Tensor(f), windows).data
-        for _, rows in windows:
-            expected = attn.attend_window(Tensor(f[rows])).data
-            assert np.max(np.abs(out[rows] - expected)) < 1e-12
+        for table in windows:
+            for rows in table:
+                expected = attn.attend_window(Tensor(f[rows])).data
+                assert np.max(np.abs(out[rows] - expected)) < 1e-12
 
     def test_gradients_through_attention_node(self):
         rng = np.random.default_rng(46)
@@ -201,8 +203,9 @@ class TestDualBranchBlock:
 
         def branch(attn, window):
             z = np.zeros((n, 8))
-            for _, rows in partition_indices(indices, window):
-                z[rows] = naive_window_attention(f[rows], *attention_params(attn), 2, True)
+            for table in partition_indices(indices, window):
+                for rows in table:
+                    z[rows] = naive_window_attention(f[rows], *attention_params(attn), 2, True)
             return z
 
         cat = np.hstack([branch(block.small, 4), branch(block.medium, 8)])
@@ -420,10 +423,7 @@ class TestSubmanifoldConv:
         rng = np.random.default_rng(43)
         indices = np.unique(rng.integers(-3, 4, size=(80, 3)), axis=0)
         indices = indices[rng.permutation(len(indices))]
-        n = len(indices)
-        idx_map = {tuple(v): i for i, v in enumerate(indices)}
-        expected = np.array([[idx_map.get(tuple(v + off), n) for off in STENCIL] for v in indices])
-        assert np.array_equal(nn.ConvPairs(indices).nbr, expected)
+        assert np.array_equal(nn.ConvPairs(indices).nbr, dict_neighbor_rows(indices))
 
 
 class TestToyNets:

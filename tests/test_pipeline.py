@@ -4,6 +4,7 @@ from scipy.spatial.transform import Rotation
 
 from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
+from sparsepose.fusion import Workspace
 from sparsepose.grid import SparseVoxelGrid, pack_index
 from conftest import scene_gt
 from sparsepose.heatmap import objectness_target, voxel_object_assignment
@@ -371,9 +372,8 @@ class TestOraclePath:
             np.r_[votes.confidence, 2.0],
             np.r_[votes.class_ids, votes.class_ids[0] if bad_class is None else bad_class],
         )
-        origin = small_bundle.workspace.min_corner
-        base = votes_to_poses(votes, cloud, small_bundle.models, cfg, origin=origin)
-        out = votes_to_poses(extra, cloud, small_bundle.models, cfg, origin=origin)
+        base = votes_to_poses(votes, cloud, small_bundle.models, cfg, small_bundle.workspace)
+        out = votes_to_poses(extra, cloud, small_bundle.models, cfg, small_bundle.workspace)
         assert len(out) == len(base) == small_bundle.gt.n_objects
         for p, q in zip(out, base):
             assert np.array_equal(p.rotation, q.rotation)
@@ -407,7 +407,8 @@ class TestOraclePath:
         trees = []
         monkeypatch.setattr(pipeline, "icp_refine",
                             lambda pose, cloud, tree, **kw: (trees.append(tree), (pose, []))[1])
-        poses = votes_to_poses(votes, scene, small_bundle.models, cfg, origin=np.zeros(3))
+        # a workspace anchored at the origin, so the carve's voxels are floor(x / theta)
+        poses = votes_to_poses(votes, scene, small_bundle.models, cfg, Workspace(np.zeros(3), np.ones(3)))
         assert len(poses) == len(trees) == 3
 
         labels = dbscan(votes.predicted_centers(), cfg.dbscan_eps, cfg.dbscan_min_pts)
@@ -455,9 +456,8 @@ class TestPredictedVotes:
         clean = _voting_output(fine, small_bundle.gt, votes, np.delete(np.arange(len(votes)), bad_row))
         kept = predicted_votes(out)
         assert len(kept) == len(votes)
-        origin = small_bundle.workspace.min_corner
-        got = votes_to_poses(kept, cloud, small_bundle.models, cfg, origin=origin)
-        base = votes_to_poses(predicted_votes(clean), cloud, small_bundle.models, cfg, origin=origin)
+        got = votes_to_poses(kept, cloud, small_bundle.models, cfg, small_bundle.workspace)
+        base = votes_to_poses(predicted_votes(clean), cloud, small_bundle.models, cfg, small_bundle.workspace)
         assert len(base) > 0
         assert len(got) == len(base)
         for p, q in zip(got, base):

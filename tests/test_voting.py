@@ -396,6 +396,52 @@ class TestDbscan:
             ref = naive_dbscan(pts, eps, min_pts)
             assert np.array_equal(mine, ref), f"trial {trial} diverged"
 
+    def test_matches_naive_reference_on_every_edge_kind(self):
+        # dbscan links core points per pair of eps cells anchored at the
+        # lowest core point: a star where the pair's joint span is within
+        # eps, point pairs where it is not; this input needs both, with a
+        # cell paired with itself each way
+        rng = np.random.default_rng(14)
+        eps, min_pts = 0.01, 3
+        # a diagonal chain spaced 0.7 eps whose second point, 0.2 on every
+        # axis, is the lowest core point: consecutive cells are non-star
+        # pairs, and each cell holds three chain points spanning 1.4 eps, so
+        # its pair with itself is non-star too; both ends are border points
+        step = 0.7 * eps * np.ones(3) / np.sqrt(3)
+        chain = 0.2 + np.arange(-1, 29)[:, None] * step
+        # two 300-point blobs at spread 1e-4 around cell corners: each spans
+        # eight cells whose every pair is a star
+        blobs = [0.2 + eps * np.array(c) + rng.normal(scale=1e-4, size=(300, 3))
+                 for c in ([10, 40, 10], [30, 40, 10])]
+        # a border point 0.8 eps off the chain's middle, and isolated noise
+        side = chain[15] + 0.8 * eps * np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+        noise = np.array([[-0.3, -0.3, -0.3], [0.9, -0.2, 0.4]])
+        pts = np.vstack(blobs + [chain, side[None], noise])
+        pts = pts[rng.permutation(len(pts))]
+        labels = dbscan(pts, eps, min_pts)
+        assert np.array_equal(labels, naive_dbscan(pts, eps, min_pts))
+        counts = cKDTree(pts).query_ball_point(pts, eps, return_length=True)
+        assert labels.max() == 2
+        assert ((counts < min_pts) & (labels >= 0)).sum() == 3  # the border points
+        assert (labels == NOISE).sum() == 2
+
+    def test_clusters_far_from_origin(self):
+        # cells anchor at the points, so a set 2,000 m out, past the +-2^20
+        # cells of 1 mm around the origin, clusters as it does at the origin
+        rng = np.random.default_rng(15)
+        pts = np.vstack([rng.normal(scale=2e-4, size=(40, 3)), rng.normal(scale=2e-4, size=(40, 3)) + [0.1, 0, 0]])
+        labels = dbscan(pts + 2000.0, eps=0.001, min_pts=5)
+        assert labels.max() == 1
+        assert np.array_equal(labels, dbscan(pts, eps=0.001, min_pts=5))
+
+    @pytest.mark.parametrize("far", [1048.5755, 5000.0])
+    def test_extent_past_the_packable_cells(self, far):
+        # core points 2^20 - 1 and about 5e6 cells of 1 mm apart: the cells
+        # widen so that they pack, and the labels stay exact
+        pts = np.array([[0.0, 0, 0], [0.0005, 0, 0], [far, 0, 0], [far, 0.0009, 0], [far, 0.0009, 0.0009]])
+        assert dbscan(pts, eps=0.001, min_pts=2).tolist() == [0, 0, 1, 1, 1]
+        assert np.array_equal(dbscan(pts, 0.001, 2), naive_dbscan(pts, 0.001, 2))
+
     def test_duplicate_heavy_blobs(self):
         # vote-style input: thousands of near-identical points per blob
         rng = np.random.default_rng(10)
