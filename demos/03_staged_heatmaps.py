@@ -40,7 +40,7 @@ print(f"coarse grid: {len(coarse)} voxels at {cfg.theta*cfg.coarse_factor*1000:.
 H = roi_target(coarse, bundle.gt, cfg.sigma_c, cfg.sigma_b)
 print(f"RoI target: H in [{H.min():.3f}, {H.max():.3f}], mean {H.mean():.3f}")
 pred = np.clip(H + 0.15 * np.random.default_rng(0).normal(size=H.shape), 0.02, 0.98)
-loss, grad = gaussian_focal_loss(pred, H, alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
+loss, grad = gaussian_focal_loss(pred, H)
 print(f"Gaussian focal loss of a noisy prediction: {loss:.4f} (|grad| max {np.abs(grad).max():.4f})")
 
 attention, kept = soft_suppress(H, cfg.suppress_beta, cfg.suppress_epsilon,

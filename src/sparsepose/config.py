@@ -1,5 +1,5 @@
-"""Pipeline configuration: every tunable default in one place, loadable from
-a plain-text key-value file with sections. Unknown keys and out-of-range
+"""Pipeline configuration: every setting a run may tune, in one place, loadable
+from a plain-text key-value file with sections. Unknown keys and out-of-range
 values are rejected and a dump -> load -> dump round trip is byte-identical.
 """
 
@@ -26,20 +26,15 @@ class PipelineConfig:
     # [tsdf]
     tsdf_voxels_per_side: int = 16
     tsdf_truncation_mult: float = 8.0
-    tsdf_weight_cap: float = 64.0
 
     # [heatmap]
     sigma_c: float = 6.0
     sigma_b: float = 4.0
-    focal_alpha: float = 4.0
-    focal_gamma: float = 2.0
     suppress_beta: float = 10.0
     suppress_epsilon: float = 0.3
     suppress_kappa: float = 0.5
 
     # [objectness]
-    obj_gamma: float = 2.0
-    obj_alpha: float = 0.25
     topk_ratio: float = 0.5
     topk_min: int = 32
     topk_max: int = 512
@@ -50,14 +45,6 @@ class PipelineConfig:
     heads: int = 4
     window_small: int = 4
     window_medium: int = 8
-
-    # [loss]
-    lambda_roi: float = 1.0
-    lambda_obj: float = 3.0
-    lambda_cls: float = 2.0
-    lambda_t: float = 3.0
-    lambda_rot: float = 1.0
-    smooth_l1_delta: float = 0.01
 
     # [voting]
     dbscan_eps_mult: float = 2.5     # times theta
@@ -76,8 +63,6 @@ class PipelineConfig:
     lr: float = 0.003
     momentum: float = 0.9
     train_chamfer_points: int = 24
-    train_rot_lr_mult: float = 30.0
-    train_clip_norm: float = 10.0
 
     def __post_init__(self):
         self.validate()
@@ -103,10 +88,6 @@ class PipelineConfig:
                               f"got {self.topk_min} and {self.topk_max}")
 
     @property
-    def loss_weights(self) -> tuple:
-        return (self.lambda_roi, self.lambda_obj, self.lambda_cls, self.lambda_t, self.lambda_rot)
-
-    @property
     def dbscan_eps(self) -> float:
         return self.dbscan_eps_mult * self.theta
 
@@ -118,27 +99,22 @@ class PipelineConfig:
 # Every key once: its section, its place in the dump and its valid range as an
 # interval, where a parenthesis excludes the bound and a bracket includes it.
 # Lengths and spreads have finite upper bounds: past them an index or a square
-# overflows, or one TSDF block or the (V, n, n) chamfer fills memory.
+# overflows, or one TSDF block, a weight matrix or the (V, n, n) chamfer fills
+# memory.
 _SECTIONS = {
     "grid": {"theta": "(0, 1]", "coarse_factor": "[2, 1000]"},
     "camera": {"near": "[0, inf)", "far": "(0, inf)"},
-    "tsdf": {"tsdf_voxels_per_side": "[1, 32]", "tsdf_truncation_mult": "(0, inf)",
-             "tsdf_weight_cap": "(0, inf)"},
-    "heatmap": {"sigma_c": "[0.1, 1000]", "sigma_b": "[0.1, 1000]", "focal_alpha": "[0, inf)",
-                "focal_gamma": "[0, inf)", "suppress_beta": "(0, inf)", "suppress_epsilon": "[0, 1]",
-                "suppress_kappa": "(0, 1)"},
-    "objectness": {"obj_gamma": "[0, inf)", "obj_alpha": "[0, 1]", "topk_ratio": "(0, 1]",
-                   "topk_min": "[1, inf)", "topk_max": "[1, inf)"},
-    "network": {"width": "[1, inf)", "roi_width": "[1, inf)", "heads": "[1, inf)",
+    "tsdf": {"tsdf_voxels_per_side": "[1, 32]", "tsdf_truncation_mult": "(0, inf)"},
+    "heatmap": {"sigma_c": "[0.1, 1000]", "sigma_b": "[0.1, 1000]", "suppress_beta": "(0, inf)",
+                "suppress_epsilon": "[0, 1]", "suppress_kappa": "(0, 1)"},
+    "objectness": {"topk_ratio": "(0, 1]", "topk_min": "[1, inf)", "topk_max": "[1, inf)"},
+    "network": {"width": "[1, 256]", "roi_width": "[1, 256]", "heads": "[1, inf)",
                 "window_small": "[1, 1000]", "window_medium": "[1, 1000]"},
-    "loss": {"lambda_roi": "[0, inf)", "lambda_obj": "[0, inf)", "lambda_cls": "[0, inf)",
-             "lambda_t": "[0, inf)", "lambda_rot": "[0, inf)", "smooth_l1_delta": "(0, inf)"},
     "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",
                "vote_top_fraction": "(0, 1]"},
     "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)"},
     "train": {"seed": "[0, inf)", "steps": "[0, inf)", "warmup_fraction": "[0, 1]",
-              "lr": "(0, inf)", "momentum": "[0, 1)", "train_chamfer_points": "[1, 256]",
-              "train_rot_lr_mult": "(0, inf)", "train_clip_norm": "(0, inf)"},
+              "lr": "(0, inf)", "momentum": "[0, 1)", "train_chamfer_points": "[1, 256]"},
 }
 
 _RANGES = {key: interval for keys in _SECTIONS.values() for key, interval in keys.items()}
@@ -161,15 +137,10 @@ def _format_value(value) -> str:
 
 
 def _parse_value(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return int(raw) if _FIELD_TYPES[name] == "int" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key '{name}': {exc}") from exc
-    raise ConfigError(f"unhandled config field type {kind} for '{name}'")
 
 
 def dump_config(cfg: PipelineConfig) -> str:
@@ -191,13 +162,14 @@ def parse_config(text: str, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     values = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        allowed = set(_SECTIONS[section])
+        # A key in an unknown section is named first: a removed key reads the same in any section.
+        allowed = _SECTIONS.get(section, {})
         for key, raw in parser[section].items():
             if key not in allowed:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
             values[key] = _parse_value(key, raw)
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
     if overrides:
         for key, value in overrides.items():
             if key not in _FIELD_TYPES:

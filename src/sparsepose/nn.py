@@ -534,10 +534,14 @@ def _parse_checkpoint(path, blob: bytes) -> "OrderedDict[str, np.ndarray]":
     return out
 
 
-def assign_parameters(params: "OrderedDict[str, Tensor]", table: "OrderedDict[str, np.ndarray]") -> None:
+def assign_parameters(params: "OrderedDict[str, Tensor]", path) -> None:
+    """Set `params` from the checkpoint at `path`, which must hold each of
+    them at its shape."""
+    table = load_checkpoint(path)
     for name, p in params.items():
         if name not in table:
-            raise DataError(f"checkpoint missing parameter '{name}'")
+            raise DataError(f"{path}: checkpoint missing parameter '{name}'")
         if table[name].shape != p.data.shape:
-            raise DataError(f"checkpoint shape mismatch for '{name}'")
+            raise DataError(f"{path}: checkpoint parameter '{name}' has shape {table[name].shape}, "
+                            f"the model needs {p.data.shape}")
         p.data = table[name].astype(np.float64)

@@ -48,6 +48,9 @@ N_CLASSES = 4  # part library size; background is class 0
 # votes stay float64.
 NET_DTYPE = np.float32
 
+# The weights of the five task losses: RoI, objectness, class, translation, rotation.
+LOSS_WEIGHTS = (1.0, 3.0, 2.0, 3.0, 1.0)
+
 
 def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
     """The bundle's fused world-frame cloud, (N, 3) meters."""
@@ -57,7 +60,7 @@ def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
 def fuse_tsdf(bundle: SceneBundle, cfg: PipelineConfig, cloud: np.ndarray) -> SparseTsdf:
     """The bundle's TSDF, at voxelize's voxel size (theta) and origin (workspace corner)."""
     tsdf_cfg = TsdfConfig(voxel_size=cfg.theta, voxels_per_side=cfg.tsdf_voxels_per_side,
-                          truncation=cfg.tsdf_truncation_mult * cfg.theta, weight_cap=cfg.tsdf_weight_cap)
+                          truncation=cfg.tsdf_truncation_mult * cfg.theta)
     return build_tsdf(cloud, bundle.depths, bundle.cameras, tsdf_cfg, bundle.workspace.min_corner,
                       near=cfg.near, far=cfg.far)
 
@@ -107,7 +110,7 @@ def load_model(path, cfg: PipelineConfig) -> PipelineModel:
     representation = read_file(str(path) + ".json", "checkpoint metadata",
                                lambda blob: json_document(blob)["representation"])
     model = build_model(cfg, representation)
-    nn.assign_parameters(model.parameters(), nn.load_checkpoint(path))
+    nn.assign_parameters(model.parameters(), path)
     return model
 
 
@@ -294,21 +297,21 @@ def compute_losses(
     labels (0 = background) and the selected rows' pose targets.
     """
     H = scene.roi_target
-    l_roi = ad.from_loss_fn(out.roi_scores, lambda p: gaussian_focal_loss(p, H, cfg.focal_alpha, cfg.focal_gamma))
+    l_roi = ad.from_loss_fn(out.roi_scores, lambda p: gaussian_focal_loss(p, H))
 
     owner = scene.owner[out.lifted_fine_rows]
     y = (owner >= 0).astype(np.float64)
-    l_obj = ad.from_loss_fn(out.obj_scores, lambda p: focal_loss(p, y, cfg.obj_gamma, cfg.obj_alpha))
+    l_obj = ad.from_loss_fn(out.obj_scores, lambda p: focal_loss(p, y))
 
     labels = np.r_[0, scene.gt.class_ids][owner + 1]  # owner -1 gathers class 0, background
     l_cls = ad.from_loss_fn(out.cls_logits, lambda z: weighted_cross_entropy(z, labels))
 
     t_target, R_target, valid = pose_targets(out.selected_grid.centers(), owner[out.selected_rows], scene.gt)
-    l_t = ad.from_loss_fn(out.offsets, lambda p: smooth_l1(p, t_target, valid, cfg.smooth_l1_delta))
+    l_t = ad.from_loss_fn(out.offsets, lambda p: smooth_l1(p, t_target, valid))
     l_rot = multi_class_chamfer(out.rot6d, R_target, labels[out.selected_rows], models,
                                 cfg.train_chamfer_points)
 
-    total = nn.multitask_loss([l_roi, l_obj, l_cls, l_t, l_rot], cfg.loss_weights)
+    total = nn.multitask_loss([l_roi, l_obj, l_cls, l_t, l_rot], LOSS_WEIGHTS)
     breakdown = LossBreakdown(
         total=float(total.data),
         roi=float(l_roi.data),
@@ -340,8 +343,7 @@ def train_toy(
     scene = scene_structure(fine, cfg, bundle.gt)
     params = model.parameters()
     opt = nn.SGD(params, lr=cfg.lr, momentum=cfg.momentum,
-                 lr_scales={"pose.r_head": cfg.train_rot_lr_mult},
-                 clip_norm=cfg.train_clip_norm)
+                 lr_scales={"pose.r_head": 30.0}, clip_norm=10.0)
     warmup = int(np.floor(cfg.warmup_fraction * steps))
     trace: list[LossBreakdown] = []
     for step in range(steps):
@@ -350,7 +352,7 @@ def train_toy(
         trace.append(breakdown)
         opt.zero_grad()
         if step < warmup:
-            ad.mul(parts["roi"], ad.constant(cfg.lambda_roi)).backward()
+            ad.mul(parts["roi"], ad.constant(LOSS_WEIGHTS[0])).backward()
         else:
             total.backward()
         opt.step()

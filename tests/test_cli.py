@@ -395,6 +395,22 @@ class TestTrainToyCli:
         assert len(err.strip().splitlines()) == 1
         assert not poses.with_suffix(".json").exists()
 
+    def test_flipped_sidecar_names_path_and_shapes(self, scene_dir, tmp_path, capsys):
+        # a cloud model read as a TSDF one: its first layer has 4 input channels, not 5
+        ckpt = tmp_path / "toy.ckpt"
+        assert run(["train-toy", scene_dir, "--steps", 0, "--out", ckpt,
+                    "--theta-mm", 6.0, "--seed", 1]) == 0
+        sidecar = tmp_path / "toy.ckpt.json"
+        sidecar.write_text(sidecar.read_text().replace('"cloud"', '"tsdf"'))
+        capsys.readouterr()
+        poses = tmp_path / "poses"
+        assert run(["estimate", scene_dir, "--checkpoint", ckpt, "--out", poses,
+                    "--theta-mm", 6.0]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(ckpt) in err and "(4, 16)" in err and "(5, 16)" in err, err
+        assert not poses.with_suffix(".json").exists()
+
 
     def test_untrained_net_on_scene_missing_its_classes(self, tmp_path):
         # the nets score all part classes; this bundle has models for 3 and 4 only,
@@ -458,20 +474,15 @@ far = 3.5
 [tsdf]
 tsdf_voxels_per_side = 8
 tsdf_truncation_mult = 6.5
-tsdf_weight_cap = 32.0
 
 [heatmap]
 sigma_c = 1.5
 sigma_b = 1.0
-focal_alpha = 3.0
-focal_gamma = 1.5
 suppress_beta = 12.5
 suppress_epsilon = 0.25
 suppress_kappa = 0.4
 
 [objectness]
-obj_gamma = 1.5
-obj_alpha = 0.3
 topk_ratio = 0.4
 topk_min = 16
 topk_max = 256
@@ -482,14 +493,6 @@ roi_width = 8
 heads = 3
 window_small = 3
 window_medium = 6
-
-[loss]
-lambda_roi = 0.5
-lambda_obj = 2.5
-lambda_cls = 1.5
-lambda_t = 2.0
-lambda_rot = 0.75
-smooth_l1_delta = 0.02
 
 [voting]
 dbscan_eps_mult = 3.0
@@ -508,8 +511,6 @@ warmup_fraction = 0.2
 lr = 0.005
 momentum = 0.85
 train_chamfer_points = 16
-train_rot_lr_mult = 20.0
-train_clip_norm = 5.0
 
 """
 
@@ -525,8 +526,8 @@ class TestDumpConfig:
         assert out.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("text, sha256", [
-        ("", "b4e0a47982a4e5c6bef54b888f8a77ea16a783aa0a07d4cfffdca3455a33f5ee"),
-        (_AWAY_FROM_DEFAULTS, "66e6afe48f7663f6a1fa9fa92610a834dfff7adcfc446d89834d665f7fec3a09"),
+        ("", "2f76918c78a0df235e9590118f10c500f7c1927336d36a8fbb41f4857a3f69e7"),
+        (_AWAY_FROM_DEFAULTS, "897e423efed5c77ea30f0ec101efeaa48174a506c7904825ba0b9aa77bce972f"),
     ], ids=["defaults", "every_key_away"])
     def test_dump_sha_pinned(self, tmp_path, text, sha256):
         # the config file format: section order, key order and value spelling
@@ -578,7 +579,15 @@ class TestDumpConfig:
 # keys a config file may no longer name, each with the value a default dump wrote
 _REMOVED_KEYS = [("heatmap", "attention_reweight = false"), ("network", "scaled_attention = true"),
                  ("icp", "icp_trim = 1.0"), ("icp", "icp_reciprocal = true"), ("icp", "icp_use_pbar = false"),
-                 ("train", "train_keep_union_gt = true"), ("train", "train_topk_union_gt = true")]
+                 ("train", "train_keep_union_gt = true"), ("train", "train_topk_union_gt = true"),
+                 ("tsdf", "tsdf_weight_cap = 64.0"), ("heatmap", "focal_alpha = 4.0"),
+                 ("heatmap", "focal_gamma = 2.0"), ("objectness", "obj_gamma = 2.0"),
+                 ("objectness", "obj_alpha = 0.25"), ("loss", "lambda_roi = 1.0"), ("loss", "lambda_obj = 3.0"),
+                 ("loss", "lambda_cls = 2.0"), ("loss", "lambda_t = 3.0"), ("loss", "lambda_rot = 1.0"),
+                 ("loss", "smooth_l1_delta = 0.01"), ("train", "train_rot_lr_mult = 30.0"),
+                 ("train", "train_clip_norm = 10.0"),
+                 # out-of-range values, once a range error, now an unknown key like any value
+                 ("train", "train_clip_norm = 0"), ("loss", "smooth_l1_delta = 0")]
 
 
 @pytest.mark.parametrize("section, line", _REMOVED_KEYS + [
@@ -587,7 +596,7 @@ _REMOVED_KEYS = [("heatmap", "attention_reweight = false"), ("network", "scaled_
     ("icp", "icp_corr_mult = 0.0"), ("icp", "icp_iters = -3"), ("icp", "icp_tol = -1.0"),
     ("train", "seed = -1"), ("network", "width = 0"), ("network", "roi_width = 0"),
     ("camera", "near = 5"), ("camera", "near = 0.05\nfar = 0.01"),
-    ("train", "train_clip_norm = 0"), ("loss", "smooth_l1_delta = 0"), ("train", "momentum = 1.5"),
+    ("train", "momentum = 1.5"),
     ("objectness", "topk_min = -4"), ("objectness", "topk_max = 0"),
     ("objectness", "topk_min = 64\ntopk_max = 32"),
 ])

@@ -1,7 +1,11 @@
+import pathlib
+import re
 from dataclasses import fields
 
 import pytest
 
+import sparsepose
+from sparsepose import pipeline
 from sparsepose.cli import main
 from sparsepose.config import _SECTIONS, PipelineConfig, _in_range, dump_config, load_config, parse_config
 from sparsepose.errors import ConfigError
@@ -26,7 +30,16 @@ class TestDefaults:
         assert cfg.tsdf_truncation_mult == 8.0
         assert cfg.sigma_c == 6.0
         assert cfg.sigma_b == 4.0
-        assert cfg.loss_weights == (1.0, 3.0, 2.0, 3.0, 1.0)
+        assert pipeline.LOSS_WEIGHTS == (1.0, 3.0, 2.0, 3.0, 1.0)
+
+    def test_every_key_is_read_outside_config(self):
+        # a key that no module reads changes nothing a run does
+        text = "".join(path.read_text() for path in pathlib.Path(sparsepose.__file__).parent.glob("*.py")
+                       if path.name != "config.py")
+        read_as = {"dbscan_eps_mult": "dbscan_eps", "icp_corr_mult": "icp_corr_dist"}
+        unread = [f.name for f in fields(PipelineConfig)
+                  if not re.search(rf"\bcfg\.{read_as.get(f.name, f.name)}\b", text)]
+        assert unread == []
 
     def test_derived_quantities(self):
         cfg = PipelineConfig(theta=0.002)
@@ -72,7 +85,6 @@ class TestValidation:
         {"tsdf_voxels_per_side": 0},
         {"tsdf_truncation_mult": 0.0},
         {"tsdf_truncation_mult": -1.0},
-        {"tsdf_weight_cap": 0.0},
     ])
     def test_out_of_range_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -109,6 +121,13 @@ class TestParsing:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[nonsense]\nfoo = 1\n")
+
+    def test_key_of_unknown_section_named_first(self):
+        # [loss] is gone with its keys; a file naming one reads as that key's error
+        with pytest.raises(ConfigError, match=r"^unknown config key 'lambda_roi' in section \[loss\]$"):
+            parse_config("[loss]\nlambda_roi = 1.0\n")
+        with pytest.raises(ConfigError, match=r"^unknown config section \[loss\]$"):
+            parse_config("[loss]\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -18,24 +18,22 @@ _DEFAULT = PipelineConfig()
 _SECTION_OF = {key: section for section, keys in _SECTIONS.items() for key in keys}
 _NUMERIC = list(_RANGES)
 
-# The commands take the keys they read. Sizes without a finite upper bound
-# (width, roi_width, topk_max) and tsdf_voxels_per_side stay at their
-# defaults, so no run allocates arrays of a bound's size; the chamfer size
-# train_chamfer_points, bounded at 256, runs in train-toy at every edge value.
+# The commands take the keys they read. topk_max, which has no finite upper
+# bound, and tsdf_voxels_per_side stay at their defaults, so no run allocates
+# arrays of a bound's size; the network widths and the chamfer size
+# train_chamfer_points, bounded at 256, run in train-toy at every edge value.
 # train-toy's --steps and --theta-mm override steps and theta.
 _ORACLE_KEYS = ["theta", "near", "far", "dbscan_eps_mult", "dbscan_min_pts", "vote_top_fraction",
                 "icp_iters", "icp_corr_mult", "icp_tol", "seed"]
 _COMMAND_KEYS = {
     "estimate-cloud": _ORACLE_KEYS,
-    "estimate-tsdf": _ORACLE_KEYS + ["tsdf_truncation_mult", "tsdf_weight_cap"],
+    "estimate-tsdf": _ORACLE_KEYS + ["tsdf_truncation_mult"],
     "targets": ["theta", "near", "far", "coarse_factor", "sigma_c", "sigma_b", "suppress_beta",
                 "suppress_epsilon", "suppress_kappa", "seed"],
-    "train-toy": ["near", "far", "coarse_factor", "sigma_c", "sigma_b", "focal_alpha", "focal_gamma",
-                  "suppress_beta", "suppress_epsilon", "suppress_kappa", "obj_gamma", "obj_alpha",
-                  "topk_ratio", "topk_min", "heads", "window_small", "window_medium", "lambda_roi",
-                  "lambda_obj", "lambda_cls", "lambda_t", "lambda_rot", "smooth_l1_delta", "seed",
-                  "warmup_fraction", "lr", "momentum", "train_rot_lr_mult",
-                  "train_clip_norm", "train_chamfer_points"],
+    "train-toy": ["near", "far", "coarse_factor", "sigma_c", "sigma_b", "suppress_beta",
+                  "suppress_epsilon", "suppress_kappa", "topk_ratio", "topk_min", "width", "roi_width",
+                  "heads", "window_small", "window_medium", "seed", "warmup_fraction", "lr", "momentum",
+                  "train_chamfer_points"],
 }
 _COMMAND_CASES = [(command, key) for command, keys in _COMMAND_KEYS.items() for key in keys]
 
@@ -120,6 +118,9 @@ _REGRESSIONS = [
     # both edges must exit before any work
     ("train_chamfer_points", 0, "train-toy", 2),
     ("train_chamfer_points", 10**300, "train-toy", 2),
+    # "Maximum allowed dimension exceeded" drawing the initial weights
+    ("width", 10**300, "train-toy", 2),
+    ("roi_width", 10**300, "train-toy", 2),
 ]
 
 

@@ -155,7 +155,7 @@ class TestLosses:
         out = staged_forward(model, scene, cfg, train=True)
         total, breakdown, parts = compute_losses(out, scene, small_bundle.models, cfg)
         assert np.isfinite(breakdown.total)
-        lam = cfg.loss_weights
+        lam = pipeline.LOSS_WEIGHTS
         expected = (lam[0] * breakdown.roi + lam[1] * breakdown.obj + lam[2] * breakdown.cls
                     + lam[3] * breakdown.t + lam[4] * breakdown.rot)
         assert breakdown.total == pytest.approx(expected, rel=1e-12)
