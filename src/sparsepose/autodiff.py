@@ -254,7 +254,7 @@ def segment_sum(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     out = np.zeros((n_rows,) + values.shape[1:], dtype=values.dtype)
     order, starts, _ = group_rows(rows)
-    out[rows[order[starts]]] = np.add.reduceat(values[order], starts, axis=0)
+    out[rows[order[starts]]] = np.add.reduceat(np.take(values, order, axis=0), starts, axis=0)
     return out
 
 
@@ -264,7 +264,7 @@ def gather_rows(a: Tensor, rows) -> Tensor:
     def backward(g):
         _accumulate(a, segment_sum(g, rows, a.data.shape[0]))
 
-    return Tensor(a.data[rows], parents=(a,), backward=backward)
+    return Tensor(np.take(a.data, rows, axis=0), parents=(a,), backward=backward)
 
 
 def scatter_add_rows(a: Tensor, rows, n_rows: int) -> Tensor:
@@ -273,7 +273,7 @@ def scatter_add_rows(a: Tensor, rows, n_rows: int) -> Tensor:
         raise DataError("scatter rows must match input row count")
 
     def backward(g):
-        _accumulate(a, g[rows])
+        _accumulate(a, np.take(g, rows, axis=0))
 
     return Tensor(segment_sum(a.data, rows, n_rows), parents=(a,), backward=backward)
 

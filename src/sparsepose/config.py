@@ -155,7 +155,9 @@ def dump_config(cfg: PipelineConfig) -> str:
 
 
 def parse_config(text: str, overrides: dict | None = None) -> PipelineConfig:
-    parser = configparser.ConfigParser()
+    # No header can hold a newline, so [DEFAULT] reads as a plain section
+    # instead of being merged silently into every other one.
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .grid import SparseVoxelGrid, lattice_index
@@ -75,6 +74,7 @@ def roi_target(grid: SparseVoxelGrid, gt: SceneGroundTruth, sigma_c: float,
     n = len(grid)
     if gt.n_objects == 0 or n == 0:
         return np.zeros(n)
+    from scipy.spatial import cKDTree  # deferred: keeps package import light
     pos = grid.centers() / grid.resolution
     centers = gt.centroids / grid.resolution
     boundary = gt.all_points() / grid.resolution

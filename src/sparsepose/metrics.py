@@ -8,7 +8,6 @@ distances.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .camera import CameraExtrinsics, CameraIntrinsics, project
 from .errors import DataError
@@ -38,6 +37,7 @@ def add_s(R_est, t_est, R_gt, t_gt, points) -> float:
         raise DataError("ADD-S needs a nonempty model cloud")
     a = pts @ np.asarray(R_est).T + np.asarray(t_est)
     b = pts @ np.asarray(R_gt).T + np.asarray(t_gt)
+    from scipy.spatial import cKDTree  # deferred: keeps package import light
     return float(cKDTree(a).query(b)[0].mean())
 
 

@@ -152,7 +152,7 @@ def _window_attention(q: Tensor, k: Tensor, v: Tensor, groups, heads: int, scale
     d = c // heads
 
     def split(values, rows):  # (G, K_w) rows -> (G, heads, K_w, d)
-        return values[rows].reshape(*rows.shape, heads, d).transpose(0, 2, 1, 3)
+        return np.take(values, rows, axis=0).reshape(*rows.shape, heads, d).transpose(0, 2, 1, 3)
 
     def merge(values, rows, into):  # inverse of split, written into `into`
         into[rows.reshape(-1)] = values.transpose(0, 2, 1, 3).reshape(-1, c)
@@ -230,7 +230,7 @@ class ConvPairs:
         remap = np.full(len(self) + 1, rows.size, dtype=np.int64)
         remap[rows] = np.arange(rows.size)
         derived = ConvPairs.__new__(ConvPairs)
-        derived.nbr = remap[self.nbr[rows]]
+        derived.nbr = np.take(remap, np.take(self.nbr, rows, axis=0))
         return derived
 
 
@@ -246,8 +246,9 @@ def _pad(values: np.ndarray) -> np.ndarray:
 
 def _gather_cols(padded: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """Rows of a padded matrix read through kernel-map rows `nbr` (m, 27)
-    into (m, 27 C) columns."""
-    return padded[nbr].reshape(nbr.shape[0], -1)
+    into (m, 27 C) columns. `np.take` copies the same rows as `padded[nbr]`
+    in well under half the time."""
+    return np.take(padded, nbr, axis=0).reshape(nbr.shape[0], -1)
 
 
 class SubmanifoldConv3(Module):

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from . import nn
@@ -435,6 +434,7 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     scene = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
     if len(scene) == 0:
         return poses
+    from scipy.spatial import cKDTree  # deferred: keeps package import light
     scene_keys = pack_index(lattice_index(scene, workspace.min_corner, cfg.theta))
     order, starts, counts = group_rows(scene_keys)
     run_keys = scene_keys[order[starts]]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.spatial import cKDTree
 
 from .camera import check_rotation
 from .errors import DataError, NumericalError
@@ -234,6 +232,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if eps <= 0 or min_pts < 1:
         raise DataError("dbscan needs eps > 0 and min_pts >= 1")
+    from scipy.spatial import cKDTree  # deferred: keeps package import light
     labels = np.full(len(pts), NOISE, dtype=np.int64)
     counts = cKDTree(pts).query_ball_point(pts, eps, return_length=True)
     core = counts >= min_pts
@@ -267,7 +266,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         dst.append(b[jj])
     m = len(cpts)
     src, dst = np.concatenate(src), np.concatenate(dst)
-    from scipy.sparse.csgraph import connected_components  # deferred: keeps package import light
+    from scipy.sparse import coo_matrix  # deferred: keeps package import light
+    from scipy.sparse.csgraph import connected_components
     graph = coo_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
     n_comp, comp = connected_components(graph, directed=False)
     # number clusters by their smallest core row (core_rows is ascending)
@@ -388,6 +388,7 @@ def icp_refine(
     Fewer than 3 correspondences leaves the pose unrefined (refined=False).
     Returns the pose and the per-iteration RMSE trace over the kept set.
     """
+    from scipy.spatial import cKDTree  # deferred: keeps package import light
     pts = subsample_rows(model_points, n_model)
     model_tree = cKDTree(pts)
     R, t = pose.rotation.copy(), pose.translation.copy()

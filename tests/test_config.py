@@ -129,6 +129,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"^unknown config section \[loss\]$"):
             parse_config("[loss]\n")
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\ntheta = 0.5\n",
+                                      "[DEFAULT]\ntheta = 0.5\n[grid]\n",
+                                      "[DEFAULT]\ntheta = 0.5\n[camera]\n"])
+    def test_default_section_rejected(self, text, tmp_path, capsys):
+        # configparser would merge [DEFAULT] into every section: ignored alone,
+        # setting theta beside [grid], an unknown key beside [camera]
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            parse_config(text)
+        path = tmp_path / "default.cfg"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["dump-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "[DEFAULT]" in err, err
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[grid]\ntheta = 0.002\nbogus = 3\n")
