@@ -50,6 +50,12 @@ NET_DTYPE = np.float32
 # The weights of the five task losses: RoI, objectness, class, translation, rotation.
 LOSS_WEIGHTS = (1.0, 3.0, 2.0, 3.0, 1.0)
 
+# Votes whose objectness score is below this are dropped before clustering:
+# the background rows a trained model selects score far lower than its
+# foreground rows, and their votes form clusters with no object behind them
+# or join an object's cluster. Oracle votes score 1, an untrained model's 0.5.
+MIN_VOTE_CONFIDENCE = 0.3
+
 
 def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
     """The bundle's fused world-frame cloud, (N, 3) meters."""
@@ -414,11 +420,13 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
 
     This is the one place that judges a vote. Votes that cannot make a pose
     are dropped before clustering: a predicted center outside the
-    `workspace` (non-finite included), a non-finite confidence, a class with
-    no model in `models`, or a rotation rot6d_to_matrix rejects (non-finite
-    included). So a degenerate output row costs that vote, not the scene.
+    `workspace` (non-finite included), a non-finite confidence or one below
+    MIN_VOTE_CONFIDENCE, a class with no model in `models`, or a rotation
+    rot6d_to_matrix rejects (non-finite included). So a degenerate output
+    row costs that vote, not the scene.
     """
     usable = (workspace.contains(votes.predicted_centers()) & np.isfinite(votes.confidence)
+              & (votes.confidence >= MIN_VOTE_CONFIDENCE)
               & np.isin(votes.class_ids, list(models)) & rot6d_frames(votes.rot6d)[1])
     if not usable.all():
         votes = VoteSet(votes.voxel_centers[usable], votes.offsets[usable], votes.rot6d[usable],

@@ -8,6 +8,7 @@ L^3 voxel payload of (normalized signed distance, accumulated weight).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -86,7 +87,8 @@ class SparseTsdf:
     sdf is the normalized truncated signed distance in [-1, 1]; weight counts
     capped observations. Blocks are fixed at construction (activation step);
     their payloads are independent array slices, so concurrent reads with
-    exclusive per-block writes are safe.
+    exclusive per-block writes are safe. integrate_view relies on this: its
+    worker threads each write a disjoint chunk of blocks.
     """
 
     def __init__(self, cfg: TsdfConfig, block_indices: np.ndarray, origin):
@@ -137,34 +139,66 @@ class SparseTsdf:
         s < -tau (deep behind the surface, standard space carving guard).
 
         The blocks are walked in chunks of about _CHUNK_VOXELS voxels, so the
-        temporaries of one call are bounded by the chunk, not by the grid.
+        temporaries of one chunk are bounded by the chunk, not by the grid.
         Centers are (3, n) coordinate rows projected as R^T @ (c - t); pixels
         are rounded and bounds-tested in float, one take on the flat image
         reads every lane (off-image lanes at pixel 0) and only the lanes that
         pass are updated. sdf and weight match the row-major full-grid
         formula bit for bit.
+
+        Chunks run on a thread pool, one worker per CPU this process may use
+        (the plain loop with one): each chunk writes only its own slice of
+        sdf and weight, and numpy releases the GIL inside each ufunc, so two
+        chunks overlap. A lane's arithmetic does not depend on the thread
+        that runs it, so the result is the same bit for bit. The chunk body
+        works in place and drops each buffer before the next large one, so
+        the temporaries of all workers together stay a few chunks' worth.
         """
         if depth.values.shape != (intr.height, intr.width):
             raise DataError(f"depth shape {depth.values.shape} does not match intrinsics")
         tau = self.cfg.truncation
         corners, local = self._center_parts(self.block_indices, self._local)
-        for b0, b1 in self._chunks():
+        t = extr.translation[:, None]
+
+        def integrate_chunk(b0: int, b1: int) -> None:
             centers = (corners[:, b0:b1, None] + local[:, None, :]).reshape(3, -1)
-            x, y, z = extr.rotation.T @ (centers - extr.translation[:, None])
+            centers -= t
+            u, v, z = extr.rotation.T @ centers  # u, v hold x, y until the pixel overwrites them
+            del centers
             # off-image lanes hold inf and NaN; the float pixel index is exact below 2^53
             with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.rint(intr.fx * x / z + intr.cx)
-                v = np.rint(intr.fy * y / z + intr.cy)
+                np.multiply(intr.fx, u, out=u)
+                u /= z
+                u += intr.cx
+                np.rint(u, out=u)
+                np.multiply(intr.fy, v, out=v)
+                v /= z
+                v += intr.cy
+                np.rint(v, out=v)
                 inside = (z > 0) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-                pixel = np.where(inside, v * intr.width + u, 0.0)
-            d = depth.values.take(pixel.astype(np.int64))
-            s = d - z
+                v *= intr.width  # v becomes the flat pixel index
+                v += u
+                v[~inside] = 0.0
+            d = depth.values.take(v.astype(np.int64))
+            s = np.subtract(d, z, out=z)
             rows = np.flatnonzero(inside & (d > 0) & (d >= near) & (d <= far) & (s >= -tau))
+            del d, inside
             phi = np.clip(s[rows] / tau, -1.0, 1.0)
             sdf, w = self.sdf[b0:b1].reshape(-1), self.weight[b0:b1].reshape(-1)  # chunk views
             w_old = w[rows]
             sdf[rows] = (w_old * sdf[rows] + phi) / (w_old + 1.0)
             w[rows] = np.minimum(w_old + 1.0, self.cfg.weight_cap)
+
+        chunks = list(self._chunks())
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cpus, len(chunks))
+        if workers <= 1:
+            for b0, b1 in chunks:
+                integrate_chunk(b0, b1)
+            return
+        from concurrent.futures import ThreadPoolExecutor  # deferred: keeps package import light
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(integrate_chunk, *zip(*chunks)))  # list() re-raises a chunk's exception
 
     def band_rows(self) -> np.ndarray:
         """Ascending flat rows (slot * L^3 + local) of the band, w > 0 and

@@ -383,7 +383,8 @@ def icp_refine(
     once per call in the model frame: the moved model is a rigid image of
     it, so the scene point s is mapped back as (s - t) @ R and its nearest
     model row is the one a tree over the moved points would return (the
-    distances agree up to rounding).
+    distances agree up to rounding). Several model points often match one
+    scene point, so each distinct matched scene point is queried once.
 
     Fewer than 3 correspondences leaves the pose unrefined (refined=False).
     Returns the pose and the per-iteration RMSE trace over the kept set.
@@ -399,8 +400,9 @@ def icp_refine(
         dist, idx = scene_tree.query(moved, distance_upper_bound=corr_dist)
         ok = np.nonzero(np.isfinite(dist))[0]
         if ok.size:
-            back = model_tree.query((scene_tree.data[idx[ok]] - t) @ R)[1]
-            ok = ok[back == ok]
+            hit, which = np.unique(idx[ok], return_inverse=True)  # one query per scene point
+            back = model_tree.query((scene_tree.data[hit] - t) @ R)[1]
+            ok = ok[back[which] == ok]
         if ok.size < 3:
             break
         src = moved[ok]

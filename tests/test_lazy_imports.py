@@ -1,7 +1,8 @@
 """scipy's spatial and sparse packages load on first use, never at package
 import, so the commands that never cluster, refine or score start without
-them. Each check runs in a fresh interpreter: in this process the test
-modules have long since imported scipy themselves."""
+them; concurrent.futures, too, loads only when a TSDF view is integrated.
+Each check runs in a fresh interpreter: in this process the test modules
+have long since imported scipy themselves."""
 
 import os
 import pathlib
@@ -33,6 +34,7 @@ def test_light_commands_never_load_scipy_spatial_or_sparse(tiny_bundle_dir, tmp_
         "import sys",
         "import sparsepose, sparsepose.cli, sparsepose.pipeline, sparsepose.synthetic, sparsepose.metrics",
         _LOADED,
+        "print('concurrent.futures' in sys.modules)",
         "from sparsepose.cli import main",
         f"scene = {str(tiny_bundle_dir)!r}",
         "assert main(['fuse', scene, '--repr', 'tsdf', '--out', 'fused.tsdf', '--theta-mm', '4']) == 0",
@@ -43,6 +45,7 @@ def test_light_commands_never_load_scipy_spatial_or_sparse(tiny_bundle_dir, tmp_
     ])
     lines = run_fresh(code, tmp_path)
     assert lines[0] == "[]", "a module top imports scipy.spatial or scipy.sparse"
+    assert lines[1] == "False", "a module top imports concurrent.futures"
     assert lines[-1] == "[]", "fuse, stats or dump-config loaded scipy.spatial or scipy.sparse"
     assert (tmp_path / "fused.tsdf").exists() and (tmp_path / "fused.ply").exists()
 

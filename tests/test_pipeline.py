@@ -381,6 +381,33 @@ class TestOraclePath:
             assert (p.class_id, p.confidence, p.support, p.refined) == \
                 (q.class_id, q.confidence, q.support, q.refined)
 
+    def test_low_objectness_votes_dropped(self, small_bundle, monkeypatch):
+        # a tight group of background votes scored just below the floor points
+        # at the empty workspace corner: without the floor it makes a pose
+        # with no object behind it, with the floor the poses are the oracle's
+        cfg = quick_config(theta=0.002)
+        fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
+        votes = oracle_votes(fine, small_bundle.gt)
+        n = 2 * cfg.dbscan_min_pts
+        corner = small_bundle.workspace.min_corner + 0.001
+        noise = VoteSet(
+            np.vstack([votes.voxel_centers, votes.voxel_centers[:n]]),
+            np.vstack([votes.offsets, corner - votes.voxel_centers[:n]]),
+            np.vstack([votes.rot6d, votes.rot6d[:n]]),
+            np.r_[votes.confidence, np.full(n, np.nextafter(pipeline.MIN_VOTE_CONFIDENCE, 0.0))],
+            np.r_[votes.class_ids, votes.class_ids[:n]],
+        )
+        base = votes_to_poses(votes, cloud, small_bundle.models, cfg, small_bundle.workspace)
+        out = votes_to_poses(noise, cloud, small_bundle.models, cfg, small_bundle.workspace)
+        assert len(out) == len(base) == small_bundle.gt.n_objects
+        for p, q in zip(out, base):
+            assert np.array_equal(p.rotation, q.rotation)
+            assert np.array_equal(p.translation, q.translation)
+            assert (p.class_id, p.confidence, p.support) == (q.class_id, q.confidence, q.support)
+        monkeypatch.setattr(pipeline, "MIN_VOTE_CONFIDENCE", 0.0)
+        unfloored = votes_to_poses(noise, cloud, small_bundle.models, cfg, small_bundle.workspace)
+        assert len(unfloored) == len(base) + 1
+
     def test_cluster_targets_match_isin_carve(self, small_bundle, monkeypatch):
         # three vote clusters: 0 and 1 share one voxel, 2 holds under 50 scene
         # points and so takes the full-cloud tree; a stripe of scene points

@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
+import os
 import re
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -336,11 +339,28 @@ class TestChunkedWalk:
         assert_matches_dense(tsdf)
         assert np.array_equal(tsdf.extract_pbar(), full_grid_pbar(tsdf))
 
-    def test_block_larger_than_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_block_larger_than_chunk(self, monkeypatch, workers):
+        # one block per chunk, integrated by the plain loop or by a pool
         cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8)
         whole = box_scene_tsdf(cfg)
         monkeypatch.setattr(tsdf_module, "_CHUNK_VOXELS", 100)  # L^3 = 512 >= chunk
-        one_block = box_scene_tsdf(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over often, so the chunks interleave
+        try:
+            one_block = box_scene_tsdf(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == ([workers] * 3 if workers > 1 else [])  # one pool per view
         assert [stop - b0 for b0, stop in one_block._chunks()] == [1] * one_block.n_blocks
         assert_matches_dense(one_block)
         assert np.array_equal(one_block.sdf, whole.sdf)
