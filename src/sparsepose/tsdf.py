@@ -32,6 +32,11 @@ def _block_dtype(L: int) -> np.dtype:
 # voxels (8 blocks at L = 16), so a step's temporaries stay in cache.
 _CHUNK_VOXELS = 1 << 15
 
+# integrate_view's chunk threads: each holds about 1.7 MB of temporaries, and
+# only two were measured (a fifth faster on two cores); more would outgrow
+# the chunk memory bound without a measured gain.
+_MAX_WORKERS = 2
+
 
 @dataclass(frozen=True)
 class TsdfConfig:
@@ -146,13 +151,14 @@ class SparseTsdf:
         pass are updated. sdf and weight match the row-major full-grid
         formula bit for bit.
 
-        Chunks run on a thread pool, one worker per CPU this process may use
-        (the plain loop with one): each chunk writes only its own slice of
-        sdf and weight, and numpy releases the GIL inside each ufunc, so two
-        chunks overlap. A lane's arithmetic does not depend on the thread
-        that runs it, so the result is the same bit for bit. The chunk body
-        works in place and drops each buffer before the next large one, so
-        the temporaries of all workers together stay a few chunks' worth.
+        Chunks run on a pool of _MAX_WORKERS threads, fewer if this process
+        may use fewer CPUs (the plain loop with one): each chunk writes only
+        its own slice of sdf and weight, and numpy releases the GIL inside
+        each ufunc, so two chunks overlap. A lane's arithmetic does not
+        depend on the thread that runs it, so the result is the same bit for
+        bit. The chunk body works in place and drops each buffer before the
+        next large one, so the temporaries of both workers together stay
+        about two chunks' worth whatever the host's core count.
         """
         if depth.values.shape != (intr.height, intr.width):
             raise DataError(f"depth shape {depth.values.shape} does not match intrinsics")
@@ -191,7 +197,7 @@ class SparseTsdf:
 
         chunks = list(self._chunks())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(cpus, len(chunks))
+        workers = min(cpus, len(chunks), _MAX_WORKERS)
         if workers <= 1:
             for b0, b1 in chunks:
                 integrate_chunk(b0, b1)

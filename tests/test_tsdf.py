@@ -360,7 +360,7 @@ class TestChunkedWalk:
             one_block = box_scene_tsdf(cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert pools == ([workers] * 3 if workers > 1 else [])  # one pool per view
+        assert pools == ([2] * 3 if workers > 1 else [])  # one pool per view, two workers at most
         assert [stop - b0 for b0, stop in one_block._chunks()] == [1] * one_block.n_blocks
         assert_matches_dense(one_block)
         assert np.array_equal(one_block.sdf, whole.sdf)
@@ -405,6 +405,11 @@ class TestChunkedWalk:
             tracemalloc.stop()
         assert tsdf.weight.any()
         assert peak < centers_bytes / 4
+
+    def test_integration_memory_bounded_on_many_cores(self, monkeypatch):
+        # the worker cap, not the host's core count, bounds the temporaries
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        self.test_integration_memory_bounded_by_chunk()
 
 
 class TestPinnedDump:
