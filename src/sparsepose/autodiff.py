@@ -10,7 +10,10 @@ float64 and enter a float32 graph through `cast`, whose backward returns a
 float64 gradient, so the optimizer and checkpoints stay in float64 while
 the networks run in float32. Gradients of disjoint graph regions accumulate
 in a fixed topological order, so results are deterministic for a fixed BLAS
-setup.
+setup. A backward sweep frees each interior node's gradient once that node's
+closure has passed it on, so after a sweep only leaves (parameters and
+tensors made with `requires_grad=True`) hold gradients: read a gradient from
+a leaf.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag}, grad={'set' if self.grad is not None else 'none'})"
 
     def backward(self):
-        """Reverse sweep from a scalar output."""
+        """Reverse sweep from a scalar output. Leaves accumulate their
+        gradients; an interior node's is dropped once its closure used it."""
         if self.data.size != 1:
             raise DataError(f"backward() needs a scalar output, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -71,6 +75,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def constant(x, dtype=np.float64) -> Tensor:

@@ -113,6 +113,8 @@ def cmd_targets(args) -> int:
 
 def cmd_train_toy(args) -> int:
     cfg = _config_from(args)
+    if args.log_every < 0:
+        raise ConfigError(f"log-every must be 0 (no log) or above, got {args.log_every}")
     bundle = load_scene_bundle(args.scene)
     model, trace = train_toy(bundle, cfg, representation=args.repr, log_every=args.log_every)
     out = args.out or os.path.join(args.scene, "toy.ckpt")

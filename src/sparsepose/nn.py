@@ -35,7 +35,9 @@ from .ioutil import atomic_write_bytes, read_file
 
 
 class Module:
-    """Named-parameter container; submodules are discovered by attribute."""
+    """Named-parameter container; submodules are discovered by attribute.
+    Every Tensor attribute is a parameter, whether or not it needs a
+    gradient (an inference model's do not)."""
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
         out: OrderedDict[str, Tensor] = OrderedDict()
@@ -45,7 +47,7 @@ class Module:
     def _collect(self, prefix: str, out: OrderedDict):
         for key, value in vars(self).items():
             name = f"{prefix}{key}"
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 value.name = name
                 out[name] = value
             elif isinstance(value, Module):

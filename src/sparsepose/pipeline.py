@@ -112,10 +112,16 @@ def save_model(path, model: PipelineModel) -> None:
 
 
 def load_model(path, cfg: PipelineConfig) -> PipelineModel:
+    """The inference model saved at `path`. Its parameters need no
+    gradient, so a forward pass on it records no graph and frees each
+    activation once the next layer has used it."""
     representation = read_file(str(path) + ".json", "checkpoint metadata",
                                lambda blob: json_document(blob)["representation"])
     model = build_model(cfg, representation)
-    nn.assign_parameters(model.parameters(), path)
+    params = model.parameters()
+    nn.assign_parameters(params, path)
+    for p in params.values():
+        p.requires_grad = False
     return model
 
 
@@ -361,6 +367,7 @@ def train_toy(
         else:
             total.backward()
         opt.step()
+        del out, total, parts  # the next forward must not run beside this step's graph
         if log_every and step % log_every == 0:
             print(f"step {step:5d}  total {breakdown.total:.4f}  roi {breakdown.roi:.4f}  "
                   f"obj {breakdown.obj:.4f}  cls {breakdown.cls:.4f}  t {breakdown.t:.4f}  "

@@ -153,6 +153,7 @@ class TestGradients:
         y = ad.add(ad.mul(x, x), ad.mul(x, ad.constant(3.0)))  # x^2 + 3x
         ad.tsum(y).backward()
         assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
+        assert y.grad is None  # the sweep frees an interior gradient once it is passed on
 
     def test_gradcheck_failure_detected(self):
         # a deliberately wrong backward should trip the checker

@@ -318,7 +318,7 @@ class TestTrainToyCli:
         assert trace[1] == "step,total,roi,obj,cls,t,rot"
         assert len(trace) == 2
 
-    @pytest.mark.parametrize("flag, value", [("--steps", -3), ("--seed", -1)])
+    @pytest.mark.parametrize("flag, value", [("--steps", -3), ("--seed", -1), ("--log-every", -1)])
     def test_bad_flag_writes_no_checkpoint(self, scene_dir, tmp_path, capsys, flag, value):
         ckpt = tmp_path / "toy.ckpt"
         capsys.readouterr()

@@ -533,6 +533,22 @@ class TestTrainToy:
         got = [(b.total, b.roi, b.obj, b.cls, b.t, b.rot) for b in trace]
         np.testing.assert_allclose(np.array(got), np.array(expected), rtol=1e-9, atol=0.0)
 
+    def test_peak_memory_does_not_grow_with_steps(self, small_bundle):
+        # one step's graph at a time: the next forward must not run beside
+        # the last step's graph and interior gradients
+        import tracemalloc
+
+        train_toy(small_bundle, quick_config(), steps=1)  # lazy imports land outside the traced runs
+        peaks = {}
+        for steps in (1, 3):
+            tracemalloc.start()
+            try:
+                train_toy(small_bundle, quick_config(), steps=steps)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= 1.05 * peaks[1], peaks
+
     def test_loss_decreases_on_short_run(self, small_bundle):
         # the RoI warm-up only moves one loss part, so compare against the
         # best of the last few joint steps
@@ -578,6 +594,19 @@ class TestModelIO:
             os.umask(umask)
         assert (path.stat().st_mode & 0o777) == 0o644
         assert ((tmp_path / "m.ckpt.json").stat().st_mode & 0o777) == 0o644
+
+    def test_loaded_model_forward_records_no_graph(self, small_bundle, tmp_path):
+        cfg = quick_config()
+        model, _ = train_toy(small_bundle, cfg, steps=2)
+        path = tmp_path / "m.ckpt"
+        save_model(path, model)
+        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
+        trained = staged_forward(model, fine, cfg)
+        loaded = staged_forward(load_model(path, cfg), fine, cfg)
+        for name in ("roi_scores", "obj_scores", "cls_logits", "offsets", "rot6d"):
+            assert getattr(trained, name)._parents != ()
+            assert getattr(loaded, name)._parents == ()
+            assert np.array_equal(getattr(loaded, name).data, getattr(trained, name).data)
 
     @pytest.mark.parametrize("sidecar", [b"{", b"\xff"])
     def test_malformed_metadata_rejected(self, tmp_path, sidecar):
