@@ -26,7 +26,7 @@ print(f"scene: {[inst.name for inst in spec.instances]}")
 
 depths = [render_depth(spec, library, i) for i in range(len(spec.cameras))]
 for i, d in enumerate(depths):
-    valid = d.valid_mask()
+    valid = d.values > 0
     print(f"view {i}: {valid.sum():6d} valid pixels, depth range "
           f"[{d.values[valid].min():.3f}, {d.values[valid].max():.3f}] m")
 
@@ -34,7 +34,7 @@ for i, d in enumerate(depths):
 intr, extr = spec.cameras[0]
 pts = backproject(depths[0], intr, extr)
 pix, z, in_front = project(pts, intr, extr)
-vv, uu = np.nonzero(depths[0].valid_mask())
+vv, uu = np.nonzero(depths[0].values > 0)
 order = np.lexsort((uu, vv))
 err = np.abs(pix - np.stack([uu[order], vv[order]], axis=1)).max()
 print(f"\nproject(backproject) pixel error: {err:.2e} px (exact by construction)")

@@ -4,14 +4,21 @@
 Activates only the blocks touched by the observed surface, integrates every
 view with truncated signed distances and weighted averaging, and extracts
 the enriched band representation (x, y, z, sdf). A brute-force dense TSDF
-over the full workspace verifies the sparse structure voxel by voxel.
+over the full workspace verifies the sparse structure voxel by voxel; it
+and the global voxel index come from the test oracles in tests/oracles.py.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from sparsepose.fusion import Workspace, fuse_views
 from sparsepose.synthetic import default_camera_ring, default_intrinsics, make_primitives, render_depth, sample_scene
-from sparsepose.tsdf import TsdfConfig, build_tsdf, dense_tsdf_reference
+from sparsepose.tsdf import TsdfConfig, build_tsdf
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import dense_tsdf_reference, global_voxel_indices  # noqa: E402
 
 library = make_primitives()
 intr = default_intrinsics(width=160, height=120, focal=150.0)
@@ -40,7 +47,7 @@ print(f"band voxels (Pbar): {len(pbar)} rows of (x, y, z, sdf), |sdf| < 1 strict
 
 # -- dense reference ----------------------------------------------------------
 dense_sdf, dense_w = dense_tsdf_reference(depths, spec.cameras, cfg, workspace.min_corner, dims)
-idx = tsdf.global_voxel_indices()
+idx = global_voxel_indices(tsdf)
 inside = np.all((idx >= 0) & (idx < dims), axis=1)
 gi = idx[inside]
 dev = np.abs(tsdf.sdf.reshape(-1)[inside] - dense_sdf[gi[:, 0], gi[:, 1], gi[:, 2]]).max()

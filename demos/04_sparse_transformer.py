@@ -5,15 +5,22 @@ Partitions a sparse voxel set into small and medium cubic windows, runs
 multi-head self-attention independently per window (jagged, never padded),
 fuses the two branches with a linear projection + residual + layer norm,
 and verifies the whole thing against a dense per-window oracle and central
-finite differences.
+finite differences. The generic-op window attention and the finite-difference
+check come from the test oracles in tests/oracles.py.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from sparsepose import autodiff as ad
 from sparsepose import nn
-from sparsepose.autodiff import Tensor, finite_difference_check
+from sparsepose.autodiff import Tensor
 from sparsepose.grid import partition_indices
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import attend_window, finite_difference_check  # noqa: E402
 
 rng = np.random.default_rng(0)
 indices = np.unique(rng.integers(0, 16, size=(120, 3)), axis=0)
@@ -51,14 +58,14 @@ def dense_attention(attn, f):
 
 worst = 0.0
 for rows in small_rows:
-    got = block.small.attend_window(Tensor(features[rows])).data
+    got = attend_window(block.small, Tensor(features[rows])).data
     worst = max(worst, np.abs(got - dense_attention(block.small, features[rows])).max())
 print(f"windowed attention vs dense oracle over {len(small_rows)} windows: "
       f"max deviation {worst:.2e}")
 
 # -- singleton window: attention collapses to the value path ------------------
 single = rng.normal(size=(1, channels))
-got = block.small.attend_window(Tensor(single)).data
+got = attend_window(block.small, Tensor(single)).data
 expected = (single @ block.small.proj_v.weight.data + block.small.proj_v.bias.data) \
     @ block.small.proj_out.weight.data
 print(f"K_w = 1 degenerate window: |out - MLP_v @ W| = {np.abs(got-expected).max():.2e}")

@@ -10,8 +10,10 @@ ratios collapse at fine resolutions.
 import os
 import tempfile
 
+import numpy as np
+
 from sparsepose.fusion import Workspace, fuse_views
-from sparsepose.grid import loglog_slope, occupancy_csv, occupancy_stats
+from sparsepose.grid import occupancy_stats, occupancy_table
 from sparsepose.synthetic import make_primitives, render_depth, sample_scene
 
 library = make_primitives()
@@ -27,12 +29,13 @@ print(f"{'theta':>8} {'sparse':>10} {'dense':>12} {'ratio':>9}")
 for r in rows:
     print(f"{r['theta_mm']:6.1f} mm {r['sparse']:10d} {r['dense']:12d} {100*r['ratio']:8.3f}%")
 
-inv = [1.0 / t for t in thetas]
+log_inv = np.log([1.0 / t for t in thetas])
 print(f"\nlog-log exponents vs 1/theta: "
-      f"sparse {loglog_slope(inv, [r['sparse'] for r in rows]):.3f} (~2: surface-like), "
-      f"dense {loglog_slope(inv, [r['dense'] for r in rows]):.3f} (cubic)")
+      f"sparse {np.polyfit(log_inv, np.log([r['sparse'] for r in rows]), 1)[0]:.3f} (~2: surface-like), "
+      f"dense {np.polyfit(log_inv, np.log([r['dense'] for r in rows]), 1)[0]:.3f} (cubic)")
 
 out_path = os.path.join(tempfile.mkdtemp(prefix="sparsepose_demo_"), "occupancy.csv")
 with open(out_path, "w") as f:
-    f.write(occupancy_csv(rows))
+    header, lines = occupancy_table(rows)
+    f.write("\n".join([header, *lines]) + "\n")
 print(f"wrote {out_path}")

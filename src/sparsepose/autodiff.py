@@ -205,19 +205,6 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), constant(1.0 / n, a.dtype))
 
 
-def softmax_lastaxis(a: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    val = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * val).sum(axis=-1, keepdims=True)
-        _accumulate(a, val * (g - dot))
-
-    return Tensor(val, parents=(a,), backward=backward)
-
-
 # -- shape manipulation ------------------------------------------------------
 
 
@@ -295,36 +282,3 @@ def from_loss_fn(pred: Tensor, fn) -> Tensor:
         _accumulate(pred, (g * grad).astype(pred.dtype, copy=False))
 
     return Tensor(np.float64(loss), parents=(pred,), backward=backward)
-
-
-# -- verification ------------------------------------------------------------
-
-
-def finite_difference_check(fn, arrays, eps=1e-5, rtol=1e-4) -> float:
-    """Central finite-difference check of `fn(*tensors) -> scalar Tensor`.
-
-    Returns the worst relative error over every element of every input;
-    raises NumericalError when it exceeds rtol.
-    """
-    tensors = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
-    out = fn(*tensors)
-    out.backward()
-    worst = 0.0
-    for t in tensors:
-        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
-        flat = t.data.reshape(-1)
-        gflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(fn(*tensors).data)
-            flat[i] = orig - eps
-            lo = float(fn(*tensors).data)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            denom = max(1.0, abs(numeric), abs(gflat[i]))
-            rel = abs(numeric - gflat[i]) / denom
-            worst = max(worst, rel)
-    if worst > rtol:
-        raise NumericalError(f"gradient check failed: rel err {worst:.3e} > {rtol:.1e}")
-    return worst

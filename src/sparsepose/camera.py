@@ -72,10 +72,6 @@ class CameraExtrinsics:
         return T
 
     @staticmethod
-    def identity() -> "CameraExtrinsics":
-        return CameraExtrinsics(np.eye(3), np.zeros(3))
-
-    @staticmethod
     def from_matrix(T) -> "CameraExtrinsics":
         T = np.asarray(T, dtype=np.float64).reshape(4, 4)
         return CameraExtrinsics(T[:3, :3], T[:3, 3])
@@ -96,10 +92,6 @@ class DepthImage:
         if np.any(v < 0):
             raise DataError("depth image contains negative values")
         object.__setattr__(self, "values", v)
-
-    def valid_mask(self) -> np.ndarray:
-        """Boolean mask of the image domain (pixels with depth > 0)."""
-        return self.values > 0
 
 
 def backproject(

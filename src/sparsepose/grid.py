@@ -258,17 +258,3 @@ def occupancy_table(rows: list[dict]) -> tuple[str, list[str]]:
     """Occupancy statistics as a CSV header and one line per resolution."""
     return "theta_mm,sparse,dense,ratio", [f"{r['theta_mm']:.6g},{r['sparse']},{r['dense']},{r['ratio']:.9g}"
                                            for r in rows]
-
-
-def occupancy_csv(rows: list[dict]) -> str:
-    """CSV text for occupancy statistics: `occupancy_table` as lines."""
-    header, lines = occupancy_table(rows)
-    return "\n".join([header, *lines]) + "\n"
-
-
-def loglog_slope(x, y) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(x, dtype=np.float64))
-    ly = np.log(np.asarray(y, dtype=np.float64))
-    lx = lx - lx.mean()
-    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))

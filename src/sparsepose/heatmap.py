@@ -4,7 +4,8 @@ Stage one scores coarse voxels against object centers and boundaries with a
 Gaussian distance weighting, trains with a Gaussian focal loss and prunes
 background through a sigmoid soft-attention gate. Stage two scores fine
 voxels with a binary objectness target, focal loss and an adaptive topK
-cut, then classifies per voxel with a conditioned, weighted cross entropy.
+cut, then classifies per voxel with a class-weighted cross entropy; the
+heatmap features reach the classifier only through its input rows.
 
 All five task losses (these three and `voting`'s translation and rotation
 losses) return (scalar, gradient w.r.t. the prediction): each is checked

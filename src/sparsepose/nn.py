@@ -117,17 +117,6 @@ class WindowAttention(Module):
         self.proj_v = Linear(channels, channels, rng)
         self.proj_out = Linear(channels, channels, rng, bias=False)
 
-    def attend_window(self, f: Tensor) -> Tensor:
-        """Reference attention over one window, built from generic autodiff
-        ops: f (K_w, C) -> (K_w, C); K_w is dynamic and may be 1."""
-        kw, h, d = f.data.shape[0], self.heads, self.head_dim
-        q = ad.transpose(ad.reshape(self.proj_q(f), (kw, h, d)), (1, 0, 2))
-        k = ad.transpose(ad.reshape(self.proj_k(f), (kw, h, d)), (1, 0, 2))
-        v = ad.transpose(ad.reshape(self.proj_v(f), (kw, h, d)), (1, 0, 2))
-        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), ad.constant(1.0 / math.sqrt(d), f.dtype))
-        z = ad.matmul(ad.softmax_lastaxis(logits), v)  # (h, kw, d)
-        return self.proj_out(ad.reshape(ad.transpose(z, (1, 0, 2)), (kw, h * d)))
-
     def __call__(self, features: Tensor, windows) -> Tensor:
         """Apply per-window attention over the `grid.partition_indices`
         batches `windows`, (G, K_w) row tables of equal-population windows
@@ -358,15 +347,14 @@ class RoiUNet(Module):
 
 class ObjectnessNet(Module):
     """Fine-stage feature extractor: three submanifold convolutions, an
-    objectness head and a classifier conditioned on the heatmap features via
-    an additive projected bias."""
+    objectness head and a one-hidden-layer classifier. The heatmap features
+    enter with the input rows, through in_proj."""
 
     def __init__(self, in_dim: int, width: int, n_classes: int, rng: np.random.Generator):
         self.in_proj = Linear(in_dim, width, rng)
         self.convs = [SubmanifoldConv3(width, width, rng) for _ in range(3)]
         self.obj_head = Linear(width, 1, rng, zero_init=True)
         self.cls_hidden = Linear(width, width, rng)
-        self.cond_proj = Linear(width, width, rng, bias=False)
         self.cls_out = Linear(width, n_classes + 1, rng, zero_init=True)
         self.width = width
 
@@ -376,7 +364,7 @@ class ObjectnessNet(Module):
         for conv in self.convs:
             x = ad.add(x, ad.relu(conv(x, pairs)))
         obj = ad.sigmoid(ad.reshape(self.obj_head(x), (n,)))
-        hidden = ad.relu(ad.add(self.cls_hidden(x), self.cond_proj(x)))
+        hidden = ad.relu(self.cls_hidden(x))
         logits = self.cls_out(hidden)
         return obj, logits, x
 
@@ -539,8 +527,11 @@ def _parse_checkpoint(path, blob: bytes) -> "OrderedDict[str, np.ndarray]":
 
 def assign_parameters(params: "OrderedDict[str, Tensor]", path) -> None:
     """Set `params` from the checkpoint at `path`, which must hold each of
-    them at its shape."""
+    them at its shape and nothing else."""
     table = load_checkpoint(path)
+    for name in table:
+        if name not in params:
+            raise DataError(f"{path}: checkpoint holds parameter '{name}', which the model does not have")
     for name, p in params.items():
         if name not in table:
             raise DataError(f"{path}: checkpoint missing parameter '{name}'")

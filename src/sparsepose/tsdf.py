@@ -152,7 +152,7 @@ class SparseTsdf:
         formula bit for bit.
 
         Chunks run on a pool of _MAX_WORKERS threads, fewer if this process
-        may use fewer CPUs (the plain loop with one): each chunk writes only
+        may use fewer CPUs or there are fewer chunks: each chunk writes only
         its own slice of sdf and weight, and numpy releases the GIL inside
         each ufunc, so two chunks overlap. A lane's arithmetic does not
         depend on the thread that runs it, so the result is the same bit for
@@ -197,11 +197,7 @@ class SparseTsdf:
 
         chunks = list(self._chunks())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(cpus, len(chunks), _MAX_WORKERS)
-        if workers <= 1:
-            for b0, b1 in chunks:
-                integrate_chunk(b0, b1)
-            return
+        workers = max(1, min(cpus, len(chunks), _MAX_WORKERS))
         from concurrent.futures import ThreadPoolExecutor  # deferred: keeps package import light
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(integrate_chunk, *zip(*chunks)))  # list() re-raises a chunk's exception
@@ -254,10 +250,6 @@ class SparseTsdf:
         base = self.block_indices * L
         pack_index(base + (L - 1))
         return pack_index(base)[b] + (pack_index(self._local.T) - pack_index(np.zeros(3)))[l]
-
-    def global_voxel_indices(self) -> np.ndarray:
-        """(n_blocks * L^3, 3) global voxel indices at resolution voxel_size."""
-        return unpack_index(self._voxel_keys(np.arange(self.sdf.size)))
 
     # -- binary dump ---------------------------------------------------------
     # Layout (little-endian):
@@ -325,44 +317,3 @@ def build_tsdf(
     for depth, (intr, extr) in zip(depths, cams):
         tsdf.integrate_view(depth, intr, extr, near=near, far=far)
     return tsdf
-
-
-def dense_tsdf_reference(
-    depths,
-    cams,
-    cfg: TsdfConfig,
-    origin,
-    dims,
-    near: float = 0.0,
-    far: float = np.inf,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force dense TSDF over a full dims[0] x dims[1] x dims[2] grid.
-
-    Same per-voxel update rule as the sparse structure, looped over every
-    voxel of the workspace; serves as the equivalence oracle for small grids.
-    Returns (sdf, weight) arrays of shape dims.
-    """
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    dims = tuple(int(d) for d in dims)
-    gx, gy, gz = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]), np.arange(dims[2]), indexing="ij")
-    centers = origin + (np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + 0.5) * cfg.voxel_size
-    sdf = np.zeros(len(centers))
-    weight = np.zeros(len(centers))
-    for depth, (intr, extr) in zip(depths, cams):
-        cam_pts = (centers - extr.translation) @ extr.rotation
-        z = cam_pts[:, 2]
-        ok = z > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.round(intr.fx * cam_pts[:, 0] / z + intr.cx).astype(np.int64)
-            v = np.round(intr.fy * cam_pts[:, 1] / z + intr.cy).astype(np.int64)
-        ok &= (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-        d = np.zeros_like(z)
-        d[ok] = depth.values[v[ok], u[ok]]
-        ok &= (d > 0) & (d >= near) & (d <= far)
-        s = d - z
-        ok &= s >= -cfg.truncation
-        phi = np.clip(s / cfg.truncation, -1.0, 1.0)
-        w_old = weight[ok]
-        sdf[ok] = (w_old * sdf[ok] + phi[ok]) / (w_old + 1.0)
-        weight[ok] = np.minimum(w_old + 1.0, cfg.weight_cap)
-    return sdf.reshape(dims), weight.reshape(dims)

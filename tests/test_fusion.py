@@ -3,17 +3,19 @@ import struct
 import numpy as np
 import pytest
 
-from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
+from sparsepose.camera import CameraIntrinsics, DepthImage
 from sparsepose.errors import DataError
 from sparsepose.fusion import Workspace, fuse_views, read_ply, write_ply_mesh, write_ply_points
 from sparsepose.grid import voxelize
+
+from oracles import identity_extrinsics
 
 
 def single_pixel_view(u=4, v=3, d=1.0):
     intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
     depth = np.zeros((6, 8))
     depth[v, u] = d
-    return DepthImage(depth), (intr, CameraExtrinsics.identity())
+    return DepthImage(depth), (intr, identity_extrinsics())
 
 
 WS = Workspace((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0))
@@ -34,7 +36,7 @@ class TestFuseViews:
     def test_empty_result_is_value_not_error(self):
         depth = DepthImage(np.zeros((6, 8)))
         intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
-        cloud = fuse_views([depth], [(intr, CameraExtrinsics.identity())], WS)
+        cloud = fuse_views([depth], [(intr, identity_extrinsics())], WS)
         assert cloud.shape == (0, 3)
 
     def test_workspace_crop(self):
@@ -48,7 +50,7 @@ class TestFuseViews:
         intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
         depth = DepthImage(rng.uniform(0.3, 2.0, size=(24, 32)))
         ws = Workspace((-0.5, -0.5, 0.2), (0.5, 0.5, 1.2))
-        cloud = fuse_views([depth], [(intr, CameraExtrinsics.identity())], ws)
+        cloud = fuse_views([depth], [(intr, identity_extrinsics())], ws)
         assert ws.contains(cloud).all()
 
     def test_mismatched_lengths_rejected(self):
@@ -77,7 +79,7 @@ class TestFuseViews:
             mask = rng.random((24, 32)) < 0.3
             d[mask] = rng.uniform(0.3, 2.0, size=int(mask.sum()))
             views.append(DepthImage(d))
-        cams = [(intr, CameraExtrinsics.identity())] * 3
+        cams = [(intr, identity_extrinsics())] * 3
         ws = Workspace((-2.0, -2.0, 0.0), (2.0, 2.0, 3.0))
         a = fuse_views(views, cams, ws)
         b = fuse_views(views[::-1], cams, ws)

@@ -10,9 +10,7 @@ from sparsepose.grid import (
     coarsen,
     find_rows,
     group_rows,
-    loglog_slope,
     neighbor_rows,
-    occupancy_csv,
     occupancy_stats,
     pack_index,
     partition_indices,
@@ -20,6 +18,7 @@ from sparsepose.grid import (
     unpack_index,
     voxelize,
 )
+from oracles import loglog_slope, occupancy_csv
 
 
 def brute_force_voxel_set(points, theta, origin):

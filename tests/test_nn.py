@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from sparsepose import autodiff as ad
 from sparsepose import nn
-from sparsepose.autodiff import Tensor, finite_difference_check
+from sparsepose.autodiff import Tensor
 from sparsepose.errors import DataError, NumericalError
 from sparsepose.grid import SparseVoxelGrid, coarsen, partition_indices
 from sparsepose.pipeline import LOSS_WEIGHTS
 from conftest import dict_neighbor_rows
+from oracles import attend_window, finite_difference_check
 
 
 def naive_window_attention(f, Wq, bq, Wk, bk, Wv, bv, Wo, heads, scaled):
@@ -52,7 +55,7 @@ class TestWindowAttention:
         rng = np.random.default_rng(0)
         attn = nn.WindowAttention(8, 2, rng)
         f = rng.normal(size=(1, 8))
-        out = attn.attend_window(Tensor(f))
+        out = attend_window(attn, Tensor(f))
         Wv, bv = attn.proj_v.weight.data, attn.proj_v.bias.data
         expected = (f @ Wv + bv) @ attn.proj_out.weight.data
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -61,7 +64,7 @@ class TestWindowAttention:
         rng = np.random.default_rng(1)
         attn = nn.WindowAttention(8, 2, rng)
         f = np.tile(rng.normal(size=(1, 8)), (2, 1))
-        out = attn.attend_window(Tensor(f))
+        out = attend_window(attn, Tensor(f))
         assert np.allclose(out.data[0], out.data[1], atol=1e-12)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -70,7 +73,7 @@ class TestWindowAttention:
         attn = nn.WindowAttention(8, heads, rng)
         for kw in (1, 2, 7, 33):
             f = rng.normal(size=(kw, 8))
-            out = attn.attend_window(Tensor(f))
+            out = attend_window(attn, Tensor(f))
             expected = naive_window_attention(f, *attention_params(attn), heads, True)
             assert np.max(np.abs(out.data - expected)) < 1e-10
 
@@ -79,8 +82,8 @@ class TestWindowAttention:
         attn = nn.WindowAttention(8, 2, rng)
         f = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        out = attn.attend_window(Tensor(f)).data
-        out_p = attn.attend_window(Tensor(f[perm])).data
+        out = attend_window(attn, Tensor(f)).data
+        out_p = attend_window(attn, Tensor(f[perm])).data
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
     def test_channels_not_divisible_rejected(self):
@@ -97,7 +100,7 @@ class TestWindowAttention:
             saved_q, saved_v = attn.proj_q.weight, attn.proj_v.weight
             attn.proj_q.weight = wq
             attn.proj_v.weight = wv
-            out = ad.tsum(ad.mul(attn.attend_window(f), ad.constant(w)))
+            out = ad.tsum(ad.mul(attend_window(attn, f), ad.constant(w)))
             attn.proj_q.weight, attn.proj_v.weight = saved_q, saved_v
             return out
 
@@ -114,8 +117,8 @@ class TestWindowAttention:
         f = rng.normal(size=(4, 8))
         out = attn(Tensor(f), windows).data
         # rows 0 and 2 share a window, rows 1 and 3 the other
-        a = attn.attend_window(Tensor(f[[0, 2]])).data
-        b = attn.attend_window(Tensor(f[[1, 3]])).data
+        a = attend_window(attn, Tensor(f[[0, 2]])).data
+        b = attend_window(attn, Tensor(f[[1, 3]])).data
         assert np.allclose(out[[0, 2]], a, atol=1e-12)
         assert np.allclose(out[[1, 3]], b, atol=1e-12)
 
@@ -142,7 +145,7 @@ class TestWindowedApply:
         out = attn(Tensor(f), windows).data
         for table in windows:
             for rows in table:
-                expected = attn.attend_window(Tensor(f[rows])).data
+                expected = attend_window(attn, Tensor(f[rows])).data
                 assert np.max(np.abs(out[rows] - expected)) < 1e-12
 
     def test_gradients_through_attention_node(self):
@@ -575,6 +578,19 @@ class TestCheckpoint:
         nn.save_checkpoint(path, a.parameters())
         with pytest.raises(DataError, match=r"has shape \(3, 4\), the model needs \(3, 5\)"):
             nn.assign_parameters(b.parameters(), path)
+
+    def test_assign_stray_parameter_rejected(self, tmp_path):
+        # a checkpoint of a larger model: its extra parameter would go unused
+        rng = np.random.default_rng(29)
+        a = nn.Linear(3, 4, rng)
+        b = nn.Linear(3, 4, rng, bias=False)
+        before = b.weight.data.copy()
+        path = tmp_path / "lin.ckpt"
+        nn.save_checkpoint(path, a.parameters())
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: checkpoint holds parameter 'bias', which the model does not have")):
+            nn.assign_parameters(b.parameters(), path)
+        assert np.array_equal(b.weight.data, before)  # nothing assigned
 
     def test_not_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"

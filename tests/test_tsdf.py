@@ -12,9 +12,10 @@ import pytest
 from sparsepose.camera import CameraExtrinsics, CameraIntrinsics, DepthImage
 from sparsepose.errors import DataError
 from sparsepose.fusion import Workspace, fuse_views
-from sparsepose.grid import loglog_slope
 from sparsepose import tsdf as tsdf_module
-from sparsepose.tsdf import SparseTsdf, TsdfConfig, activate_blocks, build_tsdf, dense_tsdf_reference
+from sparsepose.tsdf import SparseTsdf, TsdfConfig, activate_blocks, build_tsdf
+
+from oracles import dense_tsdf_reference, global_voxel_indices, identity_extrinsics, loglog_slope
 
 
 def block_slot(tsdf, block_index):
@@ -27,7 +28,7 @@ def flat_depth_camera(d=0.5, width=64, height=48, focal=64.0):
     intr = CameraIntrinsics(fx=focal, fy=focal, cx=(width - 1) / 2.0, cy=(height - 1) / 2.0,
                             width=width, height=height)
     depth = DepthImage(np.full((height, width), d))
-    return depth, intr, CameraExtrinsics.identity()
+    return depth, intr, identity_extrinsics()
 
 
 class TestConfig:
@@ -208,7 +209,7 @@ def assert_matches_dense(tsdf):
                                               near=0.05, far=2.0)
 
     # every active sparse voxel agrees with the dense reference
-    idx = tsdf.global_voxel_indices()
+    idx = global_voxel_indices(tsdf)
     sparse_sdf = tsdf.sdf.reshape(-1)
     sparse_w = tsdf.weight.reshape(-1)
     inside = np.all((idx >= 0) & (idx < dims), axis=1)
@@ -341,7 +342,7 @@ class TestChunkedWalk:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_block_larger_than_chunk(self, monkeypatch, workers):
-        # one block per chunk, integrated by the plain loop or by a pool
+        # one block per chunk, integrated by a pool of one worker or of two
         cfg = TsdfConfig(voxel_size=0.004, voxels_per_side=8)
         whole = box_scene_tsdf(cfg)
         monkeypatch.setattr(tsdf_module, "_CHUNK_VOXELS", 100)  # L^3 = 512 >= chunk
@@ -360,7 +361,7 @@ class TestChunkedWalk:
             one_block = box_scene_tsdf(cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert pools == ([2] * 3 if workers > 1 else [])  # one pool per view, two workers at most
+        assert pools == [min(workers, 2)] * 3  # one pool per view, two workers at most
         assert [stop - b0 for b0, stop in one_block._chunks()] == [1] * one_block.n_blocks
         assert_matches_dense(one_block)
         assert np.array_equal(one_block.sdf, whole.sdf)
