@@ -54,7 +54,7 @@ class PipelineConfig:
     # [icp]
     icp_iters: int = 30
     icp_corr_mult: float = 4.0       # times theta
-    icp_tol: float = 1e-5
+    icp_tol: float = 1e-3
 
     # [train]
     seed: int = 0

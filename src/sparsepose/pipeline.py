@@ -417,7 +417,8 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     The clusters double as instance indexing: each pose is refined against
     the scene points that fall into its own cluster's voxels, so adjacent
     objects and bin walls cannot capture correspondences. Clusters too small
-    to carve a stable target fall back to the full cloud.
+    to carve a stable target fall back to the full cloud, which icp_refine
+    crops around the pose.
 
     The targets are carved from the runs of the scene's voxel keys (theta
     voxels anchored at the workspace corner): each cluster's voxel keys are
@@ -466,7 +467,7 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
             if full_tree is None:
                 full_tree = cKDTree(scene)
             tree = full_tree
-        out, _ = icp_refine(pose, models[pose.class_id].cloud, tree,
+        out, _ = icp_refine(pose, models[pose.class_id].cloud_tree, tree,
                             iters=cfg.icp_iters, corr_dist=cfg.icp_corr_dist,
                             tol=cfg.icp_tol)
         refined.append(out)

@@ -248,6 +248,12 @@ class ObjectModel:
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
         return float(np.sqrt(d2.max()))
 
+    @cached_property
+    def cloud_tree(self):
+        """KD-tree over the canonical cloud, the ICP model; built on first access."""
+        from scipy.spatial import cKDTree  # deferred: keeps package import light
+        return cKDTree(self.cloud)
+
 
 def _model(class_id: int, name: str, mesh: Mesh, symmetries) -> ObjectModel:
     # canonical frame: surface centroid at the origin, so an object-center

@@ -361,52 +361,43 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def icp_refine(
     pose: Pose,
-    model_points: np.ndarray,
+    model_tree: cKDTree,
     scene_tree: cKDTree,
     iters: int = 30,
     corr_dist: float = 0.01,
-    tol: float = 1e-5,
-    n_model: int = 512,
+    tol: float = 1e-3,
 ) -> tuple[Pose, list[float]]:
-    """Point-to-point ICP of one object against the scene cloud.
+    """Point-to-point ICP registering the scene target to one object model.
 
-    Alternates nearest-neighbor correspondences and a Kabsch update; stops at
-    the iteration cap or when the relative RMSE change drops below tol.
-
-    Correspondence rejection: matches beyond corr_dist are dropped, and a
-    reciprocal check keeps a match only when the scene point's nearest model
-    point is the matcher. Partial views leave many model points (hidden
-    faces, inner walls) without a true counterpart; their one-sided matches
-    otherwise drag an already-correct pose sideways.
-
-    The reciprocal check uses one KD-tree over the model subsample, built
-    once per call in the model frame: the moved model is a rigid image of
-    it, so the scene point s is mapped back as (s - t) @ R and its nearest
-    model row is the one a tree over the moved points would return (the
-    distances agree up to rounding). Several model points often match one
-    scene point, so each distinct matched scene point is queried once.
+    `model_tree` is a KD-tree over the model's canonical cloud (model frame),
+    `scene_tree` one over the target scene points. The target is cropped once
+    per call to the scene points within max|model| + 2 corr_dist of the pose
+    translation, in scene order. Each iteration maps those points into the
+    model frame as (s - t) @ R, finds each one's nearest model point in one
+    query (matches beyond corr_dist are dropped) and applies the Kabsch
+    update that aligns the matched model points, moved by the pose, onto
+    their scene points. Matching the partial view to the complete model
+    leaves hidden model faces unmatched instead of dragging the pose toward
+    surfaces they have no counterpart on (Besl & McKay 1992). Stops at the
+    iteration cap or when the relative RMSE change drops below tol.
 
     Fewer than 3 correspondences leaves the pose unrefined (refined=False).
     Returns the pose and the per-iteration RMSE trace over the kept set.
     """
-    from scipy.spatial import cKDTree  # deferred: keeps package import light
-    pts = subsample_rows(model_points, n_model)
-    model_tree = cKDTree(pts)
+    model = model_tree.data
+    radius = float(np.linalg.norm(model, axis=1).max()) + 2.0 * corr_dist
+    crop = np.sort(np.asarray(scene_tree.query_ball_point(pose.translation, radius), dtype=np.intp))
+    scene = scene_tree.data[crop]
     R, t = pose.rotation.copy(), pose.translation.copy()
     trace: list[float] = []
     refined = False
     for _ in range(iters):
-        moved = pts @ R.T + t
-        dist, idx = scene_tree.query(moved, distance_upper_bound=corr_dist)
-        ok = np.nonzero(np.isfinite(dist))[0]
-        if ok.size:
-            hit, which = np.unique(idx[ok], return_inverse=True)  # one query per scene point
-            back = model_tree.query((scene_tree.data[hit] - t) @ R)[1]
-            ok = ok[back[which] == ok]
-        if ok.size < 3:
+        dist, idx = model_tree.query((scene - t) @ R, distance_upper_bound=corr_dist)
+        ok = np.isfinite(dist)
+        if np.count_nonzero(ok) < 3:
             break
-        src = moved[ok]
-        dst = scene_tree.data[idx[ok]]
+        src = model[idx[ok]] @ R.T + t
+        dst = scene[ok]
         rmse = float(np.sqrt(np.mean(np.sum((src - dst) ** 2, axis=1))))
         if trace and abs(trace[-1] - rmse) <= tol * max(trace[-1], 1e-12):
             trace.append(rmse)

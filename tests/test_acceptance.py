@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sparsepose import autodiff as ad
-from sparsepose import nn
+from sparsepose import nn, pipeline
 from sparsepose.autodiff import Tensor
 from sparsepose.config import PipelineConfig
 from sparsepose.fusion import Workspace, fuse_views
@@ -294,23 +294,14 @@ def test_criterion_6_oracle_end_to_end():
     object on 20 scenes."""
     t0 = time.time()
     cfg = PipelineConfig(theta=0.002)
-    rng = np.random.default_rng(6)
     n_scenes = 20
     recovered = 0
     total_objects = 0
     worst_t = worst_add = worst_adds = 0.0
-    for s in range(n_scenes):
-        n_objects = 5 + int(rng.integers(0, 11))
-        intr = default_intrinsics(width=240, height=180, focal=230.0)
-        half = 0.11 if n_objects <= 10 else 0.13
-        cams = default_camera_ring((-half, -half, 0.0), (half, half, 0.06),
-                                   n_views=3, distance=0.45, intr=intr)
-        spec = sample_scene(LIBRARY, (-half, -half, 0.0), (half, half, 0.06),
-                            n_objects=n_objects, seed=600 + s, cameras=cams)
-        depths = render_scene(spec)
-        bundle_like = _InMemoryBundle(spec, depths)
+    errors = []
+    for s, spec, bundle_like in criterion_6_scenes(n_scenes):
+        n_objects = len(spec.instances)
         poses, _ = estimate_poses(bundle_like, cfg, oracle=True)
-        gt_t = np.asarray([inst.translation for inst in spec.instances])
         total_objects += n_objects
         for gi, inst in enumerate(spec.instances):
             model = LIBRARY[inst.name]
@@ -322,6 +313,7 @@ def test_criterion_6_oracle_end_to_end():
             adds_err = add_s(best.rotation, best.translation, inst.rotation, inst.translation, model.cloud)
             symmetric = len(model.symmetries) > 1
             worst_t = max(worst_t, t_err)
+            errors.append(adds_err if symmetric else add_err)
             if symmetric:
                 worst_adds = max(worst_adds, adds_err)
                 assert adds_err < 0.002, f"scene {s} object {gi}: ADD-S {adds_err*1000:.2f} mm"
@@ -336,7 +328,49 @@ def test_criterion_6_oracle_end_to_end():
     report("criterion 6 (oracle end-to-end)",
            f"{recovered}/{total_objects} objects on {n_scenes} scenes, worst t "
            f"{worst_t*1000:.2f} mm, worst ADD {worst_add*1000:.2f} mm, worst sym ADD-S "
-           f"{worst_adds*1000:.2f} mm, {elapsed:.1f}s")
+           f"{worst_adds*1000:.2f} mm, median ADD(-S) {np.median(errors)*1000:.3f} mm, {elapsed:.1f}s")
+
+
+def criterion_6_scenes(n_scenes):
+    """Criterion 6's scene set, rendered lazily: (index, spec, bundle)."""
+    rng = np.random.default_rng(6)
+    for s in range(n_scenes):
+        n_objects = 5 + int(rng.integers(0, 11))
+        intr = default_intrinsics(width=240, height=180, focal=230.0)
+        half = 0.11 if n_objects <= 10 else 0.13
+        cams = default_camera_ring((-half, -half, 0.0), (half, half, 0.06),
+                                   n_views=3, distance=0.45, intr=intr)
+        spec = sample_scene(LIBRARY, (-half, -half, 0.0), (half, half, 0.06),
+                            n_objects=n_objects, seed=600 + s, cameras=cams)
+        yield s, spec, _InMemoryBundle(spec, render_scene(spec))
+
+
+def test_oracle_icp_stays_at_exact_pose(monkeypatch):
+    """Oracle votes aggregate to the exact pose, so ICP starts there and can
+    only drift. Median ADD(-S) over the 29 objects of criterion-6 scenes 0-2
+    was 0.272 mm when ICP matched model points into the scene with a
+    reciprocal check, and is 0.060 mm registering the scene to the complete
+    model; the bound lies between."""
+    starts = []
+    icp = pipeline.icp_refine
+    monkeypatch.setattr(pipeline, "icp_refine",
+                        lambda pose, *args, **kw: (starts.append(pose), icp(pose, *args, **kw))[1])
+    cfg = PipelineConfig(theta=0.002)
+    before, after = [], []
+    for _, spec, bundle in criterion_6_scenes(3):
+        starts.clear()
+        poses, _ = estimate_poses(bundle, cfg, oracle=True)
+        for inst in spec.instances:
+            model = LIBRARY[inst.name]
+            metric = add_s if len(model.symmetries) > 1 else add
+            for found, errs in ((starts, before), (poses, after)):
+                best = min((p for p in found if p.class_id == inst.class_id),
+                           key=lambda p: np.linalg.norm(p.translation - inst.translation))
+                errs.append(metric(best.rotation, best.translation, inst.rotation,
+                                   inst.translation, model.cloud))
+    assert len(after) == 29
+    assert max(before) < 1e-9
+    assert np.median(after) < 0.00015, f"median ADD(-S) {np.median(after)*1000:.3f} mm"
 
 
 class _InMemoryBundle:
@@ -459,8 +493,8 @@ def test_criterion_9_icp_recovery():
         R0 = rotation_about(rng.normal(size=3), np.deg2rad(5.0))
         t0 = rng.normal(size=3)
         t0 = 0.005 * t0 / np.linalg.norm(t0)
-        refined, trace = icp_refine(Pose(R0, t0, class_id=1), pts, tree,
-                                    iters=30, corr_dist=0.02, n_model=512)
+        refined, trace = icp_refine(Pose(R0, t0, class_id=1), tree, tree,
+                                    iters=30, corr_dist=0.02)
         ang = np.rad2deg(np.arccos(np.clip((np.trace(refined.rotation) - 1) / 2, -1, 1)))
         t_err = np.linalg.norm(refined.translation)
         assert ang < 0.5, f"trial {trial}: {ang:.3f} deg"

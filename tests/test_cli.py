@@ -201,23 +201,23 @@ class TestEstimateAndEval:
         out = tmp_path / "poses"
         assert run(["estimate", tiny_bundle_dir, "--oracle", "--out", out]) == 0
         assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == \
-            "7e7dc43ef15559e79997caeea001654ba0ab4293023dc4877e2d30ca0f87da91"
+            "50c3b937eabd7a228bc681126ae9bd10192422667556cb00e348c812f56734dc"
 
     def test_oracle_pose_json_sha_pinned_tsdf(self, tiny_bundle_dir, tmp_path):
         # the TSDF path: band grid, its votes and ICP against the fused cloud
         out = tmp_path / "poses"
         assert run(["estimate", tiny_bundle_dir, "--oracle", "--repr", "tsdf", "--out", out]) == 0
         assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == \
-            "3e03093b907ec985f522876bf65a59d0fc4a4f0fc339ead7b8ca45e55a719b33"
+            "7801d9c851d98681875dbb1d83a6f6be3324eb91f32783527543e9eda3e72cdc"
 
     def test_oracle_eval_sha_pinned(self, tiny_bundle_dir, tmp_path):
         poses, metrics = tmp_path / "poses", tmp_path / "metrics"
         assert run(["estimate", tiny_bundle_dir, "--oracle", "--out", poses]) == 0
         assert run(["eval", tiny_bundle_dir, poses.with_suffix(".json"), "--out", metrics]) == 0
         assert hashlib.sha256(metrics.with_suffix(".csv").read_bytes()).hexdigest() == \
-            "b62c76c2c943153289f6ae0dce1b84729790cb17f9fdfc6b11c02d12b9c40122"
+            "6a9c7a8b1772f7c1634f0084a6e6a10545250c8d40715d119a748ff8326fde63"
         assert hashlib.sha256(metrics.with_suffix(".json").read_bytes()).hexdigest() == \
-            "23c54ec2119d7e4f64415d1ad332e36bcb97cb7d2bbc6c1fe9dc1c4ff8ef4d01"
+            "270fc287d1f78da608e3458a312c9ed30e029def7e3132f54449b5d19a9b60e0"
 
     def test_estimate_without_model_or_oracle_is_config_error(self, scene_dir):
         assert run(["estimate", scene_dir]) == 2
@@ -547,7 +547,7 @@ class TestDumpConfig:
         assert out.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("text, sha256", [
-        ("", "2f76918c78a0df235e9590118f10c500f7c1927336d36a8fbb41f4857a3f69e7"),
+        ("", "4cc08687233229c307f10a2a945b2592aa131202b9f1a3166ab4114fcb1f63d2"),
         (_AWAY_FROM_DEFAULTS, "897e423efed5c77ea30f0ec101efeaa48174a506c7904825ba0b9aa77bce972f"),
     ], ids=["defaults", "every_key_away"])
     def test_dump_sha_pinned(self, tmp_path, text, sha256):

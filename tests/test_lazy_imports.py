@@ -62,7 +62,7 @@ from sparsepose.voting import Pose, icp_refine
 cloud = np.random.default_rng(0).uniform(-0.02, 0.02, (300, 3))
 pose = Pose(np.eye(3), np.array([0.001, 0.0, 0.0]), 1)
 from scipy.spatial import cKDTree
-out, trace = icp_refine(pose, cloud, cKDTree(cloud), corr_dist=0.01)
+out, trace = icp_refine(pose, cKDTree(cloud), cKDTree(cloud), corr_dist=0.01)
 print(out.refined, len(trace) > 0)
 """, "True True"),
     "roi_target": ("""

@@ -43,3 +43,23 @@ def test_workload_entry_points_run(monkeypatch, small_bundle_dir, tmp_path, name
     work.setup()
     work.warmup()
     assert work.failed == 0, work.failures
+
+
+def test_traced_oracle_estimate_probes_icp(monkeypatch, small_bundle_dir, tmp_path):
+    # the ICP probe reads the call's positional arguments: a signature it
+    # cannot read fails here rather than in the traced benchmark run
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracer").Tracer()
+    work = workloads.WORKLOADS["oracle_estimate"]([str(small_bundle_dir)], str(tmp_path))
+    work.setup()
+    layers.install(tracer)
+    try:
+        work.warmup()
+    finally:
+        tracer.unpatch()
+    spans = tracer.by_name().get("voting.icp_refine", [])
+    assert spans
+    for span in spans:
+        assert {"iters", "refined", "full_cloud"} <= set(span.info)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from sparsepose.autodiff import Tensor
@@ -452,6 +453,41 @@ class TestOraclePath:
         for tree in trees[:2]:
             keys = pack_index(np.floor(tree.data / cfg.theta).astype(np.int64))
             assert (keys == shared_key).sum() == n_shared > 0
+
+    def test_small_cluster_refines_against_cropped_full_cloud(self, small_bundle, monkeypatch):
+        # one object keeps 6 of its oracle votes, so its cluster carves under
+        # 50 scene points: ICP gets the full-cloud tree, crops it around the
+        # pose and queries the model tree with fewer points than the scene
+        cfg = quick_config(theta=0.002)
+        fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
+        votes = oracle_votes(fine, small_bundle.gt)
+        centroids = small_bundle.gt.centroids
+        owner = np.argmin(np.linalg.norm(votes.predicted_centers()[:, None] - centroids[None], axis=2), axis=1)
+        keep = (owner != 0) | (np.cumsum(owner == 0) <= 6)
+        votes = VoteSet(votes.voxel_centers[keep], votes.offsets[keep], votes.rot6d[keep],
+                        votes.confidence[keep], votes.class_ids[keep])
+
+        calls = []
+        icp = pipeline.icp_refine
+
+        def spy(pose, model_tree, scene_tree, **kw):
+            calls.append((scene_tree.n, []))
+            return icp(pose, model_tree, scene_tree, **kw)
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                calls[-1][1].append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        for model in small_bundle.models.values():
+            monkeypatch.setitem(model.__dict__, "cloud_tree", CountingTree(model.cloud))
+        monkeypatch.setattr(pipeline, "icp_refine", spy)
+        poses = votes_to_poses(votes, cloud, small_bundle.models, cfg, small_bundle.workspace)
+        assert len(poses) == len(calls) == small_bundle.gt.n_objects
+        full = [queried for n, queried in calls if n == len(cloud)]
+        assert len(full) == 1 and full[0]
+        assert max(full[0]) < len(cloud)
+        assert min(poses, key=lambda p: np.linalg.norm(p.translation - centroids[0])).refined
 
 
 def _voting_output(fine, gt, votes, keep):
