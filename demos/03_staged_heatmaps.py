@@ -4,7 +4,7 @@
 Voxelizes a fused scene, builds the coarse grid (10x), scores it with the
 center+boundary distance weighting, gates it through the sigmoid soft
 suppression, lifts the survivors back to fine resolution and applies the
-objectness target plus adaptive topK. Losses are evaluated on synthetic
+objectness target plus the objectness floor that picks the pose rows. Losses are evaluated on synthetic
 predictions to show their scales.
 """
 
@@ -13,6 +13,7 @@ import numpy as np
 from sparsepose.config import PipelineConfig
 from sparsepose.grid import SparseVoxelGrid, coarsen
 from sparsepose.heatmap import (
+    MIN_VOTE_CONFIDENCE,
     adaptive_topk,
     focal_loss,
     gaussian_focal_loss,
@@ -57,7 +58,7 @@ lifted = SparseVoxelGrid(fine.resolution, fine.origin, fine.indices[rows],
                          np.hstack([fine.features[rows], coarse.features[parent[rows]]]))
 print(f"lifted fine voxels: {len(lifted)} ({lifted.channels} channels after enrichment)\n")
 
-# -- stage two: objectness + adaptive topK ------------------------------------
+# -- stage two: objectness + the objectness floor -----------------------------
 y = objectness_target(lifted, bundle.gt)
 print(f"objectness positives: {int(y.sum())}/{len(lifted)}")
 pred_obj = np.clip(y * 0.8 + 0.1, 1e-6, 1 - 1e-6)
@@ -65,6 +66,8 @@ loss_obj, _ = focal_loss(pred_obj, y)
 print(f"focal loss of a decent prediction: {loss_obj:.4f}")
 
 scores = pred_obj + 0.01 * np.random.default_rng(1).normal(size=len(lifted))
-selected, k = adaptive_topk(scores, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
-frac_fg = y[selected].mean() if k else 0.0
-print(f"adaptive topK keeps K={k} voxels; {100*frac_fg:.1f}% of them are foreground")
+selected = adaptive_topk(scores, cfg.topk_max)
+frac_fg = y[selected].mean() if len(selected) else 0.0
+n_above = int((scores >= MIN_VOTE_CONFIDENCE).sum())
+print(f"objectness floor {MIN_VOTE_CONFIDENCE}: {n_above} rows at or above it, K={len(selected)} pose rows "
+      f"(at most {cfg.topk_max}); {100*frac_fg:.1f}% of them are foreground")

@@ -215,16 +215,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), parents=(a,), backward=backward)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        _accumulate(a, g.transpose(inv))
-
-    return Tensor(a.data.transpose(axes), parents=(a,), backward=backward)
-
-
 def concat(tensors, axis=0) -> Tensor:
     tensors = [constant(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]

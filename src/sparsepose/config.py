@@ -35,9 +35,7 @@ class PipelineConfig:
     suppress_kappa: float = 0.5
 
     # [objectness]
-    topk_ratio: float = 0.5
-    topk_min: int = 32
-    topk_max: int = 512
+    topk_max: int = 512             # pose rows, the best at or above the objectness floor
 
     # [network]
     width: int = 32
@@ -83,9 +81,6 @@ class PipelineConfig:
                               f"got {self.window_small} and {self.window_medium}")
         if self.near >= self.far:
             raise ConfigError(f"near must be smaller than far, got {self.near} and {self.far}")
-        if self.topk_min > self.topk_max:
-            raise ConfigError(f"topk_min must not exceed topk_max, "
-                              f"got {self.topk_min} and {self.topk_max}")
 
     @property
     def dbscan_eps(self) -> float:
@@ -107,7 +102,7 @@ _SECTIONS = {
     "tsdf": {"tsdf_voxels_per_side": "[1, 32]", "tsdf_truncation_mult": "(0, inf)"},
     "heatmap": {"sigma_c": "[0.1, 1000]", "sigma_b": "[0.1, 1000]", "suppress_beta": "(0, inf)",
                 "suppress_epsilon": "[0, 1]", "suppress_kappa": "(0, 1)"},
-    "objectness": {"topk_ratio": "(0, 1]", "topk_min": "[1, inf)", "topk_max": "[1, inf)"},
+    "objectness": {"topk_max": "[1, inf)"},
     "network": {"width": "[1, 256]", "roi_width": "[1, 256]", "heads": "[1, inf)",
                 "window_small": "[1, 1000]", "window_medium": "[1, 1000]"},
     "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",

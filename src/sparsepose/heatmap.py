@@ -3,9 +3,11 @@
 Stage one scores coarse voxels against object centers and boundaries with a
 Gaussian distance weighting, trains with a Gaussian focal loss and prunes
 background through a sigmoid soft-attention gate. Stage two scores fine
-voxels with a binary objectness target, focal loss and an adaptive topK
-cut, then classifies per voxel with a class-weighted cross entropy; the
-heatmap features reach the classifier only through its input rows.
+voxels with a binary objectness target and focal loss, and keeps for the
+pose stage the rows at or above one objectness floor (at most a capped
+number of the best), then classifies per voxel with a class-weighted cross
+entropy; the heatmap features reach the classifier only through its input
+rows.
 
 All five task losses (these three and `voting`'s translation and rotation
 losses) return (scalar, gradient w.r.t. the prediction): each is checked
@@ -22,6 +24,13 @@ from .errors import DataError
 from .grid import SparseVoxelGrid, lattice_index
 
 _CLAMP = 1e-6
+
+# The objectness floor: a fine row scoring below it gets no pose row and
+# casts no vote. A trained model scores its background rows far below it and
+# its foreground rows far above; background votes would form clusters with no
+# object behind them or join an object's cluster. Oracle votes score 1, an
+# untrained model's rows 0.5.
+MIN_VOTE_CONFIDENCE = 0.3
 
 
 @dataclass(frozen=True)
@@ -172,30 +181,18 @@ def focal_loss(pred: np.ndarray, target: np.ndarray, gamma_f: float = 2.0, alpha
     return loss, np.where(live, (y * dpos + (1.0 - y) * dneg) / n_pos, 0.0)
 
 
-def adaptive_topk(
-    scores: np.ndarray,
-    ratio: float,
-    k_min: int = 1,
-    k_max: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Keep the K = clamp(ceil(ratio * N), k_min, min(k_max, N)) best-scoring
-    rows, returned in ascending order; ties break toward the smaller row. The
-    rows of a sorted grid are in voxel-index order, so there a tie goes to the
-    lexicographically smaller voxel.
+def adaptive_topk(scores: np.ndarray, k_max: int) -> np.ndarray:
+    """The rows whose score is at least MIN_VOTE_CONFIDENCE, at most the
+    `k_max` best of them, in ascending order; NaN never passes, and ties
+    break toward the smaller row. The rows of a sorted grid are in
+    voxel-index order, so there a tie goes to the lexicographically smaller
+    voxel.
     """
-    if not (0.0 < ratio <= 1.0):
-        raise DataError(f"topK ratio must lie in (0, 1], got {ratio}")
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    n = scores.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    k = int(np.ceil(ratio * n))
-    k = max(k, int(k_min))
-    cap = n if k_max is None else min(int(k_max), n)
-    k = min(k, cap)
-    order = np.argsort(-scores, kind="stable")
-    kept = np.sort(order[:k])
-    return kept, k
+    rows = np.nonzero(scores >= MIN_VOTE_CONFIDENCE)[0]
+    if rows.size > k_max:
+        rows = np.sort(rows[np.argsort(-scores[rows], kind="stable")[:k_max]])
+    return rows
 
 
 def class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:

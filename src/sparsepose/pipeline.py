@@ -16,6 +16,7 @@ from .errors import DataError
 from .fusion import Workspace, fuse_views
 from .grid import SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, run_rows, voxelize
 from .heatmap import (
+    MIN_VOTE_CONFIDENCE,
     SceneGroundTruth,
     adaptive_topk,
     focal_loss,
@@ -49,12 +50,6 @@ NET_DTYPE = np.float32
 
 # The weights of the five task losses: RoI, objectness, class, translation, rotation.
 LOSS_WEIGHTS = (1.0, 3.0, 2.0, 3.0, 1.0)
-
-# Votes whose objectness score is below this are dropped before clustering:
-# the background rows a trained model selects score far lower than its
-# foreground rows, and their votes form clusters with no object behind them
-# or join an object's cluster. Oracle votes score 1, an untrained model's 0.5.
-MIN_VOTE_CONFIDENCE = 0.3
 
 
 def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
@@ -202,7 +197,9 @@ def staged_forward(
     train: bool = False,
 ) -> StagedOutput:
     """RoI scoring on the coarse grid, soft suppression, feature lifting,
-    objectness scoring + adaptive topK, pose regression on the survivors.
+    objectness scoring, pose regression on the rows at or above the
+    objectness floor (at most `topk_max` of the best; none is a valid
+    result).
     The networks compute in NET_DTYPE: the grid features are cast to it on
     the way in.
 
@@ -211,7 +208,7 @@ def staged_forward(
     so their kernel maps derive from the fine one.
 
     With `train` on a structure built with ground truth, the keep- and
-    topK-selections are unioned with ground-truth foreground so the
+    pose-row selections are unioned with ground-truth foreground so the
     downstream heads always see supervision while the heatmaps are still
     warming up.
     """
@@ -234,7 +231,7 @@ def staged_forward(
                               ad.gather_rows(roi_trunk, parent_row[fine_rows])], axis=1)
     lifted_pairs = scene.fine_pairs.subset(fine_rows)
     obj_scores, cls_logits, obj_trunk = model.obj(lifted_pairs, lifted_feats)
-    selected, _ = adaptive_topk(obj_scores.data, cfg.topk_ratio, cfg.topk_min, cfg.topk_max)
+    selected = adaptive_topk(obj_scores.data, cfg.topk_max)
     if train:
         selected = np.union1d(selected, np.nonzero(scene.owner[fine_rows] >= 0)[0])
     selected_idx = lifted_idx[selected]

@@ -5,7 +5,7 @@ No command runs these, so they live beside the tests rather than in
 sparse one (criterion 1), the log-log slope and CSV of occupancy statistics
 (criterion 2), the central finite-difference gradient check (criterion 3),
 and single-window attention built from generic autodiff ops with its
-softmax node (criteria 3 and 4). Demos load this file by path.
+softmax and transpose nodes (criteria 3 and 4). Demos load this file by path.
 """
 
 from __future__ import annotations
@@ -109,17 +109,27 @@ def softmax_lastaxis(a: Tensor) -> Tensor:
     return Tensor(val, parents=(a,), backward=backward)
 
 
+def transpose(a: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
+    inv = np.argsort(axes)
+
+    def backward(g):
+        _accumulate(a, g.transpose(inv))
+
+    return Tensor(a.data.transpose(axes), parents=(a,), backward=backward)
+
+
 def attend_window(attn, f: Tensor) -> Tensor:
     """Reference attention of the nn.WindowAttention `attn` over one window,
     built from generic autodiff ops: f (K_w, C) -> (K_w, C); K_w is dynamic
     and may be 1."""
     kw, h, d = f.data.shape[0], attn.heads, attn.head_dim
-    q = ad.transpose(ad.reshape(attn.proj_q(f), (kw, h, d)), (1, 0, 2))
-    k = ad.transpose(ad.reshape(attn.proj_k(f), (kw, h, d)), (1, 0, 2))
-    v = ad.transpose(ad.reshape(attn.proj_v(f), (kw, h, d)), (1, 0, 2))
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), ad.constant(1.0 / math.sqrt(d), f.dtype))
+    q = transpose(ad.reshape(attn.proj_q(f), (kw, h, d)), (1, 0, 2))
+    k = transpose(ad.reshape(attn.proj_k(f), (kw, h, d)), (1, 0, 2))
+    v = transpose(ad.reshape(attn.proj_v(f), (kw, h, d)), (1, 0, 2))
+    logits = ad.mul(ad.matmul(q, transpose(k, (0, 2, 1))), ad.constant(1.0 / math.sqrt(d), f.dtype))
     z = ad.matmul(softmax_lastaxis(logits), v)  # (h, kw, d)
-    return attn.proj_out(ad.reshape(ad.transpose(z, (1, 0, 2)), (kw, h * d)))
+    return attn.proj_out(ad.reshape(transpose(z, (1, 0, 2)), (kw, h * d)))
 
 
 def finite_difference_check(fn, arrays, eps=1e-5, rtol=1e-4) -> float:

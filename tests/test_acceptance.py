@@ -18,6 +18,7 @@ from sparsepose.heatmap import (
     class_weights,
     focal_loss,
     gaussian_focal_loss,
+    objectness_target,
     roi_target,
     weighted_cross_entropy,
 )
@@ -413,7 +414,7 @@ def test_criterion_7_toy_learning(toy_scene_dir):
     model, trace = train_toy(bundle, cfg)
     assert trace[-1].total < 0.5 * trace[0].total, (
         f"loss {trace[0].total:.3f} -> {trace[-1].total:.3f} did not halve")
-    poses, _ = estimate_poses(bundle, cfg, model=model, representation="cloud")
+    poses, n_pose_rows = estimate_poses(bundle, cfg, model=model, representation="cloud")
     good = 0
     per_object = []
     for inst in bundle.instances:
@@ -432,9 +433,12 @@ def test_criterion_7_toy_learning(toy_scene_dir):
     elapsed = time.time() - t0
     assert good >= 2 * len(bundle.instances) // 3, f"ADD-S mm: {[round(e*1000,2) for e in per_object]}"
     assert elapsed < 900.0, f"criterion 7 runtime {elapsed:.1f}s >= 900s"
+    fine, _, _ = pipeline.build_input_grid(bundle, cfg, "cloud")
+    n_foreground = int(objectness_target(fine, bundle.gt).sum())
     report("criterion 7 (toy learning)",
            f"loss {trace[0].total:.3f} -> {trace[-1].total:.3f} in {cfg.steps} steps, "
-           f"ADD-S mm {[round(e*1000,2) for e in per_object]}, {elapsed:.1f}s")
+           f"ADD-S mm {[round(e*1000,2) for e in per_object]}, "
+           f"pose rows at estimate {n_pose_rows} of {n_foreground} foreground voxels, {elapsed:.1f}s")
 
 
 def test_criterion_8_dbscan_and_chordal_mean_oracles():

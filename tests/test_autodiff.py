@@ -6,7 +6,7 @@ from sparsepose import nn
 from sparsepose.autodiff import Tensor
 from sparsepose.errors import DataError, NumericalError
 
-from oracles import finite_difference_check, softmax_lastaxis
+from oracles import finite_difference_check, softmax_lastaxis, transpose
 
 
 def scalarize(t):
@@ -124,8 +124,8 @@ class TestGradients:
 
         def fn(a, b):
             x = ad.reshape(a, (2, 6))
-            y = ad.transpose(ad.reshape(b, (2, 6)), (1, 0))
-            z = ad.concat([x, ad.transpose(y, (1, 0))], axis=0)
+            y = transpose(ad.reshape(b, (2, 6)), (1, 0))
+            z = ad.concat([x, transpose(y, (1, 0))], axis=0)
             return scalarize(z)
 
         finite_difference_check(fn, [rng.normal(size=(3, 4)), rng.normal(size=(12,))])
@@ -204,8 +204,8 @@ def _conv_node(x, kernel, bias):
 
 
 # Every op that builds its node through the Tensor constructor, plus the two
-# hand-written nodes in nn and the oracles' softmax: (input shapes, op over
-# the input tensors).
+# hand-written nodes in nn and the oracles' softmax and transpose: (input
+# shapes, op over the input tensors).
 GRAPH_NODES = {
     "add": ([(3, 4), (4,)], ad.add),
     "sub": ([(3, 4), (3, 1)], ad.sub),
@@ -219,7 +219,7 @@ GRAPH_NODES = {
     "tsum_keepdims": ([(3, 4)], lambda a: ad.tsum(a, axis=1, keepdims=True)),
     "softmax_lastaxis": ([(3, 4)], softmax_lastaxis),
     "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
-    "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
+    "transpose": ([(2, 3, 4)], lambda a: transpose(a, (2, 0, 1))),
     "concat": ([(3, 4), (3, 2)], lambda a, b: ad.concat([a, b], axis=1)),
     "gather_rows": ([(3, 4)], lambda a: ad.gather_rows(a, [2, 0, 2])),
     "scatter_add_rows": ([(4, 2)], lambda a: ad.scatter_add_rows(a, [0, 2, 2, 1], 3)),

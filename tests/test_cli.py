@@ -504,8 +504,6 @@ suppress_epsilon = 0.25
 suppress_kappa = 0.4
 
 [objectness]
-topk_ratio = 0.4
-topk_min = 16
 topk_max = 256
 
 [network]
@@ -547,8 +545,8 @@ class TestDumpConfig:
         assert out.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("text, sha256", [
-        ("", "4cc08687233229c307f10a2a945b2592aa131202b9f1a3166ab4114fcb1f63d2"),
-        (_AWAY_FROM_DEFAULTS, "897e423efed5c77ea30f0ec101efeaa48174a506c7904825ba0b9aa77bce972f"),
+        ("", "133041887f530e71566e6bd7a1d42df1a3a5af093aa8817e25d9928b25c1d8df"),
+        (_AWAY_FROM_DEFAULTS, "810a62a5b0a5148b3add8b27f53c64de1a902b16cde82f1dfdf9a7450b0425b9"),
     ], ids=["defaults", "every_key_away"])
     def test_dump_sha_pinned(self, tmp_path, text, sha256):
         # the config file format: section order, key order and value spelling
@@ -606,9 +604,11 @@ _REMOVED_KEYS = [("heatmap", "attention_reweight = false"), ("network", "scaled_
                  ("objectness", "obj_alpha = 0.25"), ("loss", "lambda_roi = 1.0"), ("loss", "lambda_obj = 3.0"),
                  ("loss", "lambda_cls = 2.0"), ("loss", "lambda_t = 3.0"), ("loss", "lambda_rot = 1.0"),
                  ("loss", "smooth_l1_delta = 0.01"), ("train", "train_rot_lr_mult = 30.0"),
-                 ("train", "train_clip_norm = 10.0"),
+                 ("train", "train_clip_norm = 10.0"), ("objectness", "topk_ratio = 0.5"),
+                 ("objectness", "topk_min = 32"),
                  # out-of-range values, once a range error, now an unknown key like any value
-                 ("train", "train_clip_norm = 0"), ("loss", "smooth_l1_delta = 0")]
+                 ("train", "train_clip_norm = 0"), ("loss", "smooth_l1_delta = 0"),
+                 ("objectness", "topk_min = -4"), ("objectness", "topk_min = 64\ntopk_max = 32")]
 
 
 @pytest.mark.parametrize("section, line", _REMOVED_KEYS + [
@@ -618,8 +618,7 @@ _REMOVED_KEYS = [("heatmap", "attention_reweight = false"), ("network", "scaled_
     ("train", "seed = -1"), ("network", "width = 0"), ("network", "roi_width = 0"),
     ("camera", "near = 5"), ("camera", "near = 0.05\nfar = 0.01"),
     ("train", "momentum = 1.5"),
-    ("objectness", "topk_min = -4"), ("objectness", "topk_max = 0"),
-    ("objectness", "topk_min = 64\ntopk_max = 32"),
+    ("objectness", "topk_max = 0"),
 ])
 def test_bad_voting_or_icp_key_fails_before_any_work(scene_dir, tmp_path, capsys, section, line):
     bad = tmp_path / "bad.cfg"

@@ -93,7 +93,7 @@ class TestValidation:
 
 class TestRoundTrip:
     def test_dump_load_dump_byte_identical(self):
-        cfg = PipelineConfig(theta=0.00125, lr=0.007, topk_ratio=0.33)
+        cfg = PipelineConfig(theta=0.00125, lr=0.007, vote_top_fraction=0.33)
         text = dump_config(cfg)
         again = dump_config(parse_config(text))
         assert text == again

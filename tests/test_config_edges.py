@@ -31,9 +31,8 @@ _COMMAND_KEYS = {
     "targets": ["theta", "near", "far", "coarse_factor", "sigma_c", "sigma_b", "suppress_beta",
                 "suppress_epsilon", "suppress_kappa", "seed"],
     "train-toy": ["near", "far", "coarse_factor", "sigma_c", "sigma_b", "suppress_beta",
-                  "suppress_epsilon", "suppress_kappa", "topk_ratio", "topk_min", "width", "roi_width",
-                  "heads", "window_small", "window_medium", "seed", "warmup_fraction", "lr", "momentum",
-                  "train_chamfer_points"],
+                  "suppress_epsilon", "suppress_kappa", "width", "roi_width", "heads", "window_small",
+                  "window_medium", "seed", "warmup_fraction", "lr", "momentum", "train_chamfer_points"],
 }
 _COMMAND_CASES = [(command, key) for command, keys in _COMMAND_KEYS.items() for key in keys]
 

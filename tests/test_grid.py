@@ -210,7 +210,7 @@ class TestLiftAndFilter:
     """The lifting inside staged_forward: the fine voxels whose coarse parent
     survived suppression, widened with the parent's RoI trunk features."""
 
-    cfg = PipelineConfig(theta=0.002, width=8, roi_width=4, heads=2, topk_min=8, topk_max=64)
+    cfg = PipelineConfig(theta=0.002, width=8, roi_width=4, heads=2, topk_max=64)
 
     def make_fine(self, n=200, seed=6):
         rng = np.random.default_rng(seed)

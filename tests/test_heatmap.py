@@ -5,6 +5,7 @@ from conftest import scene_gt
 from sparsepose.errors import DataError
 from sparsepose.grid import SparseVoxelGrid, voxelize
 from sparsepose.heatmap import (
+    MIN_VOTE_CONFIDENCE,
     adaptive_topk,
     class_weights,
     focal_loss,
@@ -199,43 +200,45 @@ class TestFocalLoss:
 
 
 class TestAdaptiveTopk:
-    def test_ratio_one_identity(self):
-        scores = np.random.default_rng(5).random(17)
-        kept, k = adaptive_topk(scores, ratio=1.0)
-        assert k == 17
-        assert np.array_equal(kept, np.arange(17))
+    """The pose rows: those scoring at least MIN_VOTE_CONFIDENCE, the floor
+    `votes_to_poses` applies to votes, and at most the k_max best of them."""
 
-    def test_distinct_scores_top_half(self):
-        scores = np.arange(10, dtype=float)
-        kept, k = adaptive_topk(scores, ratio=0.5, k_min=1)
-        assert k == 5
-        assert set(kept) == {5, 6, 7, 8, 9}
+    below = np.nextafter(MIN_VOTE_CONFIDENCE, 0.0)
+
+    def test_score_at_the_floor_is_kept(self):
+        scores = np.array([MIN_VOTE_CONFIDENCE, self.below, 0.9, self.below, MIN_VOTE_CONFIDENCE])
+        assert list(adaptive_topk(scores, k_max=10)) == [0, 2, 4]
+
+    def test_nan_is_never_kept(self):
+        scores = np.array([np.nan, 0.9, np.nan, 0.5])
+        assert list(adaptive_topk(scores, k_max=10)) == [1, 3]
+        assert list(adaptive_topk(scores, k_max=1)) == [1]
+
+    def test_cap_keeps_the_k_max_best(self):
+        scores = np.array([0.2, 0.9, 0.4, 0.8, 0.35, 0.6, 0.1])
+        assert list(adaptive_topk(scores, k_max=3)) == [1, 3, 5]
+        assert list(adaptive_topk(scores, k_max=5)) == [1, 2, 3, 4, 5]
 
     def test_ties_go_to_smaller_row(self):
         scores = np.array([0.5, 1.0, 1.0, 1.0, 0.5])
-        kept, k = adaptive_topk(scores, ratio=0.4, k_min=1)
-        assert k == 2
-        assert list(kept) == [1, 2]
+        assert list(adaptive_topk(scores, k_max=2)) == [1, 2]
 
     def test_ties_go_to_smaller_voxel_on_a_sorted_grid(self):
         rng = np.random.default_rng(6)
         idx = np.unique(rng.integers(0, 20, size=(30, 3)), axis=0)  # a grid's rows: sorted, unique
         scores = rng.choice([0.1, 0.5, 0.9], size=len(idx))
-        kept, k = adaptive_topk(scores, ratio=0.4)
-        # oracle: sort by (-score, voxel index), keep the first k
-        order = sorted(range(len(idx)), key=lambda i: (-scores[i], tuple(idx[i])))
-        assert list(kept) == sorted(order[:k])
+        k_max = int((scores == 0.9).sum()) + 2
+        assert (scores == 0.5).sum() > 2  # the cap splits the tied 0.5 rows
+        # oracle: the rows at or above the floor by (-score, voxel index), the first k_max
+        passing = [i for i in range(len(idx)) if scores[i] >= MIN_VOTE_CONFIDENCE]
+        order = sorted(passing, key=lambda i: (-scores[i], tuple(idx[i])))
+        assert list(adaptive_topk(scores, k_max)) == sorted(order[:k_max])
 
-    def test_clamping(self):
-        scores = np.arange(10, dtype=float)
-        _, k = adaptive_topk(scores, ratio=0.01, k_min=3)
-        assert k == 3
-        _, k = adaptive_topk(scores, ratio=1.0, k_max=4)
-        assert k == 4
+    def test_nothing_at_the_floor_keeps_no_row(self):
+        assert len(adaptive_topk(np.full(6, self.below), k_max=4)) == 0
 
     def test_empty_input(self):
-        kept, k = adaptive_topk(np.zeros(0), ratio=0.5)
-        assert k == 0 and len(kept) == 0
+        assert len(adaptive_topk(np.zeros(0), k_max=4)) == 0
 
 
 class TestClassWeightsAndWce:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -8,7 +10,7 @@ from sparsepose.config import PipelineConfig
 from sparsepose.fusion import Workspace
 from sparsepose.grid import SparseVoxelGrid, pack_index
 from conftest import scene_gt
-from sparsepose.heatmap import objectness_target, voxel_object_assignment
+from sparsepose.heatmap import MIN_VOTE_CONFIDENCE, objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
 from sparsepose import pipeline
 from sparsepose.voting import VoteSet, dbscan, matrix_to_rot6d
@@ -33,7 +35,6 @@ from sparsepose.pipeline import (
 def quick_config(**overrides):
     base = dict(
         theta=0.004,
-        topk_min=16,
         topk_max=512,
         steps=40,
         warmup_fraction=0.25,
@@ -81,7 +82,8 @@ class TestStagedForward:
         assert out.obj_scores.data.shape == (n_lift,)
         assert out.cls_logits.data.shape == (n_lift, 5)
         k = len(out.selected_rows)
-        assert cfg.topk_min <= k <= cfg.topk_max
+        assert 0 < k <= cfg.topk_max
+        assert np.all(out.obj_scores.data[out.selected_rows] >= MIN_VOTE_CONFIDENCE)
         assert out.offsets.data.shape == (k, 3)
         assert out.rot6d.data.shape == (k, 6)
 
@@ -101,6 +103,29 @@ class TestStagedForward:
         y_sel = objectness_target(out.selected_grid, small_bundle.gt)
         y_lift = objectness_target(out.lifted_grid, small_bundle.gt)
         assert y_sel.sum() == y_lift.sum()  # every positive voxel was selected
+
+    def test_no_row_at_the_floor_runs_no_pose_row(self, small_bundle):
+        # sigmoid(-800) scores every row 0: the pose stage runs on no row at
+        # estimate, and in training on exactly the ground-truth foreground
+        cfg = quick_config()
+        model = build_model(cfg, "cloud", seed=0)
+        model.obj.obj_head.bias.data[...] = -800.0
+        fine, _, _ = build_input_grid(small_bundle, cfg, "cloud")
+        out = staged_forward(model, fine, cfg, train=False)
+        assert len(out.selected_rows) == 0
+        assert out.offsets.data.shape == (0, 3) and out.rot6d.data.shape == (0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_poses(small_bundle, cfg, model) == ([], 0)
+        scene = scene_structure(fine, cfg, small_bundle.gt)
+        out = staged_forward(model, scene, cfg, train=True)
+        foreground = np.nonzero(scene.owner[out.lifted_fine_rows] >= 0)[0]
+        assert len(foreground) == 367
+        assert np.array_equal(out.selected_rows, foreground)
+        total, _, _ = compute_losses(out, scene, small_bundle.models, cfg)
+        total.backward()
+        for name, p in model.parameters().items():
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 
 
 class TestNetworkDtype:
