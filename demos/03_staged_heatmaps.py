@@ -33,9 +33,9 @@ bundle = load_scene_bundle(bundle_dir)
 
 cfg = PipelineConfig(theta=0.002)
 fine, _, _ = build_input_grid(bundle, cfg, "cloud")
-coarse, parent = coarsen(fine, cfg.coarse_factor)
+coarse, parent = coarsen(fine)
 print(f"fine grid:   {len(fine)} voxels at {cfg.theta*1000:.0f} mm, {fine.channels} channels")
-print(f"coarse grid: {len(coarse)} voxels at {cfg.theta*cfg.coarse_factor*1000:.0f} mm\n")
+print(f"coarse grid: {len(coarse)} voxels at {coarse.resolution*1000:.0f} mm\n")
 
 # -- stage one: RoI target, Gaussian focal loss, soft suppression -------------
 H = roi_target(coarse, bundle.gt, cfg.sigma_c, cfg.sigma_b)

@@ -97,7 +97,7 @@ def cmd_targets(args) -> int:
     cfg = _config_from(args)
     bundle = load_scene_bundle(args.scene)
     fine, _, _ = build_input_grid(bundle, cfg, "cloud")
-    coarse, _ = coarsen(fine, cfg.coarse_factor)
+    coarse, _ = coarsen(fine)
     H = roi_target(coarse, bundle.gt, cfg.sigma_c, cfg.sigma_b)
     attention, _ = soft_suppress(H, cfg.suppress_beta, cfg.suppress_epsilon, cfg.suppress_kappa)
     y = objectness_target(fine, bundle.gt)
@@ -133,12 +133,15 @@ def cmd_train_toy(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _config_from(args)
     bundle = load_scene_bundle(args.scene)
-    model = None
+    model, representation = None, args.repr or "cloud"
     if not args.oracle:
         if not args.checkpoint:
             raise ConfigError("estimate needs --checkpoint or --oracle")
         model = load_model(args.checkpoint, cfg)
-    representation = args.repr if args.oracle else model.representation
+        if args.repr not in (None, model.representation):
+            raise ConfigError(f"--repr {args.repr} conflicts with the checkpoint's representation "
+                              f"{model.representation}")
+        representation = model.representation
     poses, n_votes = estimate_poses(bundle, cfg, model=model, oracle=args.oracle,
                                     representation=representation)
     out = args.out or os.path.join(args.scene, "poses")
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     p.add_argument("--checkpoint")
     p.add_argument("--oracle", action="store_true", help="feed ground-truth targets as predictions")
-    p.add_argument("--repr", choices=("cloud", "tsdf"), default="cloud")
+    p.add_argument("--repr", choices=("cloud", "tsdf"), default=None,
+                   help="input representation; a checkpoint's own by default, else cloud")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 

@@ -17,15 +17,10 @@ from .ioutil import read_file
 class PipelineConfig:
     # [grid]
     theta: float = 0.002            # pipeline voxel size, meters
-    coarse_factor: int = 10
 
     # [camera]
     near: float = 0.05
     far: float = 5.0
-
-    # [tsdf]
-    tsdf_voxels_per_side: int = 16
-    tsdf_truncation_mult: float = 8.0
 
     # [heatmap]
     sigma_c: float = 6.0
@@ -36,13 +31,6 @@ class PipelineConfig:
 
     # [objectness]
     topk_max: int = 512             # pose rows, the best at or above the objectness floor
-
-    # [network]
-    width: int = 32
-    roi_width: int = 16
-    heads: int = 4
-    window_small: int = 4
-    window_medium: int = 8
 
     # [voting]
     dbscan_eps_mult: float = 2.5     # times theta
@@ -74,11 +62,6 @@ class PipelineConfig:
             value = getattr(self, key)
             if not _in_range(value, interval):
                 raise ConfigError(f"{key} must lie in {interval}, got {value}")
-        if self.width % self.heads != 0:
-            raise ConfigError(f"width must be a multiple of heads, got {self.width} and {self.heads}")
-        if self.window_small >= self.window_medium:
-            raise ConfigError(f"window_small must be smaller than window_medium, "
-                              f"got {self.window_small} and {self.window_medium}")
         if self.near >= self.far:
             raise ConfigError(f"near must be smaller than far, got {self.near} and {self.far}")
 
@@ -94,17 +77,13 @@ class PipelineConfig:
 # Every key once: its section, its place in the dump and its valid range as an
 # interval, where a parenthesis excludes the bound and a bracket includes it.
 # Lengths and spreads have finite upper bounds: past them an index or a square
-# overflows, or one TSDF block, a weight matrix or the (V, n, n) chamfer fills
-# memory.
+# overflows, or the (V, n, n) chamfer fills memory.
 _SECTIONS = {
-    "grid": {"theta": "(0, 1]", "coarse_factor": "[2, 1000]"},
+    "grid": {"theta": "(0, 1]"},
     "camera": {"near": "[0, inf)", "far": "(0, inf)"},
-    "tsdf": {"tsdf_voxels_per_side": "[1, 32]", "tsdf_truncation_mult": "(0, inf)"},
     "heatmap": {"sigma_c": "[0.1, 1000]", "sigma_b": "[0.1, 1000]", "suppress_beta": "(0, inf)",
                 "suppress_epsilon": "[0, 1]", "suppress_kappa": "(0, 1)"},
     "objectness": {"topk_max": "[1, inf)"},
-    "network": {"width": "[1, 256]", "roi_width": "[1, 256]", "heads": "[1, inf)",
-                "window_small": "[1, 1000]", "window_medium": "[1, 1000]"},
     "voting": {"dbscan_eps_mult": "(0, inf)", "dbscan_min_pts": "[1, inf)",
                "vote_top_fraction": "(0, 1]"},
     "icp": {"icp_iters": "[0, inf)", "icp_corr_mult": "(0, inf)", "icp_tol": "[0, inf)"},

@@ -377,7 +377,10 @@ class PoseNet(Module):
     """Pose regression head: [submanifold conv -> dual-branch transformer
     block] x 2, then parallel translation-offset and 6D-rotation branches.
     Zero-initialized heads, so an untrained net predicts zero offsets and the
-    identity rotation."""
+    identity rotation. Both blocks attend within the same small and medium
+    windows, `windows` voxels per side."""
+
+    windows = (4, 8)
 
     def __init__(self, in_dim: int, width: int, heads: int, rng: np.random.Generator):
         self.in_proj = Linear(in_dim, width, rng)
@@ -389,10 +392,8 @@ class PoseNet(Module):
         self.r_head = Linear(width, 6, rng, zero_init=True)
         self.width = width
 
-    def __call__(self, indices: np.ndarray, pairs: ConvPairs, features: Tensor, w_small: int,
-                 w_medium: int) -> tuple[Tensor, Tensor]:
-        windows_small = partition_indices(indices, w_small)
-        windows_medium = partition_indices(indices, w_medium)
+    def __call__(self, indices: np.ndarray, pairs: ConvPairs, features: Tensor) -> tuple[Tensor, Tensor]:
+        windows_small, windows_medium = (partition_indices(indices, w) for w in self.windows)
         x = self.in_proj(features)
         x = ad.add(x, ad.relu(self.conv1(x, pairs)))
         x = self.block1(x, windows_small, windows_medium)

@@ -42,6 +42,8 @@ from .voting import (
 )
 
 N_CLASSES = 4  # part library size; background is class 0
+# Channels of the objectness and pose trunks, of the RoI trunk, and attention heads.
+WIDTH, ROI_WIDTH, HEADS = 32, 16, 4
 
 # The dtype the three networks compute in. Their convolutions are BLAS-bound,
 # and float32 halves that work; parameters, checkpoints, losses, targets and
@@ -59,10 +61,8 @@ def fuse_bundle(bundle: SceneBundle, cfg: PipelineConfig) -> np.ndarray:
 
 def fuse_tsdf(bundle: SceneBundle, cfg: PipelineConfig, cloud: np.ndarray) -> SparseTsdf:
     """The bundle's TSDF, at voxelize's voxel size (theta) and origin (workspace corner)."""
-    tsdf_cfg = TsdfConfig(voxel_size=cfg.theta, voxels_per_side=cfg.tsdf_voxels_per_side,
-                          truncation=cfg.tsdf_truncation_mult * cfg.theta)
-    return build_tsdf(cloud, bundle.depths, bundle.cameras, tsdf_cfg, bundle.workspace.min_corner,
-                      near=cfg.near, far=cfg.far)
+    return build_tsdf(cloud, bundle.depths, bundle.cameras, TsdfConfig(voxel_size=cfg.theta),
+                      bundle.workspace.min_corner, near=cfg.near, far=cfg.far)
 
 
 def build_input_grid(bundle: SceneBundle, cfg: PipelineConfig, representation: str = "cloud"):
@@ -94,9 +94,9 @@ class PipelineModel(nn.Module):
 def build_model(cfg: PipelineConfig, representation: str, seed: int | None = None) -> PipelineModel:
     in_channels = 4 if representation == "cloud" else 5
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    roi = nn.RoiUNet(in_channels, cfg.roi_width, rng)
-    obj = nn.ObjectnessNet(in_channels + cfg.roi_width, cfg.width, N_CLASSES, rng)
-    pose = nn.PoseNet(cfg.width, cfg.width, cfg.heads, rng)
+    roi = nn.RoiUNet(in_channels, ROI_WIDTH, rng)
+    obj = nn.ObjectnessNet(in_channels + ROI_WIDTH, WIDTH, N_CLASSES, rng)
+    pose = nn.PoseNet(WIDTH, WIDTH, HEADS, rng)
     return PipelineModel(roi, obj, pose, in_channels, representation)
 
 
@@ -151,7 +151,7 @@ def scene_structure(fine: SparseVoxelGrid, cfg: PipelineConfig,
     `gt`, also the RoI target and the fine-grid ownership table."""
     if len(fine) == 0:
         raise DataError("staged forward on an empty grid")
-    coarse, parent_row = coarsen(fine, cfg.coarse_factor)
+    coarse, parent_row = coarsen(fine)
     pooled, pool_row = coarsen(coarse, nn.RoiUNet.pool_factor)
     return SceneStructure(
         fine=fine,
@@ -236,8 +236,7 @@ def staged_forward(
         selected = np.union1d(selected, np.nonzero(scene.owner[fine_rows] >= 0)[0])
     selected_idx = lifted_idx[selected]
     selected_feats = ad.gather_rows(obj_trunk, selected)
-    offsets, rot6d = model.pose(selected_idx, lifted_pairs.subset(selected), selected_feats,
-                                cfg.window_small, cfg.window_medium)
+    offsets, rot6d = model.pose(selected_idx, lifted_pairs.subset(selected), selected_feats)
     return StagedOutput(
         coarse=coarse,
         roi_scores=roi_scores,
@@ -413,9 +412,9 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
 
     The clusters double as instance indexing: each pose is refined against
     the scene points that fall into its own cluster's voxels, so adjacent
-    objects and bin walls cannot capture correspondences. Clusters too small
-    to carve a stable target fall back to the full cloud, which icp_refine
-    crops around the pose.
+    objects and bin walls cannot capture correspondences. A cluster whose
+    target has under 50 points is too small to register against: its pose
+    stays the aggregate, with refined=False.
 
     The targets are carved from the runs of the scene's voxel keys (theta
     voxels anchored at the workspace corner): each cluster's voxel keys are
@@ -452,23 +451,14 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     order, starts, counts = group_rows(scene_keys)
     run_keys = scene_keys[order[starts]]
     vote_keys = pack_index(lattice_index(votes.voxel_centers, workspace.min_corner, cfg.theta))
-    cluster_ids = np.unique(labels[labels >= 0])
-    refined: list = []
-    full_tree = None
-    for pose, cid in zip(poses, cluster_ids):
+    for i, cid in enumerate(np.unique(labels[labels >= 0])):
         hit = find_rows(run_keys, np.unique(vote_keys[labels == cid]))
         target = scene[np.sort(run_rows(order, starts, counts, hit[hit >= 0]))]
         if len(target) >= 50:
-            tree = cKDTree(target)
-        else:
-            if full_tree is None:
-                full_tree = cKDTree(scene)
-            tree = full_tree
-        out, _ = icp_refine(pose, models[pose.class_id].cloud_tree, tree,
-                            iters=cfg.icp_iters, corr_dist=cfg.icp_corr_dist,
-                            tol=cfg.icp_tol)
-        refined.append(out)
-    return refined
+            poses[i], _ = icp_refine(poses[i], models[poses[i].class_id].cloud_tree, cKDTree(target),
+                                     iters=cfg.icp_iters, corr_dist=cfg.icp_corr_dist,
+                                     tol=cfg.icp_tol)
+    return poses
 
 
 def estimate_poses(

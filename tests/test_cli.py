@@ -411,6 +411,21 @@ class TestTrainToyCli:
         assert str(ckpt) in err and "(4, 16)" in err and "(5, 16)" in err, err
         assert not poses.with_suffix(".json").exists()
 
+    def test_repr_comes_from_the_checkpoint(self, scene_dir, tmp_path, capsys):
+        # a TSDF model runs on the TSDF band grid; --repr may repeat that, not contradict it
+        ckpt = tmp_path / "toy.ckpt"
+        assert run(["train-toy", scene_dir, "--steps", 0, "--repr", "tsdf", "--out", ckpt,
+                    "--theta-mm", 6.0, "--seed", 1]) == 0
+        estimate = ["estimate", scene_dir, "--checkpoint", ckpt, "--theta-mm", 6.0, "--out"]
+        capsys.readouterr()
+        assert run(estimate + [tmp_path / "cloud", "--repr", "cloud"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "config error: --repr cloud conflicts with the checkpoint's representation tsdf"
+        assert not (tmp_path / "cloud.json").exists()
+        assert run(estimate + [tmp_path / "own"]) == 0
+        assert run(estimate + [tmp_path / "tsdf", "--repr", "tsdf"]) == 0
+        assert (tmp_path / "own.json").read_bytes() == (tmp_path / "tsdf.json").read_bytes()
+
     def test_stray_checkpoint_parameter_exit_code(self, scene_dir, tmp_path, capsys):
         # a checkpoint holding a layer the model does not build would otherwise
         # load and run as another function
@@ -486,15 +501,10 @@ def test_malformed_bundle_exit_code(scene_dir, tmp_path, capsys, name, doc):
 _AWAY_FROM_DEFAULTS = """\
 [grid]
 theta = 0.0035
-coarse_factor = 8
 
 [camera]
 near = 0.1
 far = 3.5
-
-[tsdf]
-tsdf_voxels_per_side = 8
-tsdf_truncation_mult = 6.5
 
 [heatmap]
 sigma_c = 1.5
@@ -505,13 +515,6 @@ suppress_kappa = 0.4
 
 [objectness]
 topk_max = 256
-
-[network]
-width = 24
-roi_width = 8
-heads = 3
-window_small = 3
-window_medium = 6
 
 [voting]
 dbscan_eps_mult = 3.0
@@ -545,8 +548,8 @@ class TestDumpConfig:
         assert out.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("text, sha256", [
-        ("", "133041887f530e71566e6bd7a1d42df1a3a5af093aa8817e25d9928b25c1d8df"),
-        (_AWAY_FROM_DEFAULTS, "810a62a5b0a5148b3add8b27f53c64de1a902b16cde82f1dfdf9a7450b0425b9"),
+        ("", "152c85de26b6bf2d434831881b443357b13597ebd4ed31e27395c2e22f9a8976"),
+        (_AWAY_FROM_DEFAULTS, "9016d80cdfadc17b6cc9efbd4459d724f074d52b7e2bbe1e69f64d76b971a190"),
     ], ids=["defaults", "every_key_away"])
     def test_dump_sha_pinned(self, tmp_path, text, sha256):
         # the config file format: section order, key order and value spelling
@@ -585,12 +588,13 @@ class TestDumpConfig:
     @pytest.mark.parametrize("line", ["tsdf_voxels_per_side = 0", "tsdf_truncation_mult = -1.0",
                                       "tsdf_weight_cap = 0.0"])
     def test_bad_tsdf_key_exit_code(self, scene_dir, tmp_path, capsys, line):
+        # the TSDF geometry is TsdfConfig's own: a [tsdf] key is unknown, whatever its value
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"[tsdf]\n{line}\n")
         capsys.readouterr()
         assert run(["fuse", scene_dir, "--repr", "tsdf", "--config", bad,
                     "--out", tmp_path / "x.tsdf"]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert capsys.readouterr().err.startswith(f"config error: unknown config key '{line.split()[0]}'")
         assert run(["dump-config", "--config", bad]) == 2
         assert not (tmp_path / "x.tsdf").exists()
 
@@ -605,17 +609,21 @@ _REMOVED_KEYS = [("heatmap", "attention_reweight = false"), ("network", "scaled_
                  ("loss", "lambda_cls = 2.0"), ("loss", "lambda_t = 3.0"), ("loss", "lambda_rot = 1.0"),
                  ("loss", "smooth_l1_delta = 0.01"), ("train", "train_rot_lr_mult = 30.0"),
                  ("train", "train_clip_norm = 10.0"), ("objectness", "topk_ratio = 0.5"),
-                 ("objectness", "topk_min = 32"),
+                 ("objectness", "topk_min = 32"), ("grid", "coarse_factor = 10"),
+                 ("tsdf", "tsdf_voxels_per_side = 16"), ("tsdf", "tsdf_truncation_mult = 8.0"),
+                 ("network", "width = 32"), ("network", "roi_width = 16"), ("network", "heads = 4"),
+                 ("network", "window_small = 4"), ("network", "window_medium = 8"),
                  # out-of-range values, once a range error, now an unknown key like any value
                  ("train", "train_clip_norm = 0"), ("loss", "smooth_l1_delta = 0"),
-                 ("objectness", "topk_min = -4"), ("objectness", "topk_min = 64\ntopk_max = 32")]
+                 ("objectness", "topk_min = -4"), ("objectness", "topk_min = 64\ntopk_max = 32"),
+                 ("network", "width = 0"), ("network", "roi_width = 0")]
 
 
 @pytest.mark.parametrize("section, line", _REMOVED_KEYS + [
     ("voting", "vote_top_fraction = 0.0"),
     ("voting", "dbscan_min_pts = 0"), ("voting", "dbscan_eps_mult = -1.0"),
     ("icp", "icp_corr_mult = 0.0"), ("icp", "icp_iters = -3"), ("icp", "icp_tol = -1.0"),
-    ("train", "seed = -1"), ("network", "width = 0"), ("network", "roi_width = 0"),
+    ("train", "seed = -1"),
     ("camera", "near = 5"), ("camera", "near = 0.05\nfar = 0.01"),
     ("train", "momentum = 1.5"),
     ("objectness", "topk_max = 0"),
@@ -641,4 +649,4 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "sparsepose", "dump-config"], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "[tsdf]" in proc.stdout
+    assert "[icp]" in proc.stdout

@@ -1,3 +1,4 @@
+import inspect
 import pathlib
 import re
 from dataclasses import fields
@@ -5,10 +6,12 @@ from dataclasses import fields
 import pytest
 
 import sparsepose
-from sparsepose import pipeline
+from sparsepose import nn, pipeline
 from sparsepose.cli import main
 from sparsepose.config import _SECTIONS, PipelineConfig, _in_range, dump_config, load_config, parse_config
 from sparsepose.errors import ConfigError
+from sparsepose.grid import coarsen
+from sparsepose.tsdf import TsdfConfig
 
 _RANGED = [(key, interval) for keys in _SECTIONS.values() for key, interval in keys.items()]
 
@@ -26,8 +29,11 @@ def _outside(key, interval):
 class TestDefaults:
     def test_paper_constants(self):
         cfg = PipelineConfig()
-        assert cfg.coarse_factor == 10
-        assert cfg.tsdf_truncation_mult == 8.0
+        assert inspect.signature(coarsen).parameters["factor"].default == 10
+        tsdf = TsdfConfig(voxel_size=cfg.theta)
+        assert tsdf.voxels_per_side == 16 and tsdf.truncation == 8.0 * cfg.theta
+        assert (pipeline.WIDTH, pipeline.ROI_WIDTH, pipeline.HEADS) == (32, 16, 4)
+        assert nn.PoseNet.windows == (4, 8)
         assert cfg.sigma_c == 6.0
         assert cfg.sigma_b == 4.0
         assert pipeline.LOSS_WEIGHTS == (1.0, 3.0, 2.0, 3.0, 1.0)
@@ -56,14 +62,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(suppress_kappa=1.5)
 
-    def test_window_ordering(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(window_small=8, window_medium=4)
-
-    def test_width_heads_divisibility(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(width=30, heads=4)
-
     def test_section_table_is_complete(self):
         placed = [key for keys in _SECTIONS.values() for key in keys]
         assert sorted(placed) == sorted(f.name for f in fields(PipelineConfig))
@@ -78,13 +76,13 @@ class TestValidation:
                 PipelineConfig(**{key: value})
 
     @pytest.mark.parametrize("overrides", [
-        {"heads": 0},
+        {"topk_max": 0},
         {"theta": float("nan")},
         {"lr": float("nan")},
         {"steps": -5},
-        {"tsdf_voxels_per_side": 0},
-        {"tsdf_truncation_mult": 0.0},
-        {"tsdf_truncation_mult": -1.0},
+        {"train_chamfer_points": 0},
+        {"icp_corr_mult": 0.0},
+        {"icp_corr_mult": -1.0},
     ])
     def test_out_of_range_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -110,10 +108,10 @@ class TestRoundTrip:
         assert (tmp_path / "again.cfg").read_bytes() == path.read_bytes()
 
     def test_values_survive(self):
-        cfg = PipelineConfig(sigma_c=5.25, window_medium=12, icp_tol=1e-7)
+        cfg = PipelineConfig(sigma_c=5.25, dbscan_min_pts=12, icp_tol=1e-7)
         loaded = parse_config(dump_config(cfg))
         assert loaded.sigma_c == 5.25
-        assert loaded.window_medium == 12
+        assert loaded.dbscan_min_pts == 12
         assert loaded.icp_tol == 1e-7
 
 
@@ -177,4 +175,4 @@ class TestParsing:
 
     def test_invalid_combination_from_text(self):
         with pytest.raises(ConfigError):
-            parse_config("[network]\nwindow_small = 9\nwindow_medium = 4\n")
+            parse_config("[camera]\nnear = 2.0\nfar = 1.0\n")

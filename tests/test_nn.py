@@ -459,7 +459,7 @@ class TestToyNets:
     def test_pose_net_zero_init_outputs(self):
         grid = self.make_grid(channels=32)
         net = nn.PoseNet(32, 32, 4, np.random.default_rng(22))
-        offsets, rot6d = net(grid.indices, nn.ConvPairs(grid.indices), Tensor(grid.features), 4, 8)
+        offsets, rot6d = net(grid.indices, nn.ConvPairs(grid.indices), Tensor(grid.features))
         assert offsets.data.shape == (len(grid), 3)
         assert rot6d.data.shape == (len(grid), 6)
         assert np.allclose(offsets.data, 0.0)

@@ -1,8 +1,8 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from sparsepose.autodiff import Tensor
@@ -436,8 +436,8 @@ class TestOraclePath:
 
     def test_cluster_targets_match_isin_carve(self, small_bundle, monkeypatch):
         # three vote clusters: 0 and 1 share one voxel, 2 holds under 50 scene
-        # points and so takes the full-cloud tree; a stripe of scene points
-        # lies outside every cluster's voxels
+        # points and so gets no ICP; a stripe of scene points lies outside
+        # every cluster's voxels
         cfg = quick_config(theta=0.002)
         class_id = min(small_bundle.models)
         voxels = [[(i, 0, 0) for i in range(20)],
@@ -458,11 +458,12 @@ class TestOraclePath:
         scene = scene[rng.permutation(len(scene))]
 
         trees = []
-        monkeypatch.setattr(pipeline, "icp_refine",
-                            lambda pose, cloud, tree, **kw: (trees.append(tree), (pose, []))[1])
+        monkeypatch.setattr(pipeline, "icp_refine", lambda pose, cloud, tree, **kw: (
+            trees.append(tree), (dataclasses.replace(pose, refined=True), []))[1])
         # a workspace anchored at the origin, so the carve's voxels are floor(x / theta)
         poses = votes_to_poses(votes, scene, small_bundle.models, cfg, Workspace(np.zeros(3), np.ones(3)))
-        assert len(poses) == len(trees) == 3
+        assert [p.refined for p in poses] == [True, True, False]
+        assert len(trees) == 2
 
         labels = dbscan(votes.predicted_centers(), cfg.dbscan_eps, cfg.dbscan_min_pts)
         scene_keys = pack_index(np.floor(scene / cfg.theta).astype(np.int64))
@@ -472,17 +473,16 @@ class TestOraclePath:
         assert not np.isin(scene_keys, vote_keys).all()
         assert np.array_equal(trees[0].data, carved[0])
         assert np.array_equal(trees[1].data, carved[1])
-        assert np.array_equal(trees[2].data, scene)
         shared_key = pack_index(np.array([[19, 0, 0]]))[0]
         n_shared = int((scene_keys == shared_key).sum())
         for tree in trees[:2]:
             keys = pack_index(np.floor(tree.data / cfg.theta).astype(np.int64))
             assert (keys == shared_key).sum() == n_shared > 0
 
-    def test_small_cluster_refines_against_cropped_full_cloud(self, small_bundle, monkeypatch):
+    def test_small_cluster_keeps_its_aggregate_pose(self, small_bundle, monkeypatch):
         # one object keeps 6 of its oracle votes, so its cluster carves under
-        # 50 scene points: ICP gets the full-cloud tree, crops it around the
-        # pose and queries the model tree with fewer points than the scene
+        # 50 scene points: it gets no ICP call and keeps the aggregated pose,
+        # which exact votes make exact, instead of being pulled by clutter
         cfg = quick_config(theta=0.002)
         fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
         votes = oracle_votes(fine, small_bundle.gt)
@@ -492,27 +492,19 @@ class TestOraclePath:
         votes = VoteSet(votes.voxel_centers[keep], votes.offsets[keep], votes.rot6d[keep],
                         votes.confidence[keep], votes.class_ids[keep])
 
+        aggregates = votes_to_poses(votes, cloud, small_bundle.models, quick_config(theta=0.002, icp_iters=0),
+                                    small_bundle.workspace)
         calls = []
         icp = pipeline.icp_refine
-
-        def spy(pose, model_tree, scene_tree, **kw):
-            calls.append((scene_tree.n, []))
-            return icp(pose, model_tree, scene_tree, **kw)
-
-        class CountingTree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                calls[-1][1].append(len(x))
-                return super().query(x, *args, **kwargs)
-
-        for model in small_bundle.models.values():
-            monkeypatch.setitem(model.__dict__, "cloud_tree", CountingTree(model.cloud))
-        monkeypatch.setattr(pipeline, "icp_refine", spy)
+        monkeypatch.setattr(pipeline, "icp_refine", lambda *args, **kw: (calls.append(1), icp(*args, **kw))[1])
         poses = votes_to_poses(votes, cloud, small_bundle.models, cfg, small_bundle.workspace)
-        assert len(poses) == len(calls) == small_bundle.gt.n_objects
-        full = [queried for n, queried in calls if n == len(cloud)]
-        assert len(full) == 1 and full[0]
-        assert max(full[0]) < len(cloud)
-        assert min(poses, key=lambda p: np.linalg.norm(p.translation - centroids[0])).refined
+        assert len(poses) == small_bundle.gt.n_objects and len(calls) == len(poses) - 1
+        i = int(np.argmin([np.linalg.norm(p.translation - centroids[0]) for p in poses]))
+        assert [p.refined for p in poses] == [j != i for j in range(len(poses))]
+        assert np.array_equal(poses[i].rotation, aggregates[i].rotation)
+        assert np.array_equal(poses[i].translation, aggregates[i].translation)
+        assert np.allclose(poses[i].rotation, small_bundle.gt.rotations[0], atol=1e-9)
+        assert np.allclose(poses[i].translation, small_bundle.gt.translations[0], atol=1e-9)
 
 
 def _voting_output(fine, gt, votes, keep):
