@@ -101,9 +101,9 @@ class SparseVoxelGrid:
     def channels(self) -> int:
         return self.features.shape[1]
 
-    def centers(self) -> np.ndarray:
-        """World-frame voxel centers, meters."""
-        return self.origin + (self.indices.astype(np.float64) + 0.5) * self.resolution
+    def centers(self, rows=slice(None)) -> np.ndarray:
+        """World-frame voxel centers, meters: of every voxel, or of `rows`."""
+        return self.origin + (self.indices[rows].astype(np.float64) + 0.5) * self.resolution
 
     def keys(self) -> np.ndarray:
         return pack_index(self.indices)
@@ -176,7 +176,7 @@ def voxelize(points: np.ndarray, resolution: float, origin) -> SparseVoxelGrid:
     xyz_s = xyz[order]
     sums = np.add.reduceat(xyz_s, starts, axis=0)
     means = sums / counts[:, None]
-    uniq_idx = idx[order][starts]
+    uniq_idx = idx[order[starts]]
     centers = origin + (uniq_idx.astype(np.float64) + 0.5) * resolution
     offset_feat = (means - centers) / resolution
     count_feat = np.log1p(counts.astype(np.float64))[:, None]

@@ -142,24 +142,24 @@ def voxel_object_assignment(grid: SparseVoxelGrid, gt: SceneGroundTruth) -> np.n
     """Object index owning each voxel, -1 for background.
 
     A voxel belongs to the object with the most model points inside it; ties
-    go to the object whose centroid is nearest to the voxel center.
+    go to the object whose centroid is nearest to the voxel center, then to
+    the smaller object index. Only the (voxel, object) pairs that occur are
+    counted.
     """
     owner = np.full(len(grid), -1, dtype=np.int64)
     if gt.n_objects == 0 or len(grid) == 0:
         return owner
-    n, m = len(grid), gt.n_objects
+    m = gt.n_objects
     objects = np.repeat(np.arange(m), [len(cloud) for cloud in gt.object_clouds])
     rows = grid.row_lookup(lattice_index(gt.all_points(), grid.origin, grid.resolution))
     inside = rows >= 0
-    counts = np.bincount(rows[inside] * m + objects[inside], minlength=n * m).reshape(n, m)
-    occupied = counts.sum(axis=1) > 0
-    if not occupied.any():
-        return owner
-    best = counts[occupied].max(axis=1)
-    tied = counts[occupied] == best[:, None]
-    dist = np.linalg.norm(grid.centers()[occupied][:, None, :] - gt.centroids[None, :, :], axis=2)
-    dist = np.where(tied, dist, np.inf)
-    owner[occupied] = np.argmin(dist, axis=1)
+    pairs, counts = np.unique(rows[inside] * m + objects[inside], return_counts=True)
+    voxel, obj = np.divmod(pairs, m)
+    dist = np.linalg.norm(grid.centers(voxel) - gt.centroids[obj], axis=1)
+    # per voxel: most points, then nearest centroid, then smallest object
+    pick = np.lexsort((obj, dist, -counts, voxel))
+    best = pick[np.diff(voxel[pick], prepend=-1) != 0]
+    owner[voxel[best]] = obj[best]
     return owner
 
 

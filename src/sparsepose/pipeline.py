@@ -14,7 +14,7 @@ from .autodiff import Tensor
 from .config import PipelineConfig
 from .errors import DataError
 from .fusion import Workspace, fuse_views
-from .grid import SparseVoxelGrid, coarsen, find_rows, group_rows, lattice_index, pack_index, run_rows, voxelize
+from .grid import SparseVoxelGrid, coarsen, find_rows, lattice_index, pack_index, voxelize
 from .heatmap import (
     MIN_VOTE_CONFIDENCE,
     SceneGroundTruth,
@@ -376,7 +376,7 @@ def oracle_votes(fine: SparseVoxelGrid, gt: SceneGroundTruth) -> VoteSet:
     votes its exact offset and rotation with confidence 1."""
     owner = voxel_object_assignment(fine, gt)
     rows = np.nonzero(owner >= 0)[0]
-    centers = fine.centers()[rows]
+    centers = fine.centers(rows)
     offsets, R, _ = pose_targets(centers, owner[rows], gt)
     return VoteSet(
         voxel_centers=centers,
@@ -416,11 +416,11 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     target has under 50 points is too small to register against: its pose
     stays the aggregate, with refined=False.
 
-    The targets are carved from the runs of the scene's voxel keys (theta
-    voxels anchored at the workspace corner): each cluster's voxel keys are
-    binary-searched into them and the rows of the matching runs, sorted, are
-    the scene points inside those voxels in scene order. A voxel shared by
-    two clusters goes to both.
+    The targets are carved by voxel (theta voxels anchored at the workspace
+    corner): each scene point's voxel key is looked up once, by `find_rows`,
+    among the sorted distinct voxels of the votes, and a cluster's target is
+    the scene points, in scene order, whose voxel is one of its votes'. A
+    voxel shared by two clusters goes to both.
 
     This is the one place that judges a vote. Votes that cannot make a pose
     are dropped before clustering: a predicted center outside the
@@ -440,20 +440,20 @@ def votes_to_poses(votes: VoteSet, scene_points: np.ndarray, models: dict, cfg: 
     labels = dbscan(votes.predicted_centers(), cfg.dbscan_eps, cfg.dbscan_min_pts)
     poses = aggregate_votes(votes, labels, cfg.vote_top_fraction)
     for pose in poses:
-        centroid = models[pose.class_id].mesh.surface_centroid()
-        pose.translation = pose.translation - pose.rotation @ centroid
+        pose.translation = pose.translation - pose.rotation @ models[pose.class_id].centroid
 
     scene = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
     if len(scene) == 0:
         return poses
     from scipy.spatial import cKDTree  # deferred: keeps package import light
-    scene_keys = pack_index(lattice_index(scene, workspace.min_corner, cfg.theta))
-    order, starts, counts = group_rows(scene_keys)
-    run_keys = scene_keys[order[starts]]
     vote_keys = pack_index(lattice_index(votes.voxel_centers, workspace.min_corner, cfg.theta))
+    voxels, vote_voxel = np.unique(vote_keys, return_inverse=True)
+    # -1 (no vote's voxel) reads the last slot of `own`, which stays False
+    scene_voxel = find_rows(voxels, pack_index(lattice_index(scene, workspace.min_corner, cfg.theta)))
     for i, cid in enumerate(np.unique(labels[labels >= 0])):
-        hit = find_rows(run_keys, np.unique(vote_keys[labels == cid]))
-        target = scene[np.sort(run_rows(order, starts, counts, hit[hit >= 0]))]
+        own = np.zeros(len(voxels) + 1, dtype=bool)
+        own[vote_voxel[labels == cid]] = True
+        target = scene[own[scene_voxel]]
         if len(target) >= 50:
             poses[i], _ = icp_refine(poses[i], models[poses[i].class_id].cloud_tree, cKDTree(target),
                                      iters=cfg.icp_iters, corr_dist=cfg.icp_corr_dist,

@@ -249,6 +249,14 @@ class ObjectModel:
         return float(np.sqrt(d2.max()))
 
     @cached_property
+    def centroid(self) -> np.ndarray:
+        """The mesh's surface centroid (zero for a canonical-frame model up
+        to rounding), read-only; computed on first access."""
+        c = self.mesh.surface_centroid()
+        c.flags.writeable = False
+        return c
+
+    @cached_property
     def cloud_tree(self):
         """KD-tree over the canonical cloud, the ICP model; built on first access."""
         from scipy.spatial import cKDTree  # deferred: keeps package import light

@@ -223,24 +223,40 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     clusters are the connected components of core points, numbered by their
     smallest core row; border points join the lowest-numbered cluster with a
     core point in range. Deterministic given the canonical point ordering.
+    Non-finite points raise DataError.
 
-    Core-core edges are collected cell-wise: every cell of core points is
-    tested with itself and its `grid.neighbor_rows` cells at once. A pair
-    whose joint span is within eps is linked by a star instead of all its
-    pairs, so heaps of near-duplicate points (vote blobs) stay cheap.
+    Equal rows share their neighborhood, so the work runs on the distinct
+    positions (oracle votes of one object all predict one center), ordered
+    by first row: each counts the input rows within eps, and every row
+    takes its position's label. Core-core edges are collected cell-wise:
+    every cell of core positions is tested with itself and its
+    `grid.neighbor_rows` cells at once. A pair whose joint span is within
+    eps is linked by a star instead of all its pairs, so heaps of
+    near-duplicate points (vote blobs) stay cheap.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if eps <= 0 or min_pts < 1:
         raise DataError("dbscan needs eps > 0 and min_pts >= 1")
+    if not np.isfinite(pts).all():
+        raise DataError("dbscan needs finite points")
+    if len(pts) == 0:
+        return np.full(0, NOISE, dtype=np.int64)
     from scipy.spatial import cKDTree  # deferred: keeps package import light
-    labels = np.full(len(pts), NOISE, dtype=np.int64)
-    counts = cKDTree(pts).query_ball_point(pts, eps, return_length=True)
+    lex = np.lexsort(pts.T[::-1])  # stable: equal rows stay ascending
+    fresh = np.r_[True, np.any(pts[lex[1:]] != pts[lex[:-1]], axis=1)]
+    run_first = lex[fresh]         # each distinct position's first row
+    heads = np.sort(run_first)
+    inverse = np.empty(len(pts), dtype=np.int64)
+    inverse[lex] = np.searchsorted(heads, run_first)[np.cumsum(fresh) - 1]
+    pos = pts[heads]
+    labels = np.full(len(pos), NOISE, dtype=np.int64)
+    counts = cKDTree(pts).query_ball_point(pos, eps, return_length=True)
     core = counts >= min_pts
     core_rows = np.nonzero(core)[0]
     if core_rows.size == 0:
-        return labels
+        return labels[inverse]
 
-    cpts = pts[core_rows]
+    cpts = pos[core_rows]
     # cells of edge eps anchored at the points, wider only where their extent
     # would not pack: every pair within eps still lies in neighbouring cells
     size = max(eps, float(np.ptp(cpts, axis=0).max()) / (PACK_RANGE - 2))
@@ -270,7 +286,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     from scipy.sparse.csgraph import connected_components
     graph = coo_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
     n_comp, comp = connected_components(graph, directed=False)
-    # number clusters by their smallest core row (core_rows is ascending)
+    # number clusters by their smallest core position (core_rows is
+    # ascending), which holds their smallest core row
     first = np.full(n_comp, m)
     np.minimum.at(first, comp, np.arange(m))
     labels[core_rows] = np.argsort(np.argsort(first))[comp]
@@ -278,12 +295,12 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     border_rows = np.nonzero(~core & (counts > 1))[0]
     if border_rows.size:
         core_tree = cKDTree(cpts)
-        near = core_tree.query_ball_point(pts[border_rows], eps)
+        near = core_tree.query_ball_point(pos[border_rows], eps)
         core_labels = labels[core_rows]
         for row, neighbors in zip(border_rows, near):
             if neighbors:
                 labels[row] = core_labels[np.asarray(neighbors)].min()
-    return labels
+    return labels[inverse]
 
 
 # ---------------------------------------------------------------------------

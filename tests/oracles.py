@@ -4,8 +4,10 @@ No command runs these, so they live beside the tests rather than in
 `sparsepose`: the brute-force dense TSDF and the global voxel index of a
 sparse one (criterion 1), the log-log slope and CSV of occupancy statistics
 (criterion 2), the central finite-difference gradient check (criterion 3),
-and single-window attention built from generic autodiff ops with its
-softmax and transpose nodes (criteria 3 and 4). Demos load this file by path.
+single-window attention built from generic autodiff ops with its softmax
+and transpose nodes (criteria 3 and 4), and the dense voxel ownership table
+and the run-based ICP target carve the voting path replaced. Demos load this
+file by path.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from sparsepose import autodiff as ad
 from sparsepose.autodiff import Tensor, _accumulate
 from sparsepose.camera import CameraExtrinsics
 from sparsepose.errors import NumericalError
-from sparsepose.grid import occupancy_table, unpack_index
+from sparsepose.grid import (
+    find_rows,
+    group_rows,
+    lattice_index,
+    occupancy_table,
+    pack_index,
+    run_rows,
+    unpack_index,
+)
 from sparsepose.tsdf import TsdfConfig
 
 
@@ -160,3 +170,43 @@ def finite_difference_check(fn, arrays, eps=1e-5, rtol=1e-4) -> float:
     if worst > rtol:
         raise NumericalError(f"gradient check failed: rel err {worst:.3e} > {rtol:.1e}")
     return worst
+
+
+# -- voting: ownership and ICP targets -------------------------------------
+
+
+def dense_voxel_object_assignment(grid, gt) -> np.ndarray:
+    """Voxel ownership from a dense (voxels x objects) count table: most
+    model points, ties to the nearest centroid, then the smaller object."""
+    owner = np.full(len(grid), -1, dtype=np.int64)
+    if gt.n_objects == 0 or len(grid) == 0:
+        return owner
+    n, m = len(grid), gt.n_objects
+    objects = np.repeat(np.arange(m), [len(cloud) for cloud in gt.object_clouds])
+    rows = grid.row_lookup(lattice_index(gt.all_points(), grid.origin, grid.resolution))
+    inside = rows >= 0
+    counts = np.bincount(rows[inside] * m + objects[inside], minlength=n * m).reshape(n, m)
+    occupied = counts.sum(axis=1) > 0
+    if not occupied.any():
+        return owner
+    best = counts[occupied].max(axis=1)
+    tied = counts[occupied] == best[:, None]
+    dist = np.linalg.norm(grid.centers()[occupied][:, None, :] - gt.centroids[None, :, :], axis=2)
+    dist = np.where(tied, dist, np.inf)
+    owner[occupied] = np.argmin(dist, axis=1)
+    return owner
+
+
+def run_carve_targets(scene, voxel_centers, labels, origin, theta) -> list[np.ndarray]:
+    """Each cluster's ICP target, in label order, carved from the runs of a
+    stable sort of the scene's voxel keys: the scene points inside the
+    cluster's vote voxels, in scene order."""
+    scene_keys = pack_index(lattice_index(scene, origin, theta))
+    order, starts, counts = group_rows(scene_keys)
+    run_keys = scene_keys[order[starts]]
+    vote_keys = pack_index(lattice_index(voxel_centers, origin, theta))
+    targets = []
+    for cid in np.unique(labels[labels >= 0]):
+        hit = find_rows(run_keys, np.unique(vote_keys[labels == cid]))
+        targets.append(scene[np.sort(run_rows(order, starts, counts, hit[hit >= 0]))])
+    return targets

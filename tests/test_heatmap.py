@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import scene_gt
+from oracles import dense_voxel_object_assignment
 from sparsepose.errors import DataError
 from sparsepose.grid import SparseVoxelGrid, voxelize
 from sparsepose.heatmap import (
@@ -337,6 +338,40 @@ class TestVoxelObjectAssignment:
             owner = voxel_object_assignment(grid, gt)
             assert np.array_equal(owner, self.per_object_reference(grid, gt)), f"trial {trial}"
             assert (owner >= 0).any() and (owner < 0).any()
+
+    @staticmethod
+    def equidistant_scenes():
+        """25 seeded (grid, gt, row) triples on an exact binary lattice: two
+        to five objects put the same points, and only those, into the voxel
+        at `row` and have centroids exactly 0.5 m from its center, so count
+        and distance both tie there."""
+        rng = np.random.default_rng(43)
+        theta = 0.25
+        for trial in range(25):
+            cells = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+            cells = cells[rng.random(len(cells)) < 0.6]
+            grid = grid_from_indices(cells, theta=theta)
+            m = int(rng.integers(2, 6))
+            tie_row = int(rng.integers(len(cells)))
+            center = grid.centers()[tie_row]
+            tie = center + rng.uniform(-0.1, 0.1, size=(int(rng.integers(1, 4)), 3))
+            away = rng.choice([-0.5, 0.5], size=m)[:, None] * np.eye(3)[rng.integers(0, 3, size=m)]
+            extra = [rng.uniform(-0.1, 1.1, size=(int(rng.integers(1, 30)), 3)) for _ in range(m)]
+            clouds = [np.vstack([tie, e[np.any(np.floor(e / theta) != cells[tie_row], axis=1)]]) for e in extra]
+            yield grid, scene_gt(center + away, clouds, rng.integers(1, 5, size=m)), tie_row
+
+    def test_matches_dense_table(self):
+        # the pair counts pick the owner the dense (voxels x objects) table
+        # picked, equal counts at equal centroid distances included
+        for trial, (grid, gt) in enumerate(self.random_scenes()):
+            assert np.array_equal(voxel_object_assignment(grid, gt),
+                                  dense_voxel_object_assignment(grid, gt)), f"trial {trial}"
+        for trial, (grid, gt, tie_row) in enumerate(self.equidistant_scenes()):
+            owner = voxel_object_assignment(grid, gt)
+            assert np.array_equal(owner, dense_voxel_object_assignment(grid, gt)), f"trial {trial}"
+            dist = np.linalg.norm(gt.centroids - grid.centers()[tie_row], axis=1)
+            assert np.all(dist == 0.5)
+            assert owner[tie_row] == 0
 
     def test_objectness_is_ownership(self):
         for trial, (grid, gt) in enumerate(self.random_scenes()):

@@ -10,6 +10,7 @@ from sparsepose.config import PipelineConfig
 from sparsepose.fusion import Workspace
 from sparsepose.grid import SparseVoxelGrid, pack_index
 from conftest import scene_gt
+from oracles import run_carve_targets
 from sparsepose.heatmap import MIN_VOTE_CONFIDENCE, objectness_target, voxel_object_assignment
 from sparsepose.metrics import add_s
 from sparsepose import pipeline
@@ -478,6 +479,42 @@ class TestOraclePath:
         for tree in trees[:2]:
             keys = pack_index(np.floor(tree.data / cfg.theta).astype(np.int64))
             assert (keys == shared_key).sum() == n_shared > 0
+
+    def test_cluster_targets_match_run_carve(self, small_bundle, monkeypatch):
+        # oracle votes on a real scene, plus copies of three voxels of the
+        # first-listed object voting the second one's center: those voxels
+        # are shared by two clusters. Every ICP target equals the run-based
+        # carve's.
+        cfg = quick_config(theta=0.002)
+        fine, cloud, _ = build_input_grid(small_bundle, cfg, "cloud")
+        votes = oracle_votes(fine, small_bundle.gt)
+        centers = votes.predicted_centers()
+        first = [int(np.argmax(np.all(centers == c, axis=1))) for c in np.unique(centers, axis=0)]
+        a, b = sorted(first)[:2]
+        shared = np.nonzero(np.all(centers == centers[a], axis=1))[0][:3]
+        votes = VoteSet(np.vstack([votes.voxel_centers, votes.voxel_centers[shared]]),
+                        np.vstack([votes.offsets, centers[b] - votes.voxel_centers[shared]]),
+                        np.vstack([votes.rot6d, votes.rot6d[shared]]),
+                        np.r_[votes.confidence, votes.confidence[shared]],
+                        np.r_[votes.class_ids, np.full(3, votes.class_ids[b])])
+        trees = []
+        icp = pipeline.icp_refine
+        monkeypatch.setattr(pipeline, "icp_refine",
+                            lambda *args, **kw: (trees.append(args[2]), icp(*args, **kw))[1])
+        votes_to_poses(votes, cloud, small_bundle.models, cfg, small_bundle.workspace)
+
+        labels = dbscan(votes.predicted_centers(), cfg.dbscan_eps, cfg.dbscan_min_pts)
+        assert labels[a] != labels[b] and np.all(labels[-3:] == labels[b])
+        expected = run_carve_targets(np.asarray(cloud, dtype=np.float64), votes.voxel_centers, labels,
+                                     small_bundle.workspace.min_corner, cfg.theta)
+        assert len(expected) == small_bundle.gt.n_objects and all(len(t) >= 50 for t in expected)
+        assert len(trees) == len(expected)
+        for tree, target in zip(trees, expected):
+            assert np.array_equal(tree.data, target)
+        # the shared voxels' scene points sit in both clusters' targets
+        keys = [set(map(tuple, np.floor((t - small_bundle.workspace.min_corner) / cfg.theta)))
+                for t in (expected[labels[a]], expected[labels[b]])]
+        assert len(keys[0] & keys[1]) >= 1
 
     def test_small_cluster_keeps_its_aggregate_pose(self, small_bundle, monkeypatch):
         # one object keeps 6 of its oracle votes, so its cluster carves under

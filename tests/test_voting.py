@@ -453,6 +453,62 @@ class TestDbscan:
         assert len(set(labels)) == 5
         assert NOISE not in set(labels)
 
+    def test_repeated_positions_count_each_row(self):
+        # a position repeated min_pts - 1 times is noise, min_pts times core
+        eps, min_pts = 0.01, 4
+        a, b = np.array([0.0, 0, 0]), np.array([1.0, 0, 0])
+        pts = np.vstack([np.tile(a, (min_pts - 1, 1)), np.tile(b, (min_pts, 1))])
+        assert dbscan(pts, eps, min_pts).tolist() == [NOISE] * (min_pts - 1) + [0] * min_pts
+        assert np.array_equal(dbscan(pts, eps, min_pts), naive_dbscan(pts, eps, min_pts))
+
+    def test_duplicated_border_positions(self):
+        # on the x axis: cores at 0 and 0.018, each core only through its
+        # neighbours; 0.009, twice, is a border point of both and joins
+        # cluster 0, the one whose core row comes first; -0.004 and 0.022,
+        # twice each, are border points of one cluster
+        eps, min_pts = 0.01, 5
+        x = [0.009, 0.022, 0.018, 0.009, -0.004, 0.0, 0.026, -0.004, 0.022, -0.008]
+        pts = np.array(x)[:, None] * np.array([1.0, 0, 0])
+        labels = dbscan(pts, eps, min_pts)
+        assert np.array_equal(labels, naive_dbscan(pts, eps, min_pts))
+        assert labels.tolist() == [0, 0, 0, 0, 1, 1, 0, 1, 0, 1]
+        counts = cKDTree(pts).query_ball_point(pts, eps, return_length=True)
+        assert np.nonzero(counts >= min_pts)[0].tolist() == [2, 5]
+
+    def test_cluster_after_another_clusters_duplicates(self):
+        # cluster 1's first row follows every copy of cluster 0's position,
+        # and cluster 0's position recurs after it: numbering follows the
+        # smallest core row, not the order of distinct positions
+        eps, min_pts = 0.01, 3
+        a, b, c = np.array([0.0, 0, 0]), np.array([0.5, 0, 0]), np.array([0.5, 0.005, 0])
+        pts = np.vstack([np.tile(b, (4, 1)), np.tile(a, (3, 1)), c, np.tile(b, (2, 1)), np.tile(a, (2, 1))])
+        labels = dbscan(pts, eps, min_pts)
+        assert np.array_equal(labels, naive_dbscan(pts, eps, min_pts))
+        assert labels.tolist() == [0] * 4 + [1] * 3 + [0] * 3 + [1] * 2
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_vote_heaps_match_naive_reference(self, jitter):
+        # heaps of repeated positions, exact or jittered, with stray noise
+        # rows; rows shuffled so copies of one position interleave
+        rng = np.random.default_rng(16 if jitter else 17)
+        eps, min_pts = 0.01, 5
+        for trial in range(40):
+            heaps = rng.uniform(-0.05, 0.05, size=(int(rng.integers(1, 6)), 3))
+            sizes = rng.integers(1, 60, size=len(heaps))
+            pts = np.repeat(heaps, sizes, axis=0)
+            pts = pts + jitter * rng.normal(size=pts.shape) * (rng.random(len(pts)) < 0.5)[:, None]
+            pts = np.vstack([pts, rng.uniform(-0.06, 0.06, size=(int(rng.integers(0, 20)), 3))])
+            pts = pts[rng.permutation(len(pts))]
+            assert np.array_equal(dbscan(pts, eps, min_pts), naive_dbscan(pts, eps, min_pts)), \
+                f"trial {trial}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            dbscan(pts, eps=0.01, min_pts=2)
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(300, 3))
